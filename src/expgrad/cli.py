@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,8 +40,44 @@ from .objectives import MeasurementEnsemble
 OBJECTIVE_KINDS = ("qst", "hedged-qst", "burg", "poisson", "quadratic")
 
 
+def _integer(name, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _positive_integer(name, value):
+    if _integer(name, value) < 1:
+        raise InvalidInput(f"{name} must be at least 1, got {value!r}")
+    return value
+
+
+def _number(name, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidInput(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _number_list(name, value):
+    try:
+        numbers = [float(s) for s in str(value).split(",") if s.strip()]
+    except ValueError:
+        raise InvalidInput(f"{name} must be comma-separated numbers, got {value!r}") from None
+    return [_number(name, x) for x in numbers]
+
+
+# the type of every flag that reaches a command as a value, command line or
+# config file alike; argparse's own conversion checks only the command line
+_FLAG_TYPES = {
+    "alpha_bar": _number, "shrink": _number, "tau": _number, "tol": _number,
+    "lam": _number, "max_iter": _integer, "max_backtracks": _integer,
+    "seed": _integer, "jobs": _positive_integer, "lambdas": _number_list,
+}
+
+
 def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, then from defaults."""
+    """Fill unset flags from the JSON config file, then from defaults, and
+    check the type of every value, raising InvalidInput on a mismatch."""
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -51,17 +88,20 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
         if getattr(args, dest, None) is None:
             key = dest.replace("_", "-")
             setattr(args, dest, config.get(key, default))
+    for dest, check in _FLAG_TYPES.items():
+        if hasattr(args, dest):
+            setattr(args, dest, check(dest.replace("_", "-"), getattr(args, dest)))
     return args
 
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
-        alpha_bar=float(args.alpha_bar),
-        shrink=float(args.shrink),
-        tau=float(args.tau),
-        max_iters=int(args.max_iter),
-        max_backtracks=int(args.max_backtracks),
-        stop_tol=float(args.tol),
+        alpha_bar=args.alpha_bar,
+        shrink=args.shrink,
+        tau=args.tau,
+        max_iters=args.max_iter,
+        max_backtracks=args.max_backtracks,
+        stop_tol=args.tol,
     )
 
 
@@ -75,7 +115,7 @@ def _build_problem(args):
         return qst_objective(ens), DensityState.maximally_mixed(ens.dim), False
     if kind == "hedged-qst":
         ens = load_ensemble(args.operators)
-        return (hedged_qst_objective(ens, float(args.lam)),
+        return (hedged_qst_objective(ens, args.lam),
                 DensityState.maximally_mixed(ens.dim), False)
     if kind == "burg":
         if args.dim is None:
@@ -90,7 +130,9 @@ def _build_problem(args):
         if args.dim is None:
             raise InvalidInput("--dim is required for the quadratic objective")
         d = int(args.dim)
-        rng = np.random.default_rng(int(args.seed))
+        if d < 1:
+            raise InvalidInput("--dim must be at least 1")
+        rng = np.random.default_rng(args.seed)
         target = HermitianOperator(diagnostics.random_density(rng, d).matrix)
         return quadratic_objective(target), DensityState.maximally_mixed(d), False
     raise InvalidInput(f"unknown objective {kind!r}")
@@ -165,7 +207,7 @@ def _sweep_point(ens, lam, cfg):
 
 
 def cmd_lambda_sweep(args) -> int:
-    lambdas = [float(s) for s in str(args.lambdas).split(",") if s.strip()]
+    lambdas = args.lambdas
     if not lambdas:
         raise InvalidInput("--lambdas must list at least one value")
     if any(l <= 0.0 for l in lambdas):
@@ -174,9 +216,8 @@ def cmd_lambda_sweep(args) -> int:
         raise InvalidInput("barrier weights must be strictly descending")
     ens = load_ensemble(args.operators)
     cfg = _solver_config(args)
-    jobs = int(args.jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(lambda lam: _sweep_point(ens, lam, cfg), lambdas))
     else:
         rows = [_sweep_point(ens, lam, cfg) for lam in lambdas]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
@@ -26,6 +25,7 @@ from .linalg import (
     DensityState,
     HermitianOperator,
     group_eigenvalues,
+    logsumexp,
     schatten_norm,
     spectral_decompose,
     trace_inner_product,
@@ -103,7 +103,7 @@ class LogPartitionProbe:
 
 def phi(probe: LogPartitionProbe, alpha: float) -> float:
     """Log-partition value log tr exp(log rho + alpha G)."""
-    return float(logsumexp(np.linalg.eigvalsh(probe.hamiltonian_exponent(alpha))))
+    return logsumexp(np.linalg.eigvalsh(probe.hamiltonian_exponent(alpha)))
 
 
 _DD_CLUSTER_TOL = 1e-2

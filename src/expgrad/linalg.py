@@ -9,10 +9,9 @@ the target sizes (d <= 64).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, InvalidInput
 
@@ -26,9 +25,21 @@ __all__ = [
     "schatten_norm",
     "eigen_extremes",
     "group_eigenvalues",
+    "logsumexp",
 ]
 
 DEFAULT_EIG_FLOOR = 1e-13
+
+
+def logsumexp(x: np.ndarray) -> float:
+    """log sum exp(x) for a vector with a finite maximum, shifted by that
+    maximum so that no term overflows; -inf entries contribute nothing."""
+    top = np.max(x)
+    return float(top + np.log(np.sum(np.exp(x - top))))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
 
 
 class HermitianOperator:
@@ -45,11 +56,21 @@ class HermitianOperator:
         a = np.asarray(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a.view(np.float64))):
+        if not np.all(np.isfinite(a)):
             raise InvalidInput("matrix has non-finite entries")
-        a = 0.5 * (a + a.conj().T)
+        a = _hermitian_part(a)
         a.flags.writeable = False
         self.mat = a
+
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "HermitianOperator":
+        """Wrap the Hermitian part of a square complex array computed inside
+        the package from finite Hermitian data, without the input checks."""
+        op = cls.__new__(cls)
+        a = _hermitian_part(a)
+        a.flags.writeable = False
+        op.mat = a
+        return op
 
     @property
     def dim(self) -> int:
@@ -170,29 +191,45 @@ class DensityState:
 
     The state is carried as a Hermitian exponent H with rho = exp(H), kept
     normalized so that tr exp(H) = 1 (logsumexp of H's eigenvalues is zero).
-    The realized eigensystem of rho is stored alongside. If a materialized
-    eigenvalue falls below the floor the state is flagged, not rejected:
-    the solver observes near-singularity rather than fabricating interiority.
+    The realized eigensystem of rho is stored alongside, and the matrix rho
+    is formed once, on first use. If a materialized eigenvalue falls below
+    the floor the state is flagged, not rejected: the solver observes
+    near-singularity rather than fabricating interiority.
     """
 
-    __slots__ = ("exponent", "eigenvalues", "eigenvectors", "floor_clamped")
+    __slots__ = ("exponent", "eigenvalues", "eigenvectors", "floor_clamped", "_matrix")
 
     def __init__(self, exponent, eigenvalues, eigenvectors, floor_clamped):
         self.exponent = exponent
         self.eigenvalues = eigenvalues
         self.eigenvectors = eigenvectors
         self.floor_clamped = floor_clamped
+        self._matrix = None
 
     @classmethod
     def from_exponent(cls, h, eig_floor: float = DEFAULT_EIG_FLOOR) -> "DensityState":
-        """Build exp(H)/tr exp(H) from a Hermitian exponent H."""
-        if not isinstance(h, HermitianOperator):
-            h = HermitianOperator(h)
-        dec = spectral_decompose(h)
-        shift = float(logsumexp(dec.eigenvalues))
-        w = dec.eigenvalues - shift
-        v = dec.eigenvectors
-        exponent = HermitianOperator((v * w) @ v.conj().T)
+        """Build exp(H)/tr exp(H) from a Hermitian exponent H.
+
+        H is a HermitianOperator or a square array, of which the Hermitian
+        part is taken. One eigendecomposition; a non-finite H raises
+        InvalidInput, detected on the eigenvalues it yields.
+        """
+        if isinstance(h, HermitianOperator):
+            a = h.mat
+        else:
+            a = np.asarray(h, dtype=np.complex128)
+            if a.ndim != 2 or a.shape[0] != a.shape[1]:
+                raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+            a = _hermitian_part(a)
+        try:
+            vals, v = np.linalg.eigh(a)
+        except np.linalg.LinAlgError:  # LAPACK does not converge on inf entries
+            raise InvalidInput("exponent has non-finite entries") from None
+        if not np.all(np.isfinite(vals)):
+            raise InvalidInput("exponent has non-finite entries")
+        w = vals - logsumexp(vals)
+        v.flags.writeable = False
+        exponent = HermitianOperator._trusted((v * w) @ v.conj().T)
         eigenvalues = np.exp(w)
         eigenvalues.flags.writeable = False
         return cls(exponent, eigenvalues, v, bool(eigenvalues[0] < eig_floor))
@@ -224,15 +261,20 @@ class DensityState:
 
     @property
     def matrix(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-    def operator(self) -> HermitianOperator:
-        return HermitianOperator(self.matrix)
+        """rho as a read-only d x d array."""
+        if self._matrix is None:
+            v = self.eigenvectors
+            self._matrix = (v * self.eigenvalues) @ v.conj().T
+            self._matrix.flags.writeable = False
+        return self._matrix
 
     def inverse(self) -> HermitianOperator:
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = 1.0 / self.eigenvalues
+        if not np.all(np.isfinite(inv)):
+            raise DomainError("inverse undefined for a numerically singular state")
         v = self.eigenvectors
-        return HermitianOperator((v * (1.0 / self.eigenvalues)) @ v.conj().T)
+        return HermitianOperator._trusted((v * inv) @ v.conj().T)
 
     def __repr__(self):
         return f"DensityState(dim={self.dim}, min_eig={self.min_eig:.3e})"

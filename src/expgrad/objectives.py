@@ -49,9 +49,14 @@ class ObjectiveSpec:
 
 
 class MeasurementEnsemble:
-    """A collection of Hermitian PSD measurement operators."""
+    """A collection of Hermitian PSD measurement operators.
 
-    __slots__ = ("dim", "operators")
+    The operators are also stacked into one read-only (m, d, d) array, kept
+    as its real (m, 2 d^2) view, so that tr(M_i rho) over the whole ensemble
+    is one matrix-vector product and sum_i w_i M_i one vector-matrix product.
+    """
+
+    __slots__ = ("dim", "operators", "_flat")
 
     def __init__(self, operators):
         ops = [op if isinstance(op, HermitianOperator) else HermitianOperator(op) for op in operators]
@@ -70,10 +75,22 @@ class MeasurementEnsemble:
             raise InvalidInput("ensemble is all zeros")
         self.dim = d
         self.operators = tuple(ops)
+        # row i holds the real and imaginary parts of M_i, interleaved
+        self._flat = np.stack([op.mat for op in ops]).view(np.float64).reshape(len(ops), -1)
+        self._flat.flags.writeable = False
 
     @property
     def count(self) -> int:
         return len(self.operators)
+
+    def probabilities(self, rho_mat: np.ndarray) -> np.ndarray:
+        """tr(M_i rho) for every operator: Re vdot(M_i, rho), with rho a
+        d x d complex array."""
+        return self._flat @ np.ascontiguousarray(rho_mat, dtype=np.complex128).view(np.float64).ravel()
+
+    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_i weights_i M_i as a d x d complex array, for real weights."""
+        return (weights @ self._flat).view(np.complex128).reshape(self.dim, self.dim)
 
 
 def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
@@ -84,9 +101,8 @@ def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
 
 
 def _measurement_probs(ens: MeasurementEnsemble, rho: DensityState) -> np.ndarray:
-    rho_mat = rho.matrix
     # tr(M_i rho); negative round-off on PSD operators counts as out of domain
-    return np.array([np.vdot(op.mat, rho_mat).real for op in ens.operators])
+    return ens.probabilities(rho.matrix)
 
 
 def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
@@ -102,10 +118,7 @@ def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
         t = _measurement_probs(ens, rho)
         if np.any(t <= 0.0):
             raise DomainError("gradient requested where some tr(M_i rho) <= 0")
-        g = np.zeros((ens.dim, ens.dim), dtype=np.complex128)
-        for op, ti in zip(ens.operators, t):
-            g -= op.mat / ti
-        return HermitianOperator(g)
+        return HermitianOperator._trusted(-ens.weighted_sum(1.0 / t))
 
     def in_domain(rho: DensityState) -> bool:
         return bool(np.all(_measurement_probs(ens, rho) > 0.0))
@@ -134,7 +147,7 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     def gradient(rho: DensityState) -> HermitianOperator:
         if rho.eigenvalues[0] <= 0.0:
             raise DomainError("barrier gradient undefined on a singular state")
-        return base.gradient(rho) - lam * rho.inverse()
+        return HermitianOperator._trusted(base.gradient(rho).mat - lam * rho.inverse().mat)
 
     def in_domain(rho: DensityState) -> bool:
         return base.in_domain(rho) and rho.eigenvalues[0] > 0.0
@@ -207,7 +220,7 @@ def quadratic_objective(target: HermitianOperator, scale: float = 1.0) -> Object
         return 0.5 * scale * float(np.vdot(diff, diff).real)
 
     def gradient(rho: DensityState) -> HermitianOperator:
-        return HermitianOperator(scale * (rho.matrix - target.mat))
+        return HermitianOperator._trusted(scale * (rho.matrix - target.mat))
 
     return ObjectiveSpec(target.dim, value, gradient, lambda rho: True, "matrix")
 

@@ -20,7 +20,6 @@ __all__ = [
     "matrix_from_json",
     "save_ensemble",
     "load_ensemble",
-    "save_rows",
     "load_rows",
 ]
 
@@ -56,14 +55,6 @@ def load_ensemble(path) -> MeasurementEnsemble:
     if ens.dim != payload["dim"]:
         raise InvalidInput("ensemble dimension does not match its operators")
     return ens
-
-
-def save_rows(rows: np.ndarray, path) -> None:
-    rows = np.asarray(rows, dtype=np.float64)
-    payload = {"dim": int(rows.shape[1]), "rows": rows.tolist()}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
 
 
 def load_rows(path) -> np.ndarray:

@@ -5,6 +5,15 @@ Iterates are carried in log domain: the matrix update composes additively in
 the Hermitian exponent and is re-materialized by one spectral decomposition
 per candidate, with logsumexp normalization. This avoids the accuracy loss of
 exp/log round trips near singular states.
+
+Work per solve. The stationarity probe at the end of iteration k, the step
+of length alpha_bar from x_k, is the first Armijo candidate of iteration
+k+1, and the accepted candidate's f value is the new f. With
+candidates = iterations + total backtracks, a matrix solve that stops on
+its own rule costs candidates + 1 eigendecompositions (one per candidate,
+plus the last probe), candidates + 1 evaluations of f (one per candidate,
+plus f(x0)) and iterations + 1 gradients, and one eigvalsh per iteration
+for the gradient's spectral width.
 """
 
 from __future__ import annotations
@@ -16,11 +25,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .entropy import ProbabilityVector, classical_relative_entropy
 from .errors import BacktrackCapExceeded, DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator, eigen_extremes, trace_inner_product
+from .linalg import DensityState, HermitianOperator, eigen_extremes, logsumexp
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -111,8 +119,7 @@ def eg_step(rho: DensityState, g: HermitianOperator, alpha: float,
     leaves the state unchanged (the normalization cancels the shift)."""
     if alpha <= 0.0:
         raise InvalidInput("step size must be positive")
-    return DensityState.from_exponent(
-        HermitianOperator(rho.exponent.mat - alpha * g.mat), eig_floor)
+    return DensityState.from_exponent(rho.exponent.mat - alpha * g.mat, eig_floor)
 
 
 def simplex_step(x: ProbabilityVector, g: np.ndarray, alpha: float) -> ProbabilityVector:
@@ -132,15 +139,13 @@ class _MatrixGeometry:
 
     @staticmethod
     def inner(g, new, old):
-        return trace_inner_product(g, HermitianOperator(new.matrix - old.matrix))
+        return float(np.vdot(g.mat, new.matrix - old.matrix).real)
 
     @staticmethod
     def divergence(new, old):
         # tr[new (log new - log old)] through the stored exponents, which
         # are the exact logs; robust when an eigenvalue underflows to zero
-        return trace_inner_product(
-            HermitianOperator(new.matrix),
-            HermitianOperator(new.exponent.mat - old.exponent.mat))
+        return float(np.vdot(new.matrix, new.exponent.mat - old.exponent.mat).real)
 
     @staticmethod
     def delta(g):
@@ -174,24 +179,23 @@ class _SimplexGeometry:
         return float(np.min(state.entries))
 
 
-def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, geom, g=None, f_state=None):
+def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, geom, g, f_state, first=None):
     """Backtracking line search: the largest alpha_bar * shrink^j passing the
     sufficient-decrease test. A +inf candidate value counts as a failed test;
-    equality at the boundary counts as acceptance."""
-    if g is None:
-        g = f.gradient(state)
-    if f_state is None:
-        f_state = f.value(state)
-        if not math.isfinite(f_state):
-            raise DomainError("line search started outside the effective domain")
+    equality at the boundary counts as acceptance. ``first``, when given, is
+    the alpha_bar candidate already computed. Returns (alpha, candidate,
+    backtracks, f(candidate))."""
     last_alpha = last_value = None
     for j in range(cfg.max_backtracks + 1):
         alpha = cfg.alpha_bar * cfg.shrink ** j
-        candidate = geom.step(state, g, alpha, cfg.eig_floor)
+        if j == 0 and first is not None:
+            candidate = first
+        else:
+            candidate = geom.step(state, g, alpha, cfg.eig_floor)
         f_cand = f.value(candidate)
         last_alpha, last_value = alpha, f_cand
         if math.isfinite(f_cand) and f_cand <= f_state + cfg.tau * geom.inner(g, candidate, state):
-            return alpha, candidate, j
+            return alpha, candidate, j, f_cand
     raise BacktrackCapExceeded(
         f"no acceptable step within {cfg.max_backtracks} backtracks",
         last_alpha=last_alpha, last_value=last_value)
@@ -202,32 +206,39 @@ def armijo_search(rho: DensityState, f: ObjectiveSpec, cfg: SolverConfig):
 
     Returns (alpha_accepted, rho_next, backtracks).
     """
-    return _armijo(rho, f, cfg, _MatrixGeometry)
+    g = f.gradient(rho)
+    f_rho = f.value(rho)
+    if not math.isfinite(f_rho):
+        raise DomainError("line search started outside the effective domain")
+    return _armijo(rho, f, cfg, _MatrixGeometry, g, f_rho)[:3]
 
 
 def _solve_loop(state0, f: ObjectiveSpec, cfg: SolverConfig, geom,
                 sink: Optional[Callable[[IterationRecord], None]] = None) -> SolveResult:
+    if state0.dim != f.dim:
+        raise InvalidInput(f"initial point has dimension {state0.dim}, objective {f.dim}")
     if not f.in_domain(state0):
         raise DomainError("initial point is outside the effective domain")
     state = state0
     f_prev = f.value(state)
+    g = f.gradient(state)
+    probe = None  # the alpha_bar step from state, once computed
     result = SolveResult(state, [], SolveStatus.MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
-        g = f.gradient(state)
         try:
-            alpha, state_next, backtracks = _armijo(state, f, cfg, geom, g=g, f_state=f_prev)
+            alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, geom, g, f_prev, probe)
         except BacktrackCapExceeded:
             result.status = SolveStatus.BACKTRACK_CAP_HIT
             break
-        f_new = f.value(state_next)
-        probe_next = geom.step(state_next, f.gradient(state_next), cfg.alpha_bar, cfg.eig_floor)
-        gap_bar = geom.divergence(probe_next, state_next)
+        g_next = f.gradient(state_next)
+        probe = geom.step(state_next, g_next, cfg.alpha_bar, cfg.eig_floor)
+        gap_bar = geom.divergence(probe, state_next)
         record = IterationRecord(k, f_new, alpha, backtracks, geom.delta(g),
                                  gap_bar, geom.min_eig(state_next))
         result.trace.append(record)
         if sink is not None:
             sink(record)
-        state = state_next
+        state, g = state_next, g_next
         result.final_state = state
         if gap_bar <= cfg.stop_tol:
             result.status = SolveStatus.STATIONARY

@@ -126,6 +126,10 @@ class TestRun:
     def test_dim_required_for_burg(self):
         assert main(["run", "--objective", "burg"]) == 2
 
+    @pytest.mark.parametrize("objective", ["burg", "quadratic"])
+    def test_nonpositive_dim_is_usage_error(self, objective):
+        assert main(["run", "--objective", objective, "--dim", "0"]) == 2
+
 
 class TestDiagnose:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -171,3 +175,26 @@ class TestLambdaSweep:
         for bad in (",", "0.01,0.1", "0.1,-0.2"):
             assert main(["lambda-sweep", "--operators", basis_file,
                          "--lambdas", bad]) == 2
+
+
+class TestMalformedInput:
+    """Every malformed flag or config value ends in exit 2 with a JSON
+    InvalidInput object on stderr, never in a traceback or a silent cast."""
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"max-iter": "abc"}, []),
+        ({"max-iter": 3.7}, []),
+        (None, ["--lambdas", "0.1,abc"]),
+        (None, ["--jobs", "0"]),
+        (None, ["--jobs", "-2"]),
+    ], ids=["config-max-iter-string", "config-max-iter-fraction", "lambdas-not-numbers",
+            "jobs-zero", "jobs-negative"])
+    def test_usage_error_as_json(self, basis_file, tmp_path, capsys, config, flags):
+        argv = ["lambda-sweep", "--operators", basis_file, "--lambdas", "0.1"]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv + flags) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"

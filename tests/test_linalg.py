@@ -29,6 +29,11 @@ class TestHermitianOperator:
         with pytest.raises(InvalidInput):
             HermitianOperator([[np.nan, 0.0], [0.0, 1.0]])
 
+    def test_accepts_transposed_complex_input(self):
+        a = np.arange(9).reshape(3, 3) + 1j * np.ones((3, 3))
+        h = HermitianOperator(a.conj().T)  # a non-contiguous view
+        assert np.array_equal(h.mat, HermitianOperator(a).mat)
+
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInput):
             HermitianOperator(np.ones((2, 3)))
@@ -202,6 +207,21 @@ class TestDensityState:
         rho = DensityState.from_exponent(HermitianOperator.diag([-40.0, 0.0]))
         assert rho.floor_clamped
         assert rho.min_eig > 0.0  # flagged, not clamped away
+
+    # halving a complex inf gives 0 * inf in the imaginary part, which numpy
+    # reports on the way to the rejection
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_from_exponent_rejects_non_finite_array(self, bad):
+        h = np.zeros((3, 3), dtype=complex)
+        h[2, 1] = bad
+        with pytest.raises(InvalidInput):
+            DensityState.from_exponent(h)
+
+    def test_inverse_of_underflowed_state(self):
+        rho = DensityState.from_exponent(HermitianOperator.diag([-800.0, 0.0]))
+        with pytest.raises(DomainError):
+            rho.inverse()
 
     def test_inverse(self):
         rho = DensityState.from_matrix(np.diag([0.25, 0.75]))

@@ -79,6 +79,18 @@ class TestMeasurementEnsemble:
         with pytest.raises(InvalidInput):
             MeasurementEnsemble([HermitianOperator(np.zeros((2, 2)))])
 
+    def test_stacked_products_match_operator_loops(self):
+        # reference: one vdot and one scaled add per operator
+        rng = np.random.default_rng(30)
+        ens = random_ensemble(rng, 5, 12)
+        rho = random_density(rng, 5)
+        t = ens.probabilities(rho.matrix)
+        want = np.array([np.vdot(op.mat, rho.matrix).real for op in ens.operators])
+        assert np.allclose(t, want, rtol=1e-13, atol=0.0)
+        w = rng.standard_normal(12)
+        total = sum(wi * op.mat for wi, op in zip(w, ens.operators))
+        assert np.allclose(ens.weighted_sum(w), total, rtol=0.0, atol=1e-12 * np.abs(total).max())
+
 
 class TestQstObjective:
     def test_value_at_maximally_mixed(self):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -248,6 +250,12 @@ class TestSolve:
         assert res.status in (SolveStatus.STATIONARY, SolveStatus.CONVERGED)
         assert min(r.bregman_gap_bar for r in res.trace) <= cfg.stop_tol * 10
 
+    def test_rejects_dimension_mismatch(self):
+        with pytest.raises(InvalidInput):
+            solve(DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(4)))
+        with pytest.raises(InvalidInput):
+            solve_simplex(ProbabilityVector.uniform(3), burg_objective(4))
+
     def test_sink_receives_every_record(self):
         f = qst_objective(standard_basis_ensemble(2))
         seen = []
@@ -286,6 +294,59 @@ class TestSolveSimplex:
     def test_rejects_boundary_start(self):
         with pytest.raises(DomainError):
             solve_simplex(ProbabilityVector([1.0, 0.0]), burg_objective(2))
+
+
+class TestWorkPerSolve:
+    """Each Armijo candidate costs one eigendecomposition and one f
+    evaluation, each accepted iterate one gradient: the alpha_bar probe that
+    tests stationarity is reused as the next iteration's first candidate."""
+
+    @staticmethod
+    def count_work(monkeypatch, f):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        return counts, dataclasses.replace(f, value=counted("value", f.value),
+                                           gradient=counted("gradient", f.gradient))
+
+    @staticmethod
+    def matrix_problem(family):
+        rng = np.random.default_rng(54)
+        if family == "qst":
+            return qst_objective(random_ensemble(rng, 3, 6)), SolverConfig(alpha_bar=20.0)
+        if family == "hedged-qst":
+            return hedged_qst_objective(random_ensemble(rng, 3, 6), 1e-3), SolverConfig()
+        target = HermitianOperator(random_density(rng, 3).matrix)
+        return quadratic_objective(target, 30.0), SolverConfig()
+
+    @pytest.mark.parametrize("family", ["qst", "hedged-qst", "quadratic"])
+    def test_matrix_solve(self, monkeypatch, family):
+        f, cfg = self.matrix_problem(family)
+        counts, f = self.count_work(monkeypatch, f)
+        rho0 = DensityState.maximally_mixed(3)
+        assert counts["eigh"] == 1
+        res = solve(rho0, f, cfg)
+        assert res.status in (SolveStatus.CONVERGED, SolveStatus.STATIONARY)
+        iters = len(res.trace)
+        candidates = iters + sum(r.backtracks for r in res.trace)
+        assert iters > 1 and candidates > iters
+        assert counts["eigh"] == 1 + candidates + 1
+        assert counts["gradient"] == iters + 1
+        assert counts["value"] == candidates + 1
+
+    def test_simplex_solve(self, monkeypatch):
+        counts, f = self.count_work(monkeypatch, burg_objective(5))
+        res = solve_simplex(ProbabilityVector([0.5, 0.2, 0.15, 0.1, 0.05]), f)
+        iters = len(res.trace)
+        assert iters > 1
+        assert counts["gradient"] == iters + 1
+        assert counts["value"] == iters + sum(r.backtracks for r in res.trace) + 1
 
 
 class TestTraceCsv:
