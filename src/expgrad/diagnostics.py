@@ -9,13 +9,16 @@ phi(alpha) = log tr exp(log rho + alpha G); its derivatives are moments of a
 random variable eta_alpha supported on the (grouped) eigenvalues of G with
 Gibbs weights tr(P_j exp(H_alpha)) / tr exp(H_alpha). rho and G are not
 assumed to commute: H_alpha is formed as a matrix sum and decomposed.
+
+phi, phi_derivatives and bregman_gap also take an array of alpha: one stack
+of H_alpha, one stacked eigvalsh or eigh (same bits as one call per matrix).
+The checks pass whole grids; fixed_point_check stacks its samples sigma too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .errors import InvalidInput
 from .linalg import (
     DensityState,
     HermitianOperator,
-    group_eigenvalues,
+    _hermitian_part,
     logsumexp,
     schatten_norm,
     spectral_decompose,
@@ -55,30 +58,25 @@ __all__ = [
 ]
 
 
-def chi(x: float) -> float:
-    """e^x (x - 1) + 1, evaluated as x e^x - expm1(x) to limit cancellation
-    near zero (the value behaves like x^2 / 2 there)."""
-    return float(x * math.exp(x) - math.expm1(x))
+def chi(x):
+    """e^x (x - 1) + 1, elementwise, evaluated as x e^x - expm1(x) to limit
+    cancellation near zero (the value behaves like x^2 / 2 there)."""
+    return x * np.exp(x) - np.expm1(x)
 
 
 class LogPartitionProbe:
-    """A base state and descent direction with the direction's grouped
-    spectrum; everything the log-partition diagnostics need."""
+    """A base state and descent direction with the direction's spectral
+    width delta; everything the log-partition diagnostics need."""
 
-    __slots__ = ("base", "direction", "group_values", "group_slices",
-                 "dir_eigenvectors", "delta")
+    __slots__ = ("base", "direction", "delta")
 
     def __init__(self, base: DensityState, direction: HermitianOperator):
         if base.dim != direction.dim:
             raise InvalidInput("state and direction dimensions differ")
         self.base = base
         self.direction = direction
-        dec = spectral_decompose(direction)
-        self.dir_eigenvectors = dec.eigenvectors
-        self.group_slices = group_eigenvalues(dec.eigenvalues)
-        self.group_values = np.array(
-            [float(np.mean(dec.eigenvalues[s])) for s in self.group_slices])
-        self.delta = float(dec.eigenvalues[-1] - dec.eigenvalues[0])
+        vals = spectral_decompose(direction).eigenvalues
+        self.delta = float(vals[-1] - vals[0])
 
     @classmethod
     def from_objective(cls, rho: DensityState, f: ObjectiveSpec) -> "LogPartitionProbe":
@@ -88,36 +86,35 @@ class LogPartitionProbe:
     def dim(self) -> int:
         return self.base.dim
 
-    def hamiltonian_exponent(self, alpha: float) -> np.ndarray:
-        return self.base.exponent.mat + alpha * self.direction.mat
-
-    def weights(self, alpha: float) -> np.ndarray:
-        """Gibbs weights P(eta_alpha = lambda_j) over the grouped spectrum."""
-        mu, u = np.linalg.eigh(self.hamiltonian_exponent(alpha))
-        q = np.exp(mu - mu[-1])
-        overlap = np.abs(self.dir_eigenvectors.conj().T @ u) ** 2  # rows: dir basis
-        per_vector = overlap @ q
-        w = np.array([float(np.sum(per_vector[s])) for s in self.group_slices])
-        return w / float(np.sum(q))
+    def hamiltonian_exponent(self, alpha) -> np.ndarray:
+        """H_alpha = log rho + alpha G; an array of alpha gives a stack."""
+        a = np.asarray(alpha, dtype=np.float64)[..., None, None]
+        return self.base.exponent.mat + a * self.direction.mat
 
 
-def phi(probe: LogPartitionProbe, alpha: float) -> float:
-    """Log-partition value log tr exp(log rho + alpha G)."""
+def phi(probe: LogPartitionProbe, alpha):
+    """Log-partition value log tr exp(log rho + alpha G); a float, or an
+    array of the shape of an array alpha, from one stacked eigvalsh."""
     return logsumexp(np.linalg.eigvalsh(probe.hamiltonian_exponent(alpha)))
 
 
 _DD_CLUSTER_TOL = 1e-2
 
 
+# On a grid of n steps the divided differences fill (n, d, d, d) arrays; they
+# work in place and take each series branch only where it applies.
 def _exp_dd1(a, b):
     """First divided difference of exp, elementwise and cancellation-safe:
     e^{(a+b)/2} sinh(delta)/delta with a series branch for small delta."""
-    m = 0.5 * (a + b)
     delta = 0.5 * (a - b)
     small = np.abs(delta) < 1e-4
     safe = np.where(small, 1.0, delta)
-    ratio = np.where(small, 1.0 + delta * delta / 6.0, np.sinh(safe) / safe)
-    return np.exp(m) * ratio
+    ratio = np.sinh(safe)
+    ratio /= safe
+    delta = delta[small]
+    ratio[small] = 1.0 + delta * delta / 6.0
+    ratio *= np.exp(0.5 * (a + b))
+    return ratio
 
 
 def _exp_dd2(a, b, c):
@@ -129,18 +126,21 @@ def _exp_dd2(a, b, c):
     lo = np.minimum(np.minimum(a, b), c)
     hi = np.maximum(np.maximum(a, b), c)
     mid = a + b + c - lo - hi
-    spread = hi - lo
+    out = _exp_dd1(mid, hi)
+    out -= _exp_dd1(lo, mid)
+    spread = np.subtract(hi, lo, out=hi)
     clustered = spread < _DD_CLUSTER_TOL
-    safe_spread = np.where(clustered, 1.0, spread)
-    split = (_exp_dd1(mid, hi) - _exp_dd1(lo, mid)) / safe_spread
+    spread[clustered] = 1.0
+    out /= spread
+    a, b, c = (np.broadcast_to(v, out.shape)[clustered] for v in (a, b, c))
     m = (a + b + c) / 3.0
     x, y, z = a - m, b - m, c - m
     p2 = x * x + y * y + z * z
-    taylor = np.exp(m) * (0.5 + p2 / 48.0 + x * y * z / 120.0 + p2 * p2 / 2880.0)
-    return np.where(clustered, taylor, split)
+    out[clustered] = np.exp(m) * (0.5 + p2 / 48.0 + x * y * z / 120.0 + p2 * p2 / 2880.0)
+    return out
 
 
-def phi_derivatives(probe: LogPartitionProbe, alpha: float) -> tuple[float, float, float]:
+def phi_derivatives(probe: LogPartitionProbe, alpha):
     """First three derivatives of phi, exactly, through the spectral calculus
     of the partition trace Z(alpha) = tr exp(H_alpha).
 
@@ -150,43 +150,48 @@ def phi_derivatives(probe: LogPartitionProbe, alpha: float) -> tuple[float, floa
     divided differences of the exponential. When the state and direction
     commute these reduce to the central moments of eta_alpha (mean, variance,
     third moment); off the commuting case the moment formulas acquire a
-    Duhamel correction that this path accounts for.
+    Duhamel correction that this path accounts for. An array alpha gives
+    three arrays, from one stacked eigh.
     """
     mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha))
-    mu = mu - mu[-1]  # common shift cancels in every ratio below
-    gt = u.conj().T @ probe.direction.mat @ u
-    z0 = float(np.sum(np.exp(mu)))
-    z1 = float(np.sum(np.diag(gt).real * np.exp(mu)))
-    d1 = _exp_dd1(mu[:, None], mu[None, :])
-    z2 = float(np.sum((np.abs(gt) ** 2) * d1))
-    d2 = _exp_dd2(mu[:, None, None], mu[None, :, None], mu[None, None, :])
-    triple = np.einsum("ij,jk,ki->ijk", gt, gt, gt).real
-    z3 = 2.0 * float(np.sum(triple * d2))
+    mu = mu - mu[..., -1:]  # common shift cancels in every ratio below
+    gt = u.conj().swapaxes(-1, -2) @ probe.direction.mat @ u
+    z0 = np.sum(np.exp(mu), axis=-1)
+    z1 = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * np.exp(mu), axis=-1)
+    d1 = _exp_dd1(mu[..., :, None], mu[..., None, :])
+    z2 = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1))
+    d2 = _exp_dd2(mu[..., :, None, None], mu[..., None, :, None], mu[..., None, None, :])
+    triple = np.einsum("...ij,...jk,...ki->...ijk", gt, gt, gt).real
+    z3 = 2.0 * np.sum(triple * d2, axis=(-3, -2, -1))
     m1 = z1 / z0
     m2 = z2 / z0
     m3 = z3 / z0
-    return m1, m2 - m1 * m1, m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3
+    moments = (m1, m2 - m1 * m1, m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)
+    return tuple(map(float, moments)) if mu.ndim == 1 else moments
 
 
-def bregman_gap(probe: LogPartitionProbe, alpha: float) -> float:
+def bregman_gap(probe: LogPartitionProbe, alpha):
     """D(rho(alpha), rho) through the log-partition identity
     phi(0) - phi(alpha) + alpha phi'(alpha); nonnegative (Peierls-Bogoliubov).
+    Also for an array alpha, with phi(0) and phi(alpha) from one eigvalsh.
     """
-    if alpha <= 0.0:
+    a = np.asarray(alpha, dtype=np.float64)
+    if np.any(a <= 0.0):
         raise InvalidInput("step size must be positive")
-    d1, _, _ = phi_derivatives(probe, alpha)
-    return phi(probe, 0.0) - phi(probe, alpha) + alpha * d1
+    values = phi(probe, np.append(0.0, a))
+    d1, _, _ = phi_derivatives(probe, a)
+    gap = values[0] - values[1:].reshape(a.shape) + a * d1
+    return float(gap) if gap.ndim == 0 else gap
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    lower: float
-    gap: float
-    upper: float
+class SandwichResult(NamedTuple):
+    lower: float | np.ndarray
+    gap: float | np.ndarray
+    upper: float | np.ndarray
     degenerate: bool = False
 
 
-def sandwich_check(probe: LogPartitionProbe, alpha: float) -> SandwichResult:
+def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
     """Two-sided bound on the Bregman gap from self-concordant likeness:
     (e^{-da} + da - 1)/d^2 * phi'' <= gap <= (e^{da} - da - 1)/d^2 * phi''.
 
@@ -194,17 +199,16 @@ def sandwich_check(probe: LogPartitionProbe, alpha: float) -> SandwichResult:
     quantities vanish in the limit and are reported as exact zeros.
     """
     d = probe.delta
+    x = d * np.asarray(alpha, dtype=np.float64)
     if d == 0.0:
-        return SandwichResult(0.0, 0.0, 0.0, degenerate=True)
-    x = d * alpha
+        return SandwichResult(x, x, x, degenerate=True)
     _, var, _ = phi_derivatives(probe, alpha)
-    lower = (math.expm1(-x) + x) / (d * d) * var
-    upper = (math.expm1(x) - x) / (d * d) * var
+    lower = (np.expm1(-x) + x) / (d * d) * var
+    upper = (np.expm1(x) - x) / (d * d) * var
     return SandwichResult(lower, bregman_gap(probe, alpha), upper)
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     non_increasing: bool
     worst_violation: float
     ratios: np.ndarray
@@ -220,19 +224,19 @@ def ratio_monotonicity_check(probe: LogPartitionProbe,
         raise InvalidInput("grid must be strictly ascending and positive")
     if probe.delta == 0.0:
         return RatioResult(True, 0.0, np.zeros(grid.size), degenerate=True)
-    ratios = np.array([bregman_gap(probe, a) / chi(probe.delta * a) for a in grid])
+    ratios = bregman_gap(probe, grid) / chi(probe.delta * grid)
     # allowed slack: next <= prev * (1 + 1e-8) + 1e-12
     excess = ratios[1:] - (ratios[:-1] * (1.0 + 1e-8) + 1e-12)
     worst = float(np.max(excess)) if excess.size else 0.0
     return RatioResult(bool(worst <= 0.0), max(worst, 0.0), ratios)
 
 
-@dataclass(frozen=True)
-class KappaResult:
+class KappaResult(NamedTuple):
     holds: bool
     worst_margin: float
     kappa: float
     degenerate: bool = False
+    rhs: float = 0.0  # kappa * D(rho(abar), rho)
 
 
 def kappa_bound_check(probe: LogPartitionProbe, alpha_bar: float,
@@ -246,10 +250,10 @@ def kappa_bound_check(probe: LogPartitionProbe, alpha_bar: float,
     if d == 0.0:
         return KappaResult(True, 0.0, 0.0, degenerate=True)
     kappa = d * d / (2.0 * chi(d * alpha_bar))
-    rhs = kappa * bregman_gap(probe, alpha_bar)
-    margins = np.array([bregman_gap(probe, a) / (a * a) - rhs for a in grid])
-    worst = float(np.min(margins))
-    return KappaResult(bool(worst >= -1e-9 * max(1.0, abs(rhs))), worst, kappa)
+    gaps = bregman_gap(probe, np.append(grid, alpha_bar))
+    rhs = kappa * gaps[-1]
+    worst = float(np.min(gaps[:-1] / (grid * grid) - rhs))
+    return KappaResult(bool(worst >= -1e-9 * max(1.0, abs(rhs))), worst, kappa, rhs=float(rhs))
 
 
 def inner_product_check(rho: DensityState, f: ObjectiveSpec, alpha: float) -> float:
@@ -263,8 +267,7 @@ def inner_product_check(rho: DensityState, f: ObjectiveSpec, alpha: float) -> fl
     return -div / alpha - inner
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     is_fixed_point: bool
     max_movement: float
     optimality_margin: float | None
@@ -276,22 +279,31 @@ def fixed_point_check(rho: DensityState, f: ObjectiveSpec,
                       samples: int = 100) -> FixedPointResult:
     """True iff rho is (numerically) invariant under the EG update at every
     grid step; a fixed point is then cross-checked for first-order optimality
-    <grad f(rho), sigma - rho> >= 0 over sampled feasible sigma."""
+    <grad f(rho), sigma - rho> >= 0 over sampled feasible sigma, drawn as
+    random_density draws them. The steps and the samples are stacks."""
+    alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
+    if np.any(alphas <= 0.0):
+        raise InvalidInput("step size must be positive")
     g = f.gradient(rho)
-    movement = 0.0
-    for alpha in alpha_grid:
-        nxt = eg_step(rho, g, alpha)
-        movement = max(movement, schatten_norm(
-            HermitianOperator(nxt.matrix - rho.matrix), 1))
+    moved = _hermitian_part(_density_matrices(rho.exponent.mat - alphas * g.mat) - rho.matrix)
+    movement = float(np.max(np.sum(np.abs(np.linalg.eigvalsh(moved)), axis=-1), initial=0.0))
     if movement > 1e-10:
         return FixedPointResult(False, movement, None)
     rng = rng if rng is not None else np.random.default_rng(0)
-    margin = math.inf
-    for _ in range(samples):
-        sigma = random_density(rng, rho.dim)
-        margin = min(margin, trace_inner_product(
-            g, HermitianOperator(sigma.matrix - rho.matrix)))
-    return FixedPointResult(True, movement, margin)
+    z = rng.standard_normal((samples, 2, rho.dim, rho.dim))
+    s = _hermitian_part(z[:, 0] + 1j * z[:, 1])
+    vals = np.linalg.eigvalsh(s)
+    norms = np.sqrt(np.sum(vals * vals, axis=-1))
+    sigma = _density_matrices(s * (1.0 / norms)[:, None, None])
+    inner = (sigma - rho.matrix).reshape(samples, -1) @ g.mat.conj().ravel()
+    return FixedPointResult(True, movement, float(np.min(inner.real, initial=math.inf)))
+
+
+def _density_matrices(h: np.ndarray) -> np.ndarray:
+    """exp(H)/tr exp(H) for a stack of H, as DensityState.from_exponent."""
+    vals, v = np.linalg.eigh(h)
+    p = np.exp(vals - logsumexp(vals)[..., None])
+    return (v * p[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def self_concordance_check(probe: LogPartitionProbe,
@@ -299,12 +311,9 @@ def self_concordance_check(probe: LogPartitionProbe,
     """Worst normalized excess of |phi'''| over Delta * phi'' on the grid;
     nonpositive (within slack) when the self-concordant-likeness bound holds.
     """
-    worst = -math.inf
-    for alpha in alpha_grid:
-        _, var, third = phi_derivatives(probe, alpha)
-        bound = probe.delta * var
-        worst = max(worst, (abs(third) - bound) / max(1.0, bound))
-    return worst
+    _, var, third = phi_derivatives(probe, np.asarray(alpha_grid, dtype=np.float64))
+    bound = probe.delta * var
+    return float(np.max((np.abs(third) - bound) / np.maximum(1.0, bound), initial=-math.inf))
 
 
 def random_hermitian(rng: np.random.Generator, d: int,

@@ -24,22 +24,23 @@ __all__ = [
     "trace_inner_product",
     "schatten_norm",
     "eigen_extremes",
-    "group_eigenvalues",
     "logsumexp",
 ]
 
 DEFAULT_EIG_FLOOR = 1e-13
 
 
-def logsumexp(x: np.ndarray) -> float:
-    """log sum exp(x) for a vector with a finite maximum, shifted by that
-    maximum so that no term overflows; -inf entries contribute nothing."""
-    top = np.max(x)
-    return float(top + np.log(np.sum(np.exp(x - top))))
+def logsumexp(x: np.ndarray):
+    """log sum exp(x) over the last axis, for rows with a finite maximum,
+    shifted by that maximum so that no term overflows; -inf entries
+    contribute nothing. A vector gives a float, a stack an array."""
+    top = np.max(x, axis=-1, keepdims=True)
+    out = top[..., 0] + np.log(np.sum(np.exp(x - top), axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 class HermitianOperator:
@@ -66,8 +67,12 @@ class HermitianOperator:
     def _trusted(cls, a: np.ndarray) -> "HermitianOperator":
         """Wrap the Hermitian part of a square complex array computed inside
         the package from finite Hermitian data, without the input checks."""
+        return cls._exact(_hermitian_part(a))
+
+    @classmethod
+    def _exact(cls, a: np.ndarray) -> "HermitianOperator":
+        """Wrap an exactly Hermitian array as it is: no checks, no copy."""
         op = cls.__new__(cls)
-        a = _hermitian_part(a)
         a.flags.writeable = False
         op.mat = a
         return op
@@ -163,27 +168,6 @@ def eigen_extremes(a: HermitianOperator) -> tuple[float, float]:
     """Smallest and largest eigenvalues (lambda_min, lambda_max)."""
     vals = np.linalg.eigvalsh(a.mat)
     return float(vals[0]), float(vals[-1])
-
-
-def group_eigenvalues(values: np.ndarray, scale: float | None = None) -> list[slice]:
-    """Group ascending eigenvalues that agree within 1e-10 * max(1, scale).
-
-    Returns slices into the ascending eigenvalue array; each slice indexes
-    one (possibly degenerate) eigenprojector. ``scale`` defaults to the
-    largest modulus in ``values``.
-    """
-    values = np.asarray(values)
-    if scale is None:
-        scale = float(np.max(np.abs(values))) if values.size else 0.0
-    tol = 1e-10 * max(1.0, scale)
-    groups: list[slice] = []
-    start = 0
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            groups.append(slice(start, i))
-            start = i
-    groups.append(slice(start, len(values)))
-    return groups
 
 
 class DensityState:

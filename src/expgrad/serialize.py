@@ -50,6 +50,8 @@ def load_ensemble(path) -> MeasurementEnsemble:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "dim" not in payload or "operators" not in payload:
         raise InvalidInput("ensemble file must contain 'dim' and 'operators'")
+    if not isinstance(payload["operators"], list):
+        raise InvalidInput("'operators' must be a list of matrices")
     ops = [HermitianOperator(matrix_from_json(m)) for m in payload["operators"]]
     ens = MeasurementEnsemble(ops)
     if ens.dim != payload["dim"]:
@@ -62,7 +64,10 @@ def load_rows(path) -> np.ndarray:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "dim" not in payload or "rows" not in payload:
         raise InvalidInput("vector objective file must contain 'dim' and 'rows'")
-    rows = np.asarray(payload["rows"], dtype=np.float64)
+    try:
+        rows = np.asarray(payload["rows"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed rows: {exc}") from None
     if rows.ndim != 2 or rows.shape[1] != payload["dim"]:
         raise InvalidInput("row shapes do not match the declared dimension")
     return rows

@@ -119,7 +119,9 @@ def eg_step(rho: DensityState, g: HermitianOperator, alpha: float,
     leaves the state unchanged (the normalization cancels the shift)."""
     if alpha <= 0.0:
         raise InvalidInput("step size must be positive")
-    return DensityState.from_exponent(rho.exponent.mat - alpha * g.mat, eig_floor)
+    # a real combination of two exactly Hermitian arrays is exactly Hermitian
+    h = HermitianOperator._exact(rho.exponent.mat - alpha * g.mat)
+    return DensityState.from_exponent(h, eig_floor)
 
 
 def simplex_step(x: ProbabilityVector, g: np.ndarray, alpha: float) -> ProbabilityVector:

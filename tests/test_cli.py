@@ -198,3 +198,15 @@ class TestMalformedInput:
         assert main(argv + flags) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("objective, payload", [
+        ("poisson", {"dim": 1, "rows": [["a"]]}),
+        ("poisson", {"dim": 2, "rows": [[1, 2], [3]]}),
+        ("qst", {"dim": 2, "operators": 5}),
+    ], ids=["rows-not-numbers", "rows-ragged", "operators-not-a-list"])
+    def test_malformed_input_file_as_json(self, tmp_path, capsys, objective, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        assert main(["run", "--objective", objective, "--operators", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"

@@ -2,6 +2,7 @@
 Bregman-gap identity, sandwich/ratio/kappa bounds, and fixed-point checks."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from expgrad import (
     sandwich_check,
     self_concordance_check,
     standard_basis_ensemble,
+    trace_inner_product,
 )
 
 
@@ -63,22 +65,6 @@ class TestProbe:
         p = LogPartitionProbe(DensityState.maximally_mixed(2),
                               HermitianOperator.diag([-1.0, 3.0]))
         assert p.delta == pytest.approx(4.0)
-
-    def test_weights_are_gibbs(self):
-        rng = np.random.default_rng(2)
-        p = random_probe(rng, 4, "hermitian")
-        for alpha in (0.0, 0.4, 2.0):
-            w = p.weights(alpha)
-            assert np.all(w > 0.0)
-            assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
-
-    def test_weights_at_zero_are_base_populations(self):
-        # commuting case: weights(0) are the base eigenvalues grouped by
-        # direction eigenvalue
-        base = DensityState.from_matrix(np.diag([0.1, 0.3, 0.6]))
-        p = LogPartitionProbe(base, HermitianOperator.diag([1.0, 1.0, 2.0]))
-        w = p.weights(0.0)
-        assert np.allclose(np.sort(w), [0.4, 0.6], atol=1e-12)
 
 
 class TestPhi:
@@ -288,6 +274,11 @@ class TestFixedPoint:
         assert res.is_fixed_point
         assert res.optimality_margin >= -1e-8
 
+    def test_rejects_nonpositive_step(self):
+        f = qst_objective(standard_basis_ensemble(2))
+        with pytest.raises(InvalidInput):
+            fixed_point_check(DensityState.maximally_mixed(2), f, (0.5, 0.0))
+
     def test_non_optimum_moves(self):
         f = qst_objective(standard_basis_ensemble(2))
         rho = DensityState.from_matrix(np.diag([0.9, 0.1]))
@@ -338,3 +329,125 @@ class TestSuites:
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidInput):
             run_suite("ratio", 0, 0)
+
+
+class TestArrayAlpha:
+    """An array of alpha gives, elementwise, what one call per alpha gives."""
+
+    @pytest.mark.parametrize("kind", ["qst", "hermitian"])
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_matches_scalar_calls(self, d, kind):
+        rng = np.random.default_rng(40 + d)
+        p = random_probe(rng, d, kind)
+        grid = np.array([0.05, 0.7, 3.0])
+        assert isinstance(phi(p, 0.7), float)
+        assert all(isinstance(x, float) for x in phi_derivatives(p, 0.7))
+        np.testing.assert_allclose(phi(p, grid), [phi(p, a) for a in grid], rtol=1e-12)
+        per_alpha = np.array([phi_derivatives(p, a) for a in grid]).T
+        for got, want in zip(phi_derivatives(p, grid), per_alpha):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        gaps = bregman_gap(p, grid)
+        assert gaps.shape == grid.shape
+        np.testing.assert_allclose(gaps, [bregman_gap(p, a) for a in grid], rtol=1e-12)
+
+    def test_rejects_nonpositive_step_in_array(self):
+        with pytest.raises(InvalidInput):
+            bregman_gap(constant_direction_probe(2, 1.0), np.array([0.5, 0.0]))
+
+    def test_zero_spectral_width(self):
+        # G = c I: phi(alpha) = alpha c, phi' = c, phi'' = phi''' = 0, no gap
+        c = -1.3
+        p = constant_direction_probe(4, c)
+        grid = np.array([0.1, 1.0, 5.0])
+        np.testing.assert_allclose(phi(p, grid), c * grid, atol=1e-12)
+        d1, d2, d3 = phi_derivatives(p, grid)
+        np.testing.assert_allclose(d1, c, atol=1e-12)
+        np.testing.assert_allclose(d2, 0.0, atol=1e-10)
+        np.testing.assert_allclose(d3, 0.0, atol=1e-8)
+        np.testing.assert_allclose(bregman_gap(p, grid), 0.0, atol=1e-12)
+        res = sandwich_check(p, grid)
+        assert res.degenerate
+        for part in (res.lower, res.gap, res.upper):
+            assert np.array_equal(part, np.zeros(3))
+        ratio = ratio_monotonicity_check(p, grid)
+        assert ratio.degenerate and ratio.non_increasing and ratio.worst_violation == 0.0
+        assert np.array_equal(ratio.ratios, np.zeros(3))
+        kappa = kappa_bound_check(p, 5.0, grid)
+        assert kappa.degenerate and kappa.holds and kappa.kappa == 0.0
+        assert self_concordance_check(p, grid) <= 1e-10
+
+
+class TestWorkPerCheck:
+    """Each check costs a fixed number of stacked decompositions per probe,
+    whatever the size of its grid or of its sample population."""
+
+    @staticmethod
+    def count_decompositions(monkeypatch):
+        counts = Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.fixture
+    def probes(self):
+        rng = np.random.default_rng(43)
+        return [random_probe(rng, d, kind) for d in (2, 5, 8) for kind in ("qst", "hermitian")]
+
+    def per_probe(self, monkeypatch, probes, check):
+        counts = self.count_decompositions(monkeypatch)
+        totals = []
+        for p in probes:
+            counts.clear()
+            check(p)
+            totals.append(sum(counts.values()))
+        return totals
+
+    def test_ratio(self, monkeypatch, probes):
+        grid = np.geomspace(1e-3, 10.0, 25)
+        assert max(self.per_probe(monkeypatch, probes,
+                                  lambda p: ratio_monotonicity_check(p, grid))) <= 2
+
+    def test_kappa(self, monkeypatch, probes):
+        grid = np.linspace(0.05, 1.0, 20)
+        assert max(self.per_probe(monkeypatch, probes,
+                                  lambda p: kappa_bound_check(p, 1.0, grid))) <= 2
+
+    def test_self_concordance(self, monkeypatch, probes):
+        grid = np.geomspace(1e-3, 10.0, 25)
+        assert self.per_probe(monkeypatch, probes,
+                              lambda p: self_concordance_check(p, grid)) == [1] * len(probes)
+
+    def test_fixed_point_independent_of_samples(self, monkeypatch):
+        cases = [(DensityState.maximally_mixed(d), qst_objective(standard_basis_ensemble(d)))
+                 for d in (2, 5, 8)]
+        counts = self.count_decompositions(monkeypatch)
+        for rho, f in cases:
+            per_samples = []
+            for samples in (10, 100):
+                counts.clear()
+                res = fixed_point_check(rho, f, (0.1, 1.0, 3.0), np.random.default_rng(0), samples)
+                assert res.is_fixed_point
+                per_samples.append(sum(counts.values()))
+            assert per_samples[0] == per_samples[1] <= 8
+
+
+def test_fixed_point_samples_match_per_sample_draws():
+    # reference: one random_density and one validated inner product per sample
+    d, samples = 3, 40
+    rho, f = DensityState.maximally_mixed(d), qst_objective(standard_basis_ensemble(d))
+    rng = np.random.default_rng(44)
+    res = fixed_point_check(rho, f, (0.5,), rng, samples)
+    ref_rng = np.random.default_rng(44)
+    g = f.gradient(rho)
+    want = min(trace_inner_product(g, HermitianOperator(random_density(ref_rng, d).matrix - rho.matrix))
+               for _ in range(samples))
+    assert res.optimality_margin == pytest.approx(want, abs=1e-13)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_suite_records_do_not_depend_on_other_checks():
+    checks = ("sandwich", "ratio", "moments", "kappa", "fixed-point", "self-concordance")
+    assert run_suite("all", 6, 3) == [r for c in checks for r in run_suite(c, 6, 3)]

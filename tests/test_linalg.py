@@ -6,7 +6,7 @@ from expgrad.linalg import (
     DensityState,
     HermitianOperator,
     eigen_extremes,
-    group_eigenvalues,
+    logsumexp,
     matrix_function,
     schatten_norm,
     spectral_decompose,
@@ -165,14 +165,18 @@ class TestEigenExtremes:
         assert hi == pytest.approx(dec.eigenvalues[-1])
 
 
-class TestGroupEigenvalues:
-    def test_degenerate_grouping(self):
-        groups = group_eigenvalues(np.array([1.0, 1.0 + 1e-12, 2.0]))
-        assert groups == [slice(0, 2), slice(2, 3)]
+class TestLogsumexp:
+    def test_vector_gives_float(self):
+        out = logsumexp(np.array([0.0, np.log(3.0), -np.inf]))
+        assert isinstance(out, float)
+        assert out == pytest.approx(np.log(4.0), abs=1e-15)
 
-    def test_distinct(self):
-        groups = group_eigenvalues(np.array([0.0, 1.0, 2.0]))
-        assert len(groups) == 3
+    def test_stack_matches_rows(self):
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((4, 3, 5)) * 300.0  # exp would overflow unshifted
+        out = logsumexp(stack)
+        assert out.shape == (4, 3)
+        assert np.array_equal(out, [[logsumexp(row) for row in rows] for rows in stack])
 
 
 class TestDensityState:
