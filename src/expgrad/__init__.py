@@ -59,9 +59,7 @@ from .solver import (
     SolverConfig,
     armijo_search,
     eg_step,
-    simplex_step,
     solve,
-    solve_simplex,
     write_trace_csv,
 )
 

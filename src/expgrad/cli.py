@@ -32,7 +32,7 @@ from .objectives import (
     quadratic_objective,
 )
 from .serialize import load_ensemble, load_rows, save_ensemble
-from .solver import SolverConfig, solve, solve_simplex, write_trace_csv
+from .solver import SolverConfig, solve, write_trace_csv
 from .suites import SUITE_NAMES, run_suite
 from . import diagnostics
 from .objectives import MeasurementEnsemble
@@ -94,38 +94,36 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
     return args
 
 
+# solver flag -> SolverConfig field
+_SOLVER_FIELDS = {
+    "alpha_bar": "alpha_bar", "shrink": "shrink", "tau": "tau", "max_iter": "max_iters",
+    "max_backtracks": "max_backtracks", "tol": "stop_tol",
+}
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        alpha_bar=args.alpha_bar,
-        shrink=args.shrink,
-        tau=args.tau,
-        max_iters=args.max_iter,
-        max_backtracks=args.max_backtracks,
-        stop_tol=args.tol,
-    )
+    return SolverConfig(**{field: getattr(args, flag) for flag, field in _SOLVER_FIELDS.items()})
 
 
 def _build_problem(args):
-    """Returns (objective, initial_state, is_vector)."""
+    """Returns (objective, initial_state)."""
     kind = args.objective
     if kind in ("qst", "hedged-qst", "poisson") and args.operators is None:
         raise InvalidInput(f"--operators is required for the {kind} objective")
     if kind == "qst":
         ens = load_ensemble(args.operators)
-        return qst_objective(ens), DensityState.maximally_mixed(ens.dim), False
+        return qst_objective(ens), DensityState.maximally_mixed(ens.dim)
     if kind == "hedged-qst":
         ens = load_ensemble(args.operators)
-        return (hedged_qst_objective(ens, args.lam),
-                DensityState.maximally_mixed(ens.dim), False)
+        return hedged_qst_objective(ens, args.lam), DensityState.maximally_mixed(ens.dim)
     if kind == "burg":
         if args.dim is None:
             raise InvalidInput("--dim is required for the burg objective")
         d = int(args.dim)
-        return burg_objective(d), ProbabilityVector.uniform(d), True
+        return burg_objective(d), ProbabilityVector.uniform(d)
     if kind == "poisson":
         rows = load_rows(args.operators)
-        return (poisson_linear_objective(rows),
-                ProbabilityVector.uniform(rows.shape[1]), True)
+        return poisson_linear_objective(rows), ProbabilityVector.uniform(rows.shape[1])
     if kind == "quadratic":
         if args.dim is None:
             raise InvalidInput("--dim is required for the quadratic objective")
@@ -134,7 +132,7 @@ def _build_problem(args):
             raise InvalidInput("--dim must be at least 1")
         rng = np.random.default_rng(args.seed)
         target = HermitianOperator(diagnostics.random_density(rng, d).matrix)
-        return quadratic_objective(target), DensityState.maximally_mixed(d), False
+        return quadratic_objective(target), DensityState.maximally_mixed(d)
     raise InvalidInput(f"unknown objective {kind!r}")
 
 
@@ -155,20 +153,18 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _solver_config(args)
-    objective, state0, is_vector = _build_problem(args)
+    objective, state0 = _build_problem(args)
     start = time.perf_counter()
-    result = (solve_simplex if is_vector else solve)(state0, objective, cfg)
+    result = solve(state0, objective, cfg)
     wall_ms = (time.perf_counter() - start) * 1e3
     if args.trace:
         write_trace_csv(result.trace, args.trace)
     final_f = result.trace[-1].f_value if result.trace else objective.value(state0)
-    final_min_eig = (float(np.min(result.final_state.entries)) if is_vector
-                     else result.final_state.min_eig)
     summary = {
         "status": result.status.value,
         "iters": len(result.trace),
         "final_f": final_f,
-        "final_min_eig": final_min_eig,
+        "final_min_eig": result.final_state.min_eig,
         "wall_time_ms": wall_ms,
     }
     if args.summary:
@@ -231,8 +227,8 @@ def cmd_lambda_sweep(args) -> int:
 
 
 _SOLVER_FLAG_DEFAULTS = {
-    "alpha_bar": 1.0, "shrink": 0.5, "tau": 0.5, "max_iter": 10000,
-    "max_backtracks": 60, "tol": 1e-10, "seed": 0,
+    **{flag: getattr(SolverConfig(), field) for flag, field in _SOLVER_FIELDS.items()},
+    "seed": 0,
 }
 
 

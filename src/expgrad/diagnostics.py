@@ -31,7 +31,6 @@ from .linalg import (
     logsumexp,
     schatten_norm,
     spectral_decompose,
-    trace_inner_product,
 )
 from .objectives import ObjectiveSpec
 from .solver import eg_step
@@ -80,7 +79,7 @@ class LogPartitionProbe:
 
     @classmethod
     def from_objective(cls, rho: DensityState, f: ObjectiveSpec) -> "LogPartitionProbe":
-        return cls(rho, -f.gradient(rho))
+        return cls(rho, HermitianOperator(-f.gradient(rho)))
 
     @property
     def dim(self) -> int:
@@ -89,7 +88,7 @@ class LogPartitionProbe:
     def hamiltonian_exponent(self, alpha) -> np.ndarray:
         """H_alpha = log rho + alpha G; an array of alpha gives a stack."""
         a = np.asarray(alpha, dtype=np.float64)[..., None, None]
-        return self.base.exponent.mat + a * self.direction.mat
+        return self.base.exponent + a * self.direction.mat
 
 
 def phi(probe: LogPartitionProbe, alpha):
@@ -263,7 +262,7 @@ def inner_product_check(rho: DensityState, f: ObjectiveSpec, alpha: float) -> fl
     g = f.gradient(rho)
     nxt = eg_step(rho, g, alpha)
     div = quantum_relative_entropy(nxt, rho)
-    inner = trace_inner_product(g, HermitianOperator(nxt.matrix - rho.matrix))
+    inner = float(np.vdot(g, _hermitian_part(nxt.matrix - rho.matrix)).real)
     return -div / alpha - inner
 
 
@@ -285,7 +284,7 @@ def fixed_point_check(rho: DensityState, f: ObjectiveSpec,
     if np.any(alphas <= 0.0):
         raise InvalidInput("step size must be positive")
     g = f.gradient(rho)
-    moved = _hermitian_part(_density_matrices(rho.exponent.mat - alphas * g.mat) - rho.matrix)
+    moved = _hermitian_part(_density_matrices(rho.exponent - alphas * g) - rho.matrix)
     movement = float(np.max(np.sum(np.abs(np.linalg.eigvalsh(moved)), axis=-1), initial=0.0))
     if movement > 1e-10:
         return FixedPointResult(False, movement, None)
@@ -295,7 +294,7 @@ def fixed_point_check(rho: DensityState, f: ObjectiveSpec,
     vals = np.linalg.eigvalsh(s)
     norms = np.sqrt(np.sum(vals * vals, axis=-1))
     sigma = _density_matrices(s * (1.0 / norms)[:, None, None])
-    inner = (sigma - rho.matrix).reshape(samples, -1) @ g.mat.conj().ravel()
+    inner = (sigma - rho.matrix).reshape(samples, -1) @ g.conj().ravel()
     return FixedPointResult(True, movement, float(np.min(inner.real, initial=math.inf)))
 
 

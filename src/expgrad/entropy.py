@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, schatten_norm, HermitianOperator
+from .linalg import DensityState, HermitianOperator, logsumexp, schatten_norm
 
 __all__ = [
     "ProbabilityVector",
@@ -25,9 +25,10 @@ __all__ = [
 
 class ProbabilityVector:
     """Nonnegative vector with unit sum; the simplex analogue of a density
-    matrix. EG iterates are additionally strictly positive."""
+    matrix, and like it carried in log domain: ``exponent`` is log(entries),
+    -inf at a zero entry. EG iterates are additionally strictly positive."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "exponent")
 
     def __init__(self, entries):
         x = np.asarray(entries, dtype=np.float64)
@@ -39,8 +40,21 @@ class ProbabilityVector:
             raise InvalidInput("vector has negative entries")
         if abs(float(np.sum(x)) - 1.0) > 1e-12:
             raise InvalidInput(f"entries sum to {float(np.sum(x))}, not 1")
-        x.flags.writeable = False
+        with np.errstate(divide="ignore"):
+            self.exponent = np.log(x)
+        x.flags.writeable = self.exponent.flags.writeable = False
         self.entries = x
+
+    @classmethod
+    def from_exponent(cls, h) -> "ProbabilityVector":
+        """exp(h)/sum exp(h) for a real vector h with a finite maximum,
+        normalized in log domain; an entry may underflow to 0 while its
+        exponent stays finite. No input checks."""
+        p = cls.__new__(cls)
+        p.exponent = h - logsumexp(h)
+        p.entries = np.exp(p.exponent)
+        p.exponent.flags.writeable = p.entries.flags.writeable = False
+        return p
 
     @classmethod
     def uniform(cls, d: int) -> "ProbabilityVector":
@@ -49,6 +63,12 @@ class ProbabilityVector:
     @property
     def dim(self) -> int:
         return self.entries.size
+
+    @property
+    def min_eig(self) -> float:
+        return float(np.min(self.entries))
+
+    point = property(lambda self: self.entries)  # the name DensityState shares
 
     def __repr__(self):
         return f"ProbabilityVector({np.array2string(self.entries, precision=4)})"

@@ -63,20 +63,6 @@ class HermitianOperator:
         a.flags.writeable = False
         self.mat = a
 
-    @classmethod
-    def _trusted(cls, a: np.ndarray) -> "HermitianOperator":
-        """Wrap the Hermitian part of a square complex array computed inside
-        the package from finite Hermitian data, without the input checks."""
-        return cls._exact(_hermitian_part(a))
-
-    @classmethod
-    def _exact(cls, a: np.ndarray) -> "HermitianOperator":
-        """Wrap an exactly Hermitian array as it is: no checks, no copy."""
-        op = cls.__new__(cls)
-        a.flags.writeable = False
-        op.mat = a
-        return op
-
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -173,12 +159,12 @@ def eigen_extremes(a: HermitianOperator) -> tuple[float, float]:
 class DensityState:
     """Strictly positive-definite, unit-trace Hermitian matrix in log domain.
 
-    The state is carried as a Hermitian exponent H with rho = exp(H), kept
-    normalized so that tr exp(H) = 1 (logsumexp of H's eigenvalues is zero).
-    The realized eigensystem of rho is stored alongside, and the matrix rho
-    is formed once, on first use. If a materialized eigenvalue falls below
-    the floor the state is flagged, not rejected: the solver observes
-    near-singularity rather than fabricating interiority.
+    The state is carried as a read-only Hermitian exponent array H with
+    rho = exp(H), normalized so that tr exp(H) = 1. The realized eigensystem
+    of rho is stored alongside, and the matrix rho is formed once, on first
+    use. If a materialized eigenvalue falls below the floor the state is
+    flagged, not rejected: the solver observes near-singularity rather than
+    fabricating interiority.
     """
 
     __slots__ = ("exponent", "eigenvalues", "eigenvectors", "floor_clamped", "_matrix")
@@ -191,20 +177,15 @@ class DensityState:
         self._matrix = None
 
     @classmethod
-    def from_exponent(cls, h, eig_floor: float = DEFAULT_EIG_FLOOR) -> "DensityState":
-        """Build exp(H)/tr exp(H) from a Hermitian exponent H.
-
-        H is a HermitianOperator or a square array, of which the Hermitian
-        part is taken. One eigendecomposition; a non-finite H raises
-        InvalidInput, detected on the eigenvalues it yields.
-        """
-        if isinstance(h, HermitianOperator):
-            a = h.mat
-        else:
-            a = np.asarray(h, dtype=np.complex128)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-            a = _hermitian_part(a)
+    def from_exponent(cls, h) -> "DensityState":
+        """Build exp(H)/tr exp(H) from a Hermitian exponent H: a
+        HermitianOperator, or a square array read as numpy.linalg.eigh reads
+        it (lower triangle, no symmetrizing copy), so one that is Hermitian
+        already. One eigendecomposition; a non-finite H raises InvalidInput,
+        detected on the eigenvalues it yields."""
+        a = h.mat if isinstance(h, HermitianOperator) else np.asarray(h, dtype=np.complex128)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         try:
             vals, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError:  # LAPACK does not converge on inf entries
@@ -213,13 +194,14 @@ class DensityState:
             raise InvalidInput("exponent has non-finite entries")
         w = vals - logsumexp(vals)
         v.flags.writeable = False
-        exponent = HermitianOperator._trusted((v * w) @ v.conj().T)
+        exponent = _hermitian_part((v * w) @ v.conj().T)
+        exponent.flags.writeable = False
         eigenvalues = np.exp(w)
         eigenvalues.flags.writeable = False
-        return cls(exponent, eigenvalues, v, bool(eigenvalues[0] < eig_floor))
+        return cls(exponent, eigenvalues, v, bool(eigenvalues[0] < DEFAULT_EIG_FLOOR))
 
     @classmethod
-    def from_matrix(cls, rho, eig_floor: float = DEFAULT_EIG_FLOOR) -> "DensityState":
+    def from_matrix(cls, rho) -> "DensityState":
         """Build from a positive-definite unit-trace matrix."""
         if not isinstance(rho, HermitianOperator):
             rho = HermitianOperator(rho)
@@ -229,7 +211,7 @@ class DensityState:
             raise InvalidInput(f"trace {tr} is not 1")
         if vals[0] <= 0.0:
             raise DomainError("matrix is singular or indefinite; cannot take log")
-        return cls.from_exponent(HermitianOperator((vecs * np.log(vals)) @ vecs.conj().T), eig_floor)
+        return cls.from_exponent(HermitianOperator((vecs * np.log(vals)) @ vecs.conj().T))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityState":
@@ -237,7 +219,7 @@ class DensityState:
 
     @property
     def dim(self) -> int:
-        return self.exponent.dim
+        return self.exponent.shape[0]
 
     @property
     def min_eig(self) -> float:
@@ -252,13 +234,18 @@ class DensityState:
             self._matrix.flags.writeable = False
         return self._matrix
 
-    def inverse(self) -> HermitianOperator:
+    point = matrix  # the realized point, under the name ProbabilityVector shares
+
+    def inverse(self) -> np.ndarray:
+        """rho^{-1} as a read-only Hermitian array."""
         with np.errstate(divide="ignore", over="ignore"):
             inv = 1.0 / self.eigenvalues
         if not np.all(np.isfinite(inv)):
             raise DomainError("inverse undefined for a numerically singular state")
         v = self.eigenvectors
-        return HermitianOperator._trusted((v * inv) @ v.conj().T)
+        out = _hermitian_part((v * inv) @ v.conj().T)
+        out.flags.writeable = False
+        return out
 
     def __repr__(self):
         return f"DensityState(dim={self.dim}, min_eig={self.min_eig:.3e})"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput
 from .entropy import ProbabilityVector
-from .linalg import DensityState, HermitianOperator
+from .linalg import DensityState, HermitianOperator, _hermitian_part
 
 __all__ = [
     "ObjectiveSpec",
@@ -36,9 +36,9 @@ __all__ = [
 class ObjectiveSpec:
     """Value/gradient/domain contract for a convex objective.
 
-    ``kind`` is "matrix" (states are DensityState, gradients are
-    HermitianOperator) or "vector" (states are ProbabilityVector, gradients
-    are ndarrays). ``value`` returns +inf outside the effective domain.
+    ``kind`` is "matrix" (states are DensityState, gradients are Hermitian
+    d x d arrays) or "vector" (states are ProbabilityVector, gradients are
+    length-d arrays). ``value`` returns +inf outside the effective domain.
     """
 
     dim: int
@@ -114,11 +114,11 @@ def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
             return math.inf
         return float(-np.sum(np.log(t)))
 
-    def gradient(rho: DensityState) -> HermitianOperator:
+    def gradient(rho: DensityState) -> np.ndarray:
         t = _measurement_probs(ens, rho)
         if np.any(t <= 0.0):
             raise DomainError("gradient requested where some tr(M_i rho) <= 0")
-        return HermitianOperator._trusted(-ens.weighted_sum(1.0 / t))
+        return _hermitian_part(-ens.weighted_sum(1.0 / t))
 
     def in_domain(rho: DensityState) -> bool:
         return bool(np.all(_measurement_probs(ens, rho) > 0.0))
@@ -144,10 +144,10 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
             return math.inf
         return v - lam * float(np.sum(np.log(rho.eigenvalues)))
 
-    def gradient(rho: DensityState) -> HermitianOperator:
+    def gradient(rho: DensityState) -> np.ndarray:
         if rho.eigenvalues[0] <= 0.0:
             raise DomainError("barrier gradient undefined on a singular state")
-        return HermitianOperator._trusted(base.gradient(rho).mat - lam * rho.inverse().mat)
+        return _hermitian_part(base.gradient(rho) - lam * rho.inverse())
 
     def in_domain(rho: DensityState) -> bool:
         return base.in_domain(rho) and rho.eigenvalues[0] > 0.0
@@ -219,8 +219,8 @@ def quadratic_objective(target: HermitianOperator, scale: float = 1.0) -> Object
         diff = rho.matrix - target.mat
         return 0.5 * scale * float(np.vdot(diff, diff).real)
 
-    def gradient(rho: DensityState) -> HermitianOperator:
-        return HermitianOperator._trusted(scale * (rho.matrix - target.mat))
+    def gradient(rho: DensityState) -> np.ndarray:
+        return _hermitian_part(scale * (rho.matrix - target.mat))
 
     return ObjectiveSpec(target.dim, value, gradient, lambda rho: True, "matrix")
 

@@ -1,19 +1,21 @@
 """Exponentiated gradient updates, Armijo backtracking, and the outer solve
-loop, for density matrices and (element-wise) for the probability simplex.
+loop, for density matrices and for the probability simplex.
 
-Iterates are carried in log domain: the matrix update composes additively in
-the Hermitian exponent and is re-materialized by one spectral decomposition
-per candidate, with logsumexp normalization. This avoids the accuracy loss of
-exp/log round trips near singular states.
+Both state types are carried in log domain and share one step, one loop and
+one stopping test: the vector update is the diagonal case of the matrix one.
+The update composes additively in the exponent and is re-materialized by one
+spectral decomposition per candidate (element-wise exp for a vector), with
+logsumexp normalization. This avoids the accuracy loss of exp/log round trips
+near singular states. Inside the loop, gradients and exponents are arrays.
 
 Work per solve. The stationarity probe at the end of iteration k, the step
 of length alpha_bar from x_k, is the first Armijo candidate of iteration
 k+1, and the accepted candidate's f value is the new f. With
-candidates = iterations + total backtracks, a matrix solve that stops on
-its own rule costs candidates + 1 eigendecompositions (one per candidate,
-plus the last probe), candidates + 1 evaluations of f (one per candidate,
-plus f(x0)) and iterations + 1 gradients, and one eigvalsh per iteration
-for the gradient's spectral width.
+candidates = iterations + total backtracks, a solve that stops on its own
+rule costs candidates + 1 evaluations of f (one per candidate, plus f(x0))
+and iterations + 1 gradients. On a matrix it also costs candidates + 1
+eigendecompositions (one per candidate, plus the last probe) and one
+eigvalsh per iteration for the gradient's spectral width.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import ProbabilityVector, classical_relative_entropy
+from .entropy import ProbabilityVector
 from .errors import BacktrackCapExceeded, DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator, eigen_extremes, logsumexp
+from .linalg import DensityState
 from .objectives import ObjectiveSpec
 
 __all__ = [
@@ -37,10 +39,8 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "eg_step",
-    "simplex_step",
     "armijo_search",
     "solve",
-    "solve_simplex",
     "write_trace_csv",
     "TRACE_COLUMNS",
 ]
@@ -71,7 +71,6 @@ class SolverConfig:
     max_iters: int = 10000
     max_backtracks: int = 60
     stop_tol: float = 1e-10
-    eig_floor: float = 1e-13
 
     def __post_init__(self):
         if not (self.alpha_bar > 0.0):
@@ -86,8 +85,6 @@ class SolverConfig:
             raise InvalidInput("max_backtracks must be positive")
         if not (self.stop_tol > 0.0):
             raise InvalidInput("stop_tol must be positive")
-        if not (self.eig_floor > 0.0):
-            raise InvalidInput("eig_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -112,76 +109,25 @@ class SolveResult:
     status: SolveStatus = SolveStatus.MAX_ITERS
 
 
-def eg_step(rho: DensityState, g: HermitianOperator, alpha: float,
-            eig_floor: float = 1e-13) -> DensityState:
-    """One exponentiated gradient update: exp(log rho - alpha g), trace-
-    normalized in log domain. A gradient that is a multiple of the identity
-    leaves the state unchanged (the normalization cancels the shift)."""
+def eg_step(state, g: np.ndarray, alpha: float):
+    """One exponentiated gradient update exp(log x - alpha g), normalized in
+    log domain, of a DensityState (g a Hermitian array) or a
+    ProbabilityVector (g a vector). A gradient that is a multiple of the
+    identity leaves the state unchanged (the normalization cancels it)."""
     if alpha <= 0.0:
         raise InvalidInput("step size must be positive")
     # a real combination of two exactly Hermitian arrays is exactly Hermitian
-    h = HermitianOperator._exact(rho.exponent.mat - alpha * g.mat)
-    return DensityState.from_exponent(h, eig_floor)
+    return type(state).from_exponent(state.exponent - alpha * g)
 
 
-def simplex_step(x: ProbabilityVector, g: np.ndarray, alpha: float) -> ProbabilityVector:
-    """Element-wise EG update x_i * exp(-alpha g_i) / Z via logsumexp."""
-    if alpha <= 0.0:
-        raise InvalidInput("step size must be positive")
-    logx = np.log(x.entries) - alpha * np.asarray(g, dtype=np.float64)
-    return ProbabilityVector(np.exp(logx - logsumexp(logx)))
+def _divergence(new, old) -> float:
+    """D(new, old) = <new, log new - log old> through the stored exponents,
+    which are the exact logs: robust when an eigenvalue or an entry of new
+    underflows to zero. The unit-sum term sum(new - old) is left out."""
+    return float(np.vdot(new.point, new.exponent - old.exponent).real)
 
 
-class _MatrixGeometry:
-    """Strategy hooks for the density-matrix constraint."""
-
-    @staticmethod
-    def step(state, g, alpha, eig_floor):
-        return eg_step(state, g, alpha, eig_floor)
-
-    @staticmethod
-    def inner(g, new, old):
-        return float(np.vdot(g.mat, new.matrix - old.matrix).real)
-
-    @staticmethod
-    def divergence(new, old):
-        # tr[new (log new - log old)] through the stored exponents, which
-        # are the exact logs; robust when an eigenvalue underflows to zero
-        return float(np.vdot(new.matrix, new.exponent.mat - old.exponent.mat).real)
-
-    @staticmethod
-    def delta(g):
-        lo, hi = eigen_extremes(g)
-        return hi - lo
-
-    @staticmethod
-    def min_eig(state):
-        return state.min_eig
-
-
-class _SimplexGeometry:
-    """Strategy hooks for the probability-simplex constraint."""
-
-    @staticmethod
-    def step(state, g, alpha, eig_floor):
-        return simplex_step(state, g, alpha)
-
-    @staticmethod
-    def inner(g, new, old):
-        return float(np.dot(g, new.entries - old.entries))
-
-    divergence = staticmethod(classical_relative_entropy)
-
-    @staticmethod
-    def delta(g):
-        return float(np.max(g) - np.min(g))
-
-    @staticmethod
-    def min_eig(state):
-        return float(np.min(state.entries))
-
-
-def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, geom, g, f_state, first=None):
+def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None):
     """Backtracking line search: the largest alpha_bar * shrink^j passing the
     sufficient-decrease test. A +inf candidate value counts as a failed test;
     equality at the boundary counts as acceptance. ``first``, when given, is
@@ -193,50 +139,63 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, geom, g, f_state, first=
         if j == 0 and first is not None:
             candidate = first
         else:
-            candidate = geom.step(state, g, alpha, cfg.eig_floor)
+            candidate = eg_step(state, g, alpha)
         f_cand = f.value(candidate)
         last_alpha, last_value = alpha, f_cand
-        if math.isfinite(f_cand) and f_cand <= f_state + cfg.tau * geom.inner(g, candidate, state):
+        if math.isfinite(f_cand) and f_cand <= f_state + cfg.tau * float(
+                np.vdot(g, candidate.point - state.point).real):
             return alpha, candidate, j, f_cand
     raise BacktrackCapExceeded(
         f"no acceptable step within {cfg.max_backtracks} backtracks",
         last_alpha=last_alpha, last_value=last_value)
 
 
-def armijo_search(rho: DensityState, f: ObjectiveSpec, cfg: SolverConfig):
-    """Armijo search on the density-matrix constraint.
+def armijo_search(state, f: ObjectiveSpec, cfg: SolverConfig):
+    """Armijo search from a DensityState or a ProbabilityVector.
 
-    Returns (alpha_accepted, rho_next, backtracks).
+    Returns (alpha_accepted, next_state, backtracks).
     """
-    g = f.gradient(rho)
-    f_rho = f.value(rho)
-    if not math.isfinite(f_rho):
+    g = f.gradient(state)
+    f_state = f.value(state)
+    if not math.isfinite(f_state):
         raise DomainError("line search started outside the effective domain")
-    return _armijo(rho, f, cfg, _MatrixGeometry, g, f_rho)[:3]
+    return _armijo(state, f, cfg, g, f_state)[:3]
 
 
-def _solve_loop(state0, f: ObjectiveSpec, cfg: SolverConfig, geom,
-                sink: Optional[Callable[[IterationRecord], None]] = None) -> SolveResult:
-    if state0.dim != f.dim:
-        raise InvalidInput(f"initial point has dimension {state0.dim}, objective {f.dim}")
-    if not f.in_domain(state0):
+_KINDS = {DensityState: "matrix", ProbabilityVector: "vector"}
+
+
+def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
+          sink: Optional[Callable[[IterationRecord], None]] = None) -> SolveResult:
+    """Run the exponentiated gradient method with Armijo line search from a
+    strictly positive DensityState or ProbabilityVector until stationarity
+    (the Bregman gap at the full step drops below stop_tol), relative
+    f-stagnation, or max_iters."""
+    if _KINDS.get(type(x0)) != f.kind:
+        raise InvalidInput(f"a {type(x0).__name__} start does not fit a {f.kind} objective")
+    if x0.dim != f.dim:
+        raise InvalidInput(f"initial point has dimension {x0.dim}, objective {f.dim}")
+    if not np.all(np.isfinite(x0.exponent)):
+        raise DomainError("initial point must be strictly positive")
+    if not f.in_domain(x0):
         raise DomainError("initial point is outside the effective domain")
-    state = state0
+    state = x0
     f_prev = f.value(state)
     g = f.gradient(state)
     probe = None  # the alpha_bar step from state, once computed
     result = SolveResult(state, [], SolveStatus.MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
         try:
-            alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, geom, g, f_prev, probe)
+            alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, g, f_prev, probe)
         except BacktrackCapExceeded:
             result.status = SolveStatus.BACKTRACK_CAP_HIT
             break
         g_next = f.gradient(state_next)
-        probe = geom.step(state_next, g_next, cfg.alpha_bar, cfg.eig_floor)
-        gap_bar = geom.divergence(probe, state_next)
-        record = IterationRecord(k, f_new, alpha, backtracks, geom.delta(g),
-                                 gap_bar, geom.min_eig(state_next))
+        probe = eg_step(state_next, g_next, cfg.alpha_bar)
+        gap_bar = _divergence(probe, state_next)
+        spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
+        delta = float(np.max(spectrum) - np.min(spectrum))
+        record = IterationRecord(k, f_new, alpha, backtracks, delta, gap_bar, state_next.min_eig)
         result.trace.append(record)
         if sink is not None:
             sink(record)
@@ -250,26 +209,6 @@ def _solve_loop(state0, f: ObjectiveSpec, cfg: SolverConfig, geom,
             break
         f_prev = f_new
     return result
-
-
-def solve(rho0: DensityState, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
-          sink: Optional[Callable[[IterationRecord], None]] = None) -> SolveResult:
-    """Run the exponentiated gradient method with Armijo line search from a
-    non-singular initial state until stationarity (the Bregman gap at the
-    full step drops below stop_tol), relative f-stagnation, or max_iters."""
-    if f.kind != "matrix":
-        raise InvalidInput("objective is not a matrix objective; use solve_simplex")
-    return _solve_loop(rho0, f, cfg, _MatrixGeometry, sink)
-
-
-def solve_simplex(x0: ProbabilityVector, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
-                  sink: Optional[Callable[[IterationRecord], None]] = None) -> SolveResult:
-    """Element-wise analogue of :func:`solve` on the probability simplex."""
-    if f.kind != "vector":
-        raise InvalidInput("objective is not a vector objective; use solve")
-    if np.any(x0.entries <= 0.0):
-        raise DomainError("initial point must be strictly positive")
-    return _solve_loop(x0, f, cfg, _SimplexGeometry, sink)
 
 
 def write_trace_csv(records: Sequence[IterationRecord], path) -> None:

@@ -38,7 +38,6 @@ from expgrad import (
     sandwich_check,
     schatten_norm,
     solve,
-    solve_simplex,
     standard_basis_ensemble,
     trace_inner_product,
 )
@@ -88,12 +87,12 @@ def solver_instances():
         runs.append(("hedged-qst", res))
     for j, d in enumerate((2, 3, 5, 8)):
         rng = np.random.default_rng([3, j])
-        res = solve_simplex(interior_point(rng, d), burg_objective(d))
+        res = solve(interior_point(rng, d), burg_objective(d))
         runs.append(("burg", res))
     for j, d in enumerate((2, 3, 4, 6)):
         rng = np.random.default_rng([4, j])
         rows = rng.random((2 * d, d)) + 0.05
-        res = solve_simplex(interior_point(rng, d), poisson_linear_objective(rows))
+        res = solve(interior_point(rng, d), poisson_linear_objective(rows))
         runs.append(("poisson", res))
     for j, d in enumerate((2, 3, 4, 5)):
         rng = np.random.default_rng([5, j])
@@ -134,7 +133,7 @@ def test_04_known_optimum_recovery():
     f_gap = abs(res.trace[-1].f_value - 2 * LOG2)
     dist = schatten_norm(
         HermitianOperator(res.final_state.matrix - np.eye(2) / 2.0), 1)
-    res_b = solve_simplex(ProbabilityVector([0.7, 0.2, 0.1]), burg_objective(3),
+    res_b = solve(ProbabilityVector([0.7, 0.2, 0.1]), burg_objective(3),
                           SolverConfig(stop_tol=1e-14))
     l1 = float(np.sum(np.abs(res_b.final_state.entries - 1.0 / 3.0)))
     ok = f_gap <= 1e-6 and dist <= 1e-4 and l1 <= 1e-6
@@ -148,7 +147,7 @@ def test_05_bregman_gap_identity(probes):
         for alpha in (0.1, 0.5, 1.0):
             via_phi = bregman_gap(p, alpha)
             direct = quantum_relative_entropy(
-                eg_step(p.base, -p.direction, alpha), p.base)
+                eg_step(p.base, -p.direction.mat, alpha), p.base)
             worst = max(worst, abs(via_phi - direct) / max(abs(direct), 1e-12))
     report(5, "bregman-gap-identity", worst <= 1e-8, f"worst rel diff {worst:.3e}")
 
@@ -236,7 +235,7 @@ def test_10_fixed_point_and_inner_product(probes):
 def test_11_mirror_descent_equivalence():
     def subproblem(sigma, rho, g, alpha):
         linear = trace_inner_product(
-            g, HermitianOperator(sigma.matrix - rho.matrix))
+            HermitianOperator(g), HermitianOperator(sigma.matrix - rho.matrix))
         return alpha * linear + quantum_relative_entropy(sigma, rho)
 
     worst = -math.inf
@@ -284,7 +283,7 @@ def test_14_simplex_matrix_consistency():
         d = int(rng.integers(2, 6))
         rows = rng.random((2 * d, d)) + 0.05
         x0 = interior_point(rng, d)
-        res_v = solve_simplex(x0, poisson_linear_objective(rows), cfg)
+        res_v = solve(x0, poisson_linear_objective(rows), cfg)
         res_m = solve(DensityState.from_matrix(np.diag(x0.entries)),
                       qst_objective(MeasurementEnsemble(
                           [np.diag(r) for r in rows])), cfg)

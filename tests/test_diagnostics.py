@@ -116,7 +116,7 @@ class TestPhiDerivatives:
         g = np.array([1.3, -0.4])
         p = LogPartitionProbe(base, HermitianOperator.diag(g))
         alpha = 0.6
-        h = base.exponent.mat.diagonal().real + alpha * g
+        h = base.exponent.diagonal().real + alpha * g
         w = np.exp(h - np.max(h))
         w = w / np.sum(w)
         mean = float(w @ g)
@@ -152,7 +152,7 @@ class TestBregmanGap:
             p = random_probe(rng, 4, "qst")
             for alpha in (0.1, 0.7, 2.0):
                 direct = quantum_relative_entropy(
-                    eg_step(p.base, -p.direction, alpha), p.base)
+                    eg_step(p.base, -p.direction.mat, alpha), p.base)
                 assert bregman_gap(p, alpha) == pytest.approx(
                     direct, rel=1e-8, abs=1e-12)
 
@@ -442,7 +442,7 @@ def test_fixed_point_samples_match_per_sample_draws():
     res = fixed_point_check(rho, f, (0.5,), rng, samples)
     ref_rng = np.random.default_rng(44)
     g = f.gradient(rho)
-    want = min(trace_inner_product(g, HermitianOperator(random_density(ref_rng, d).matrix - rho.matrix))
+    want = min(trace_inner_product(HermitianOperator(g), HermitianOperator(random_density(ref_rng, d).matrix - rho.matrix))
                for _ in range(samples))
     assert res.optimality_margin == pytest.approx(want, abs=1e-13)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

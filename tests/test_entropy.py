@@ -93,7 +93,7 @@ class TestQuantumRelativeEntropy:
         rng = np.random.default_rng(25)
         for _ in range(10):
             rho, sigma = random_density(rng, 4), random_density(rng, 4)
-            grad_h = sigma.exponent.mat  # log sigma
+            grad_h = sigma.exponent  # log sigma
             bregman = (von_neumann_entropy_neg(rho) - von_neumann_entropy_neg(sigma)
                        - np.vdot(grad_h, rho.matrix - sigma.matrix).real)
             assert quantum_relative_entropy(rho, sigma) == pytest.approx(bregman, abs=1e-9)

@@ -34,7 +34,7 @@ from expgrad.objectives import (
     quadratic_objective,
     standard_basis_ensemble,
 )
-from expgrad.solver import SolverConfig, solve, solve_simplex, write_trace_csv
+from expgrad.solver import SolverConfig, solve, write_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 REL_TOL = 1e-10
@@ -98,14 +98,14 @@ def _quadratic_cap_hit():
 
 def _burg_d5():
     x0 = ProbabilityVector([0.5, 0.2, 0.15, 0.1, 0.05])
-    return solve_simplex, x0, burg_objective(5), SolverConfig(stop_tol=1e-14)
+    return solve, x0, burg_objective(5), SolverConfig(stop_tol=1e-14)
 
 
 def _poisson_d6():
     rng = np.random.default_rng(107)
     rows = rng.random((12, 6)) + 0.01
     x0 = ProbabilityVector(rng.dirichlet(np.ones(6)) * 0.9 + 0.1 / 6)
-    return solve_simplex, x0, poisson_linear_objective(rows), SolverConfig(max_iters=400)
+    return solve, x0, poisson_linear_objective(rows), SolverConfig(max_iters=400)
 
 
 CASES = {

@@ -229,4 +229,4 @@ class TestDensityState:
 
     def test_inverse(self):
         rho = DensityState.from_matrix(np.diag([0.25, 0.75]))
-        assert np.allclose(rho.inverse().mat, np.diag([4.0, 4.0 / 3.0]), atol=1e-12)
+        assert np.allclose(rho.inverse(), np.diag([4.0, 4.0 / 3.0]), atol=1e-12)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -25,11 +26,10 @@ from expgrad.objectives import (
 from expgrad.solver import (
     SolveStatus,
     SolverConfig,
+    _divergence,
     armijo_search,
     eg_step,
-    simplex_step,
     solve,
-    solve_simplex,
     write_trace_csv,
 )
 
@@ -65,26 +65,26 @@ class TestEgStep:
         rng = np.random.default_rng(41)
         rho = random_density(rng, 3)
         for c in (-2.0, 0.5, 10.0):
-            nxt = eg_step(rho, HermitianOperator(c * np.eye(3)), 0.7)
+            nxt = eg_step(rho, HermitianOperator(c * np.eye(3)).mat, 0.7)
             assert schatten_norm(HermitianOperator(nxt.matrix - rho.matrix), 1) <= 1e-12
 
     def test_diagonal_closed_form(self):
         # 0.5 e^{-log 2} = 0.25; normalize (0.25, 0.5) -> (1/3, 2/3)
         rho = DensityState.maximally_mixed(2)
-        nxt = eg_step(rho, HermitianOperator.diag([1.0, 0.0]), LOG2)
+        nxt = eg_step(rho, HermitianOperator.diag([1.0, 0.0]).mat, LOG2)
         assert np.allclose(nxt.matrix, np.diag([1.0 / 3.0, 2.0 / 3.0]), atol=1e-12)
 
     def test_unit_trace(self):
         rng = np.random.default_rng(42)
         rho = random_density(rng, 4)
         g = HermitianOperator(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        nxt = eg_step(rho, g, 0.3)
+        nxt = eg_step(rho, g.mat, 0.3)
         assert abs(np.trace(nxt.matrix).real - 1.0) <= 1e-12
         assert nxt.min_eig > 0.0
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InvalidInput):
-            eg_step(DensityState.maximally_mixed(2), HermitianOperator.identity(2), 0.0)
+            eg_step(DensityState.maximally_mixed(2), HermitianOperator.identity(2).mat, 0.0)
 
     def test_minimizes_mirror_descent_subproblem(self):
         # brute-force oracle over feasible sigma: 200-point diagonal grid plus
@@ -94,7 +94,7 @@ class TestEgStep:
             rho = random_density(rng, 2)
             g = HermitianOperator(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             alpha = 0.5
-            nxt = eg_step(rho, g, alpha)
+            nxt = eg_step(rho, g.mat, alpha)
 
             def subproblem(sigma):
                 inner = trace_inner_product(g, HermitianOperator(sigma.matrix - rho.matrix))
@@ -109,16 +109,16 @@ class TestEgStep:
 class TestSimplexStep:
     def test_identity_shift_invariance(self):
         x = ProbabilityVector([0.2, 0.3, 0.5])
-        nxt = simplex_step(x, np.full(3, 4.2), 0.9)
+        nxt = eg_step(x, np.full(3, 4.2), 0.9)
         assert np.allclose(nxt.entries, x.entries, atol=1e-14)
 
     def test_matches_matrix_step_on_diagonal(self):
         rng = np.random.default_rng(44)
         x = ProbabilityVector(rng.dirichlet(np.ones(3)) * 0.85 + 0.05)
         g = rng.standard_normal(3)
-        nxt_v = simplex_step(x, g, 0.6)
+        nxt_v = eg_step(x, g, 0.6)
         nxt_m = eg_step(DensityState.from_matrix(np.diag(x.entries)),
-                        HermitianOperator.diag(g), 0.6)
+                        HermitianOperator.diag(g).mat, 0.6)
         assert np.allclose(nxt_v.entries, np.diag(nxt_m.matrix).real, atol=1e-12)
 
 
@@ -133,7 +133,7 @@ class TestArmijoSearch:
         cfg = SolverConfig(alpha_bar=0.1, tau=0.5)
         alpha, nxt, backtracks = armijo_search(rho, f, cfg)
         assert backtracks == 0 and alpha == 0.1
-        inner = trace_inner_product(f.gradient(rho),
+        inner = trace_inner_product(HermitianOperator(f.gradient(rho)),
                                     HermitianOperator(nxt.matrix - rho.matrix))
         assert f.value(nxt) <= f.value(rho) + 0.5 * inner + 1e-12
 
@@ -232,12 +232,12 @@ class TestSolve:
         rho = random_density(rng, 3)
         cfg = SolverConfig(max_iters=5)
         res = solve(rho, f, cfg)
-        acc = rho.exponent.mat.copy()
+        acc = rho.exponent.copy()
         state = rho
         for rec in res.trace:
-            acc = acc - rec.alpha_k * f.gradient(state).mat
+            acc = acc - rec.alpha_k * f.gradient(state)
             state = eg_step(state, f.gradient(state), rec.alpha_k)
-        diff = state.exponent.mat - acc
+        diff = state.exponent - acc
         off_diag = diff - np.eye(3) * np.mean(np.diag(diff))
         assert np.linalg.norm(off_diag) <= 1e-9
         assert np.std(np.diag(diff).real) <= 1e-9
@@ -250,11 +250,16 @@ class TestSolve:
         assert res.status in (SolveStatus.STATIONARY, SolveStatus.CONVERGED)
         assert min(r.bregman_gap_bar for r in res.trace) <= cfg.stop_tol * 10
 
-    def test_rejects_dimension_mismatch(self):
+    @pytest.mark.parametrize("x0, f", [
+        (DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(4))),
+        (ProbabilityVector.uniform(3), burg_objective(4)),
+        (DensityState.maximally_mixed(3), burg_objective(3)),
+        (ProbabilityVector.uniform(2), qst_objective(standard_basis_ensemble(2))),
+    ], ids=["matrix-dim", "vector-dim", "matrix-state-vector-objective",
+            "vector-state-matrix-objective"])
+    def test_rejects_dimension_mismatch(self, x0, f):
         with pytest.raises(InvalidInput):
-            solve(DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(4)))
-        with pytest.raises(InvalidInput):
-            solve_simplex(ProbabilityVector.uniform(3), burg_objective(4))
+            solve(x0, f)
 
     def test_sink_receives_every_record(self):
         f = qst_objective(standard_basis_ensemble(2))
@@ -266,13 +271,13 @@ class TestSolve:
 class TestSolveSimplex:
     def test_burg_converges_to_uniform(self):
         cfg = SolverConfig(stop_tol=1e-14)
-        res = solve_simplex(ProbabilityVector([0.7, 0.2, 0.1]), burg_objective(3), cfg)
+        res = solve(ProbabilityVector([0.7, 0.2, 0.1]), burg_objective(3), cfg)
         assert np.sum(np.abs(res.final_state.entries - 1.0 / 3.0)) <= 1e-6
 
     def test_identity_shift_fixed_point(self):
         # constant gradient: the minimizer certificate, stationary right away
         f = burg_objective(3)
-        res = solve_simplex(ProbabilityVector.uniform(3), f)
+        res = solve(ProbabilityVector.uniform(3), f)
         assert res.status is SolveStatus.STATIONARY
         assert len(res.trace) == 1
 
@@ -283,7 +288,7 @@ class TestSolveSimplex:
         fm = qst_objective(MeasurementEnsemble([np.diag(r) for r in rows]))
         x0 = rng.dirichlet(np.ones(3)) * 0.85 + 0.05
         cfg = SolverConfig(max_iters=40)
-        res_v = solve_simplex(ProbabilityVector(x0), fv, cfg)
+        res_v = solve(ProbabilityVector(x0), fv, cfg)
         res_m = solve(DensityState.from_matrix(np.diag(x0)), fm, cfg)
         assert len(res_v.trace) == len(res_m.trace)
         for rv, rm in zip(res_v.trace, res_m.trace):
@@ -293,7 +298,43 @@ class TestSolveSimplex:
 
     def test_rejects_boundary_start(self):
         with pytest.raises(DomainError):
-            solve_simplex(ProbabilityVector([1.0, 0.0]), burg_objective(2))
+            solve(ProbabilityVector([1.0, 0.0]), burg_objective(2))
+
+    def test_underflowed_entries_stay_in_log_domain(self):
+        # entries of this instance's iterates underflow to exactly 0; the
+        # update must not take the log of one
+        rng = np.random.default_rng(0)
+        f = poisson_linear_objective(rng.exponential(size=(64, 16)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(ProbabilityVector.uniform(16), f, SolverConfig(max_iters=2000))
+        assert res.status is SolveStatus.CONVERGED
+        assert res.final_state.min_eig == 0.0
+        assert np.all(np.isfinite(res.final_state.exponent))
+        values = [r.f_value for r in res.trace]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+
+
+class TestStoppingGap:
+    """The loop's stopping quantity <probe, log probe - log x> is the KL
+    divergence up to the dropped unit-sum term sum(probe - x)."""
+
+    def test_random_interior_vectors(self):
+        rng = np.random.default_rng(55)
+        for d in (2, 5, 16, 64):
+            for _ in range(10):
+                x = ProbabilityVector(rng.dirichlet(np.ones(d)))
+                probe = eg_step(x, rng.standard_normal(d), 1.0)
+                assert _divergence(probe, x) == pytest.approx(
+                    classical_relative_entropy(probe, x), abs=1e-15)
+
+    def test_underflowed_entry(self):
+        x = ProbabilityVector.from_exponent(np.array([-790.0, 0.5, 0.8, 0.0]))
+        probe = ProbabilityVector.from_exponent(np.array([-800.0, 0.0, 1.0, 0.3]))
+        assert probe.entries[0] == 0.0 and x.entries[0] == 0.0
+        assert np.isfinite(probe.exponent[0])
+        for p, q in ((probe, x), (probe, ProbabilityVector.uniform(4))):
+            assert _divergence(p, q) == pytest.approx(classical_relative_entropy(p, q), abs=1e-15)
 
 
 class TestWorkPerSolve:
@@ -342,7 +383,7 @@ class TestWorkPerSolve:
 
     def test_simplex_solve(self, monkeypatch):
         counts, f = self.count_work(monkeypatch, burg_objective(5))
-        res = solve_simplex(ProbabilityVector([0.5, 0.2, 0.15, 0.1, 0.05]), f)
+        res = solve(ProbabilityVector([0.5, 0.2, 0.15, 0.1, 0.05]), f)
         iters = len(res.trace)
         assert iters > 1
         assert counts["gradient"] == iters + 1
