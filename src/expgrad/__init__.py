@@ -30,16 +30,7 @@ from .diagnostics import (
     self_concordance_check,
 )
 from .errors import BacktrackCapExceeded, DomainError, InvalidInput
-from .linalg import (
-    DensityState,
-    HermitianOperator,
-    SpectralDecomposition,
-    eigen_extremes,
-    matrix_function,
-    schatten_norm,
-    spectral_decompose,
-    trace_inner_product,
-)
+from .linalg import DensityState, HermitianOperator, schatten_norm
 from .objectives import (
     MeasurementEnsemble,
     ObjectiveSpec,

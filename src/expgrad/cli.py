@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,12 +45,6 @@ def _integer(name, value):
     return value
 
 
-def _positive_integer(name, value):
-    if _integer(name, value) < 1:
-        raise InvalidInput(f"{name} must be at least 1, got {value!r}")
-    return value
-
-
 def _number(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise InvalidInput(f"{name} must be a finite number, got {value!r}")
@@ -71,11 +64,25 @@ def _number_list(name, value):
 _FLAG_TYPES = {
     "alpha_bar": _number, "shrink": _number, "tau": _number, "tol": _number,
     "lam": _number, "max_iter": _integer, "max_backtracks": _integer,
-    "seed": _integer, "jobs": _positive_integer, "lambdas": _number_list,
+    "seed": _integer, "lambdas": _number_list,
+}
+
+# solver flag -> SolverConfig field
+_SOLVER_FIELDS = {
+    "alpha_bar": "alpha_bar", "shrink": "shrink", "tau": "tau", "max_iter": "max_iters",
+    "max_backtracks": "max_backtracks", "tol": "stop_tol",
+}
+
+# the default of every flag a config file may fill; such a flag's argparse
+# default is None, and a subcommand takes the entries for the flags it defines
+_CONFIG_DEFAULTS = {
+    **{flag: getattr(SolverConfig(), field) for flag, field in _SOLVER_FIELDS.items()},
+    "seed": 0,
+    "lam": 0.1,
 }
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
+def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, then from defaults, and
     check the type of every value, raising InvalidInput on a mismatch."""
     config = {}
@@ -84,21 +91,13 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.N
             config = json.load(fh)
         if not isinstance(config, dict):
             raise InvalidInput("config file must contain a JSON object")
-    for dest, default in parser_defaults.items():
-        if getattr(args, dest, None) is None:
-            key = dest.replace("_", "-")
-            setattr(args, dest, config.get(key, default))
+    for dest, default in _CONFIG_DEFAULTS.items():
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, config.get(dest.replace("_", "-"), default))
     for dest, check in _FLAG_TYPES.items():
         if hasattr(args, dest):
             setattr(args, dest, check(dest.replace("_", "-"), getattr(args, dest)))
     return args
-
-
-# solver flag -> SolverConfig field
-_SOLVER_FIELDS = {
-    "alpha_bar": "alpha_bar", "shrink": "shrink", "tau": "tau", "max_iter": "max_iters",
-    "max_backtracks": "max_backtracks", "tol": "stop_tol",
-}
 
 
 def _solver_config(args) -> SolverConfig:
@@ -119,15 +118,14 @@ def _build_problem(args):
     if kind == "burg":
         if args.dim is None:
             raise InvalidInput("--dim is required for the burg objective")
-        d = int(args.dim)
-        return burg_objective(d), ProbabilityVector.uniform(d)
+        return burg_objective(args.dim), ProbabilityVector.uniform(args.dim)
     if kind == "poisson":
         rows = load_rows(args.operators)
         return poisson_linear_objective(rows), ProbabilityVector.uniform(rows.shape[1])
     if kind == "quadratic":
         if args.dim is None:
             raise InvalidInput("--dim is required for the quadratic objective")
-        d = int(args.dim)
+        d = args.dim
         if d < 1:
             raise InvalidInput("--dim must be at least 1")
         rng = np.random.default_rng(args.seed)
@@ -137,16 +135,16 @@ def _build_problem(args):
 
 
 def cmd_gen(args) -> int:
-    dim, num_ops = int(args.dim), int(args.num_ops)
+    dim, num_ops = args.dim, args.num_ops
     if dim < 2:
         raise InvalidInput("--dim must be at least 2")
     if num_ops < 1:
         raise InvalidInput("--num-ops must be at least 1")
-    rng = np.random.default_rng(int(args.seed))
+    rng = np.random.default_rng(args.seed)
     ops = []
     for _ in range(num_ops):
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        ops.append(HermitianOperator(a.conj().T @ a))  # PSD by construction
+        ops.append(a.conj().T @ a)  # PSD by construction
     save_ensemble(MeasurementEnsemble(ops), args.out)
     return 0
 
@@ -176,7 +174,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    records = run_suite(args.suite, int(args.samples), int(args.seed))
+    records = run_suite(args.suite, args.samples, args.seed)
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(records, fh)
@@ -212,11 +210,7 @@ def cmd_lambda_sweep(args) -> int:
         raise InvalidInput("barrier weights must be strictly descending")
     ens = load_ensemble(args.operators)
     cfg = _solver_config(args)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda lam: _sweep_point(ens, lam, cfg), lambdas))
-    else:
-        rows = [_sweep_point(ens, lam, cfg) for lam in lambdas]
+    rows = [_sweep_point(ens, lam, cfg) for lam in lambdas]
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(rows, fh)
@@ -224,12 +218,6 @@ def cmd_lambda_sweep(args) -> int:
     for row in rows:
         print(json.dumps(row))
     return 0
-
-
-_SOLVER_FLAG_DEFAULTS = {
-    **{flag: getattr(SolverConfig(), field) for flag, field in _SOLVER_FIELDS.items()},
-    "seed": 0,
-}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -252,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--num-ops", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_gen, defaults={})
+    p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="run one solve, emitting trace and summary")
     p_run.add_argument("--objective", choices=OBJECTIVE_KINDS, required=True)
@@ -262,23 +250,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", default=None, help="trace CSV output path")
     p_run.add_argument("--summary", default=None, help="summary JSON output path")
     _add_solver_flags(p_run)
-    p_run.set_defaults(func=cmd_run, defaults={**_SOLVER_FLAG_DEFAULTS, "lam": 0.1})
+    p_run.set_defaults(func=cmd_run)
 
     p_diag = sub.add_parser("diagnose", help="run a diagnostics suite")
     p_diag.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p_diag.add_argument("--samples", type=int, default=100)
     p_diag.add_argument("--seed", type=int, default=0)
     p_diag.add_argument("--report", default=None, help="report JSON output path")
-    p_diag.set_defaults(func=cmd_diagnose, defaults={})
+    p_diag.set_defaults(func=cmd_diagnose)
 
     p_sweep = sub.add_parser("lambda-sweep", help="sweep the hedged barrier weight")
     p_sweep.add_argument("--operators", required=True)
     p_sweep.add_argument("--lambdas", required=True,
                          help="comma-separated descending positive weights")
     p_sweep.add_argument("--out", default=None, help="table JSON output path")
-    p_sweep.add_argument("--jobs", type=int, default=1)
     _add_solver_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_lambda_sweep, defaults=_SOLVER_FLAG_DEFAULTS)
+    p_sweep.set_defaults(func=cmd_lambda_sweep)
 
     return parser
 
@@ -287,7 +274,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, args.defaults)
+        args = _merge_config(args)
         return args.func(args)
     except InvalidInput as exc:
         print(json.dumps({"error": "InvalidInput", "message": str(exc)}), file=sys.stderr)

@@ -24,14 +24,7 @@ import numpy as np
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
-from .linalg import (
-    DensityState,
-    HermitianOperator,
-    _hermitian_part,
-    logsumexp,
-    schatten_norm,
-    spectral_decompose,
-)
+from .linalg import DensityState, HermitianOperator, _hermitian_part, logsumexp, schatten_norm
 from .objectives import ObjectiveSpec
 from .solver import eg_step
 
@@ -65,21 +58,26 @@ def chi(x):
 
 class LogPartitionProbe:
     """A base state and descent direction with the direction's spectral
-    width delta; everything the log-partition diagnostics need."""
+    width delta; everything the log-partition diagnostics need.
+
+    The direction is validated once, as a HermitianOperator, and stored as
+    its read-only array."""
 
     __slots__ = ("base", "direction", "delta")
 
-    def __init__(self, base: DensityState, direction: HermitianOperator):
+    def __init__(self, base: DensityState, direction):
+        if not isinstance(direction, HermitianOperator):
+            direction = HermitianOperator(direction)
         if base.dim != direction.dim:
             raise InvalidInput("state and direction dimensions differ")
         self.base = base
-        self.direction = direction
-        vals = spectral_decompose(direction).eigenvalues
+        self.direction = direction.mat
+        vals = np.linalg.eigvalsh(self.direction)
         self.delta = float(vals[-1] - vals[0])
 
     @classmethod
     def from_objective(cls, rho: DensityState, f: ObjectiveSpec) -> "LogPartitionProbe":
-        return cls(rho, HermitianOperator(-f.gradient(rho)))
+        return cls(rho, -f.gradient(rho))
 
     @property
     def dim(self) -> int:
@@ -88,7 +86,7 @@ class LogPartitionProbe:
     def hamiltonian_exponent(self, alpha) -> np.ndarray:
         """H_alpha = log rho + alpha G; an array of alpha gives a stack."""
         a = np.asarray(alpha, dtype=np.float64)[..., None, None]
-        return self.base.exponent + a * self.direction.mat
+        return self.base.exponent + a * self.direction
 
 
 def phi(probe: LogPartitionProbe, alpha):
@@ -154,7 +152,7 @@ def phi_derivatives(probe: LogPartitionProbe, alpha):
     """
     mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha))
     mu = mu - mu[..., -1:]  # common shift cancels in every ratio below
-    gt = u.conj().swapaxes(-1, -2) @ probe.direction.mat @ u
+    gt = u.conj().swapaxes(-1, -2) @ probe.direction @ u
     z0 = np.sum(np.exp(mu), axis=-1)
     z1 = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * np.exp(mu), axis=-1)
     d1 = _exp_dd1(mu[..., :, None], mu[..., None, :])
@@ -316,9 +314,11 @@ def self_concordance_check(probe: LogPartitionProbe,
 
 
 def random_hermitian(rng: np.random.Generator, d: int,
-                     unit_frobenius: bool = False) -> HermitianOperator:
+                     unit_frobenius: bool = False) -> np.ndarray:
+    """The Hermitian part of a complex Gaussian d x d matrix, optionally
+    scaled to unit Frobenius norm."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = HermitianOperator(a)
+    h = _hermitian_part(a)
     if unit_frobenius:
         h = h * (1.0 / schatten_norm(h, 2))
     return h
@@ -329,9 +329,9 @@ def random_density(rng: np.random.Generator, d: int) -> DensityState:
     return DensityState.from_exponent(random_hermitian(rng, d, unit_frobenius=True))
 
 
-def random_psd(rng: np.random.Generator, d: int) -> HermitianOperator:
+def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return HermitianOperator(a.conj().T @ a)
+    return a.conj().T @ a
 
 
 def random_probe(rng: np.random.Generator, d: int,

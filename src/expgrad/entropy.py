@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator, logsumexp, schatten_norm
+from .linalg import DensityState, _hermitian_part, logsumexp, schatten_norm
 
 __all__ = [
     "ProbabilityVector",
@@ -31,7 +31,7 @@ class ProbabilityVector:
     __slots__ = ("entries", "exponent")
 
     def __init__(self, entries):
-        x = np.asarray(entries, dtype=np.float64)
+        x = np.array(entries, dtype=np.float64)  # a copy: it is frozen below
         if x.ndim != 1 or x.size == 0:
             raise InvalidInput(f"expected a nonempty vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
@@ -117,5 +117,5 @@ def classical_relative_entropy(p: ProbabilityVector, q: ProbabilityVector) -> fl
 def pinsker_gap(rho: DensityState, sigma: DensityState) -> float:
     """D(rho, sigma) - 0.5 * ||rho - sigma||_1^2; nonnegative by Pinsker."""
     d = quantum_relative_entropy(rho, sigma)
-    tn = schatten_norm(HermitianOperator(rho.matrix - sigma.matrix), 1)
+    tn = schatten_norm(_hermitian_part(rho.matrix - sigma.matrix), 1)
     return d - 0.5 * tn * tn

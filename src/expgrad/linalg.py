@@ -1,4 +1,4 @@
-"""Dense Hermitian linear algebra: spectral decompositions, matrix functions,
+"""Dense Hermitian linear algebra: the validating Hermitian input type,
 Schatten norms, and the log-domain density-matrix representation.
 
 Everything here is dense and double precision; the methods built on top are
@@ -8,22 +8,14 @@ the target sizes (d <= 64).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError, InvalidInput
 
 __all__ = [
     "HermitianOperator",
-    "SpectralDecomposition",
     "DensityState",
-    "spectral_decompose",
-    "matrix_function",
-    "trace_inner_product",
     "schatten_norm",
-    "eigen_extremes",
     "logsumexp",
 ]
 
@@ -44,11 +36,13 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 class HermitianOperator:
-    """A d x d complex Hermitian matrix.
+    """A validated d x d complex Hermitian matrix: the type that untrusted
+    input passes through at the API boundary; past it the package works on
+    the plain array ``mat``.
 
-    The constructor symmetrizes via (A + A^H)/2 so that round-off from
-    upstream arithmetic never produces a non-Hermitian operator. Instances
-    are immutable after construction.
+    The constructor rejects non-square and non-finite input and keeps the
+    Hermitian part (A + A^H)/2, so that round-off from upstream arithmetic
+    never produces a non-Hermitian operator. ``mat`` is read-only.
     """
 
     __slots__ = ("mat",)
@@ -67,80 +61,14 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def identity(cls, d: int) -> "HermitianOperator":
-        return cls(np.eye(d))
-
-    @classmethod
-    def diag(cls, values) -> "HermitianOperator":
-        return cls(np.diag(np.asarray(values, dtype=np.complex128)))
-
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.mat + other.mat)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.mat - other.mat)
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(-self.mat)
-
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigensystem of a Hermitian operator, eigenvalues ascending.
-
-    Column j of ``eigenvectors`` pairs with ``eigenvalues[j]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def spectral_decompose(a: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
-    vals, vecs = np.linalg.eigh(a.mat)
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return SpectralDecomposition(vals, vecs)
-
-
-def matrix_function(a: HermitianOperator, g: Callable[[np.ndarray], np.ndarray]) -> HermitianOperator:
-    """Apply a scalar function to a Hermitian operator through its spectrum.
-
-    ``g`` must be defined (finite) on every eigenvalue of ``a``; otherwise a
-    DomainError is raised (e.g. log of a non-positive eigenvalue).
-    """
-    dec = spectral_decompose(a)
-    with np.errstate(all="ignore"):
-        gvals = np.asarray(g(dec.eigenvalues), dtype=np.float64)
-    if gvals.shape != dec.eigenvalues.shape or not np.all(np.isfinite(gvals)):
-        raise DomainError("scalar function undefined on part of the spectrum")
-    v = dec.eigenvectors
-    return HermitianOperator((v * gvals) @ v.conj().T)
-
-
-def trace_inner_product(a: HermitianOperator, b: HermitianOperator) -> float:
-    """Hilbert-Schmidt inner product tr(A^H B); imaginary residue discarded."""
-    if a.dim != b.dim:
-        raise InvalidInput(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.vdot(a.mat, b.mat).real)
-
-
-def schatten_norm(a: HermitianOperator, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf} of a Hermitian operator."""
-    vals = np.linalg.eigvalsh(a.mat)
+def schatten_norm(a: np.ndarray, p) -> float:
+    """Schatten p-norm for p in {1, 2, inf} of a Hermitian array, read as
+    numpy.linalg.eigvalsh reads it (lower triangle)."""
+    vals = np.linalg.eigvalsh(a)
     if p == 1:
         return float(np.sum(np.abs(vals)))
     if p == 2:
@@ -148,12 +76,6 @@ def schatten_norm(a: HermitianOperator, p) -> float:
     if p in (np.inf, float("inf"), "inf"):
         return float(np.max(np.abs(vals))) if vals.size else 0.0
     raise InvalidInput(f"unsupported Schatten order {p!r}")
-
-
-def eigen_extremes(a: HermitianOperator) -> tuple[float, float]:
-    """Smallest and largest eigenvalues (lambda_min, lambda_max)."""
-    vals = np.linalg.eigvalsh(a.mat)
-    return float(vals[0]), float(vals[-1])
 
 
 class DensityState:
@@ -211,11 +133,11 @@ class DensityState:
             raise InvalidInput(f"trace {tr} is not 1")
         if vals[0] <= 0.0:
             raise DomainError("matrix is singular or indefinite; cannot take log")
-        return cls.from_exponent(HermitianOperator((vecs * np.log(vals)) @ vecs.conj().T))
+        return cls.from_exponent(_hermitian_part((vecs * np.log(vals)) @ vecs.conj().T))
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityState":
-        return cls.from_exponent(HermitianOperator(np.zeros((d, d))))
+        return cls.from_exponent(np.zeros((d, d)))
 
     @property
     def dim(self) -> int:

@@ -63,20 +63,18 @@ class MeasurementEnsemble:
         if not ops:
             raise InvalidInput("ensemble needs at least one operator")
         d = ops[0].dim
-        nonzero = False
-        for op in ops:
-            if op.dim != d:
-                raise InvalidInput("ensemble operators have mixed dimensions")
-            lo = float(np.linalg.eigvalsh(op.mat)[0])
-            if lo < -1e-10:
-                raise InvalidInput(f"operator is not PSD (min eigenvalue {lo})")
-            nonzero = nonzero or np.any(op.mat != 0)
-        if not nonzero:
+        if any(op.dim != d for op in ops):
+            raise InvalidInput("ensemble operators have mixed dimensions")
+        stack = np.stack([op.mat for op in ops])
+        lows = np.linalg.eigvalsh(stack)[:, 0]
+        if np.any(lows < -1e-10):
+            raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
+        if not np.any(stack):
             raise InvalidInput("ensemble is all zeros")
         self.dim = d
         self.operators = tuple(ops)
         # row i holds the real and imaginary parts of M_i, interleaved
-        self._flat = np.stack([op.mat for op in ops]).view(np.float64).reshape(len(ops), -1)
+        self._flat = stack.view(np.float64).reshape(len(ops), -1)
         self._flat.flags.writeable = False
 
     @property
@@ -147,7 +145,7 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     def gradient(rho: DensityState) -> np.ndarray:
         if rho.eigenvalues[0] <= 0.0:
             raise DomainError("barrier gradient undefined on a singular state")
-        return _hermitian_part(base.gradient(rho) - lam * rho.inverse())
+        return base.gradient(rho) - lam * rho.inverse()  # exactly Hermitian, as both terms are
 
     def in_domain(rho: DensityState) -> bool:
         return base.in_domain(rho) and rho.eigenvalues[0] > 0.0

@@ -80,7 +80,7 @@ def _check_moments(probe, rng):
     margin = min(margin, float(np.min(probe.delta ** 2 / 4.0 + 1e-10 - analytic[1])))
     # Bregman-gap identity against the relative-entropy path
     alphas = (0.1, 0.5, 1.0)
-    neg = -probe.direction.mat
+    neg = -probe.direction
     for alpha, via_moments in zip(alphas, bregman_gap(probe, np.array(alphas))):
         direct = quantum_relative_entropy(eg_step(probe.base, neg, alpha), probe.base)
         rel = abs(via_moments - direct) / max(abs(direct), 1e-12)

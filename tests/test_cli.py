@@ -162,14 +162,11 @@ class TestLambdaSweep:
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] <= 1e-3
 
-    def test_parallel_matches_serial(self, basis_file, tmp_path, capsys):
-        serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
-        main(["lambda-sweep", "--operators", basis_file,
-              "--lambdas", "0.1,0.01", "--out", str(serial)])
-        main(["lambda-sweep", "--operators", basis_file,
-              "--lambdas", "0.1,0.01", "--out", str(parallel), "--jobs", "2"])
-        capsys.readouterr()
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_jobs_flag_is_not_accepted(self, basis_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda-sweep", "--operators", basis_file, "--lambdas", "0.1", "--jobs", "2"])
+        assert "usage:" in capsys.readouterr().err
+        assert exc.value.code == 2
 
     def test_rejects_bad_weight_lists(self, basis_file):
         for bad in (",", "0.01,0.1", "0.1,-0.2"):
@@ -185,10 +182,7 @@ class TestMalformedInput:
         ({"max-iter": "abc"}, []),
         ({"max-iter": 3.7}, []),
         (None, ["--lambdas", "0.1,abc"]),
-        (None, ["--jobs", "0"]),
-        (None, ["--jobs", "-2"]),
-    ], ids=["config-max-iter-string", "config-max-iter-fraction", "lambdas-not-numbers",
-            "jobs-zero", "jobs-negative"])
+    ], ids=["config-max-iter-string", "config-max-iter-fraction", "lambdas-not-numbers"])
     def test_usage_error_as_json(self, basis_file, tmp_path, capsys, config, flags):
         argv = ["lambda-sweep", "--operators", basis_file, "--lambdas", "0.1"]
         if config is not None:

@@ -15,7 +15,7 @@ from expgrad.linalg import DensityState, HermitianOperator
 def random_density(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = HermitianOperator(a)
-    return DensityState.from_exponent(h * (1.0 / np.linalg.norm(h.mat)))
+    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
 
 
 def random_unitary(rng, d):
@@ -35,6 +35,12 @@ class TestProbabilityVector:
 
     def test_uniform(self):
         assert np.allclose(ProbabilityVector.uniform(4).entries, 0.25)
+
+    def test_leaves_the_callers_array_writable(self):
+        a = np.array([0.5, 0.5])
+        p = ProbabilityVector(a)
+        a[0] = 0.7
+        assert np.array_equal(p.entries, [0.5, 0.5])
 
 
 class TestVonNeumannEntropy:

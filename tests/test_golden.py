@@ -52,7 +52,7 @@ def _wishart(rng, d, m):
 def _random_density(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = HermitianOperator(a)
-    return DensityState.from_exponent(h * (1.0 / np.linalg.norm(h.mat)))
+    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
 
 
 def _qst_d4():

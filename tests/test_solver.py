@@ -13,7 +13,7 @@ from expgrad.entropy import (
     quantum_relative_entropy,
 )
 from expgrad.errors import BacktrackCapExceeded, DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator, schatten_norm, trace_inner_product
+from expgrad.linalg import DensityState, HermitianOperator, schatten_norm
 from expgrad.objectives import (
     MeasurementEnsemble,
     burg_objective,
@@ -39,7 +39,7 @@ LOG2 = np.log(2.0)
 def random_density(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = HermitianOperator(a)
-    return DensityState.from_exponent(h * (1.0 / np.linalg.norm(h.mat)))
+    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
 
 
 def random_ensemble(rng, d, n):
@@ -66,12 +66,12 @@ class TestEgStep:
         rho = random_density(rng, 3)
         for c in (-2.0, 0.5, 10.0):
             nxt = eg_step(rho, HermitianOperator(c * np.eye(3)).mat, 0.7)
-            assert schatten_norm(HermitianOperator(nxt.matrix - rho.matrix), 1) <= 1e-12
+            assert schatten_norm(HermitianOperator(nxt.matrix - rho.matrix).mat, 1) <= 1e-12
 
     def test_diagonal_closed_form(self):
         # 0.5 e^{-log 2} = 0.25; normalize (0.25, 0.5) -> (1/3, 2/3)
         rho = DensityState.maximally_mixed(2)
-        nxt = eg_step(rho, HermitianOperator.diag([1.0, 0.0]).mat, LOG2)
+        nxt = eg_step(rho, HermitianOperator(np.diag([1.0, 0.0])).mat, LOG2)
         assert np.allclose(nxt.matrix, np.diag([1.0 / 3.0, 2.0 / 3.0]), atol=1e-12)
 
     def test_unit_trace(self):
@@ -84,7 +84,7 @@ class TestEgStep:
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InvalidInput):
-            eg_step(DensityState.maximally_mixed(2), HermitianOperator.identity(2).mat, 0.0)
+            eg_step(DensityState.maximally_mixed(2), HermitianOperator(np.eye(2)).mat, 0.0)
 
     def test_minimizes_mirror_descent_subproblem(self):
         # brute-force oracle over feasible sigma: 200-point diagonal grid plus
@@ -97,7 +97,7 @@ class TestEgStep:
             nxt = eg_step(rho, g.mat, alpha)
 
             def subproblem(sigma):
-                inner = trace_inner_product(g, HermitianOperator(sigma.matrix - rho.matrix))
+                inner = np.vdot(g.mat, HermitianOperator(sigma.matrix - rho.matrix).mat).real
                 return alpha * inner + quantum_relative_entropy(sigma, rho)
 
             best = min(subproblem(DensityState.from_matrix(np.diag([t, 1.0 - t])))
@@ -118,7 +118,7 @@ class TestSimplexStep:
         g = rng.standard_normal(3)
         nxt_v = eg_step(x, g, 0.6)
         nxt_m = eg_step(DensityState.from_matrix(np.diag(x.entries)),
-                        HermitianOperator.diag(g).mat, 0.6)
+                        HermitianOperator(np.diag(g)).mat, 0.6)
         assert np.allclose(nxt_v.entries, np.diag(nxt_m.matrix).real, atol=1e-12)
 
 
@@ -133,8 +133,7 @@ class TestArmijoSearch:
         cfg = SolverConfig(alpha_bar=0.1, tau=0.5)
         alpha, nxt, backtracks = armijo_search(rho, f, cfg)
         assert backtracks == 0 and alpha == 0.1
-        inner = trace_inner_product(HermitianOperator(f.gradient(rho)),
-                                    HermitianOperator(nxt.matrix - rho.matrix))
+        inner = np.vdot(f.gradient(rho), HermitianOperator(nxt.matrix - rho.matrix).mat).real
         assert f.value(nxt) <= f.value(rho) + 0.5 * inner + 1e-12
 
     def test_fixed_point_accepts_immediately(self):
@@ -142,7 +141,7 @@ class TestArmijoSearch:
         rho = DensityState.maximally_mixed(2)
         alpha, nxt, backtracks = armijo_search(rho, f, SolverConfig())
         assert backtracks == 0
-        assert schatten_norm(HermitianOperator(nxt.matrix - rho.matrix), 1) <= 1e-12
+        assert schatten_norm(HermitianOperator(nxt.matrix - rho.matrix).mat, 1) <= 1e-12
         assert f.value(nxt) == pytest.approx(f.value(rho), abs=1e-12)
 
     def test_barrier_forces_backtracking(self):
@@ -169,7 +168,7 @@ class TestSolve:
         rho0 = DensityState.from_matrix(np.diag([0.9, 0.1]))
         res = solve(rho0, f)
         assert res.trace[-1].f_value == pytest.approx(2 * LOG2, abs=1e-6)
-        assert schatten_norm(HermitianOperator(res.final_state.matrix - np.eye(2) / 2), 1) <= 1e-6
+        assert schatten_norm(HermitianOperator(res.final_state.matrix - np.eye(2) / 2).mat, 1) <= 1e-6
 
     def test_hedged_run_stays_interior_and_monotone(self):
         rng = np.random.default_rng(48)
@@ -200,7 +199,7 @@ class TestSolve:
 
     def test_rejects_out_of_domain_start(self):
         f = qst_objective(standard_basis_ensemble(2))
-        rho = DensityState.from_exponent(HermitianOperator.diag([-800.0, 0.0]))
+        rho = DensityState.from_exponent(HermitianOperator(np.diag([-800.0, 0.0])))
         with pytest.raises(DomainError):
             solve(rho, f)
 
