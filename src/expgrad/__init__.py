@@ -5,9 +5,7 @@ diagnostics suite for the surrounding convex-analysis machinery."""
 from .entropy import (
     ProbabilityVector,
     classical_relative_entropy,
-    pinsker_gap,
     quantum_relative_entropy,
-    von_neumann_entropy_neg,
 )
 from .diagnostics import (
     FixedPointResult,
@@ -48,7 +46,6 @@ from .solver import (
     SolveResult,
     SolveStatus,
     SolverConfig,
-    armijo_search,
     eg_step,
     solve,
     write_trace_csv,

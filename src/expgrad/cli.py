@@ -6,8 +6,9 @@ suites), ``lambda-sweep`` (barrier-weight sweep of the hedged objective).
 
 Exit codes: 0 success, 1 runtime/domain error, 2 usage error. Runtime errors
 print a machine-readable JSON object on stderr. Flags may also be supplied
-through ``--config FILE`` (JSON, same names in kebab-case); explicit flags
-override the file.
+through ``--config FILE`` (JSON, keyed by the long option name, as
+``max-iter`` or ``lambda``); explicit flags override the file, and a key
+that is no such flag of the subcommand is a usage error.
 """
 
 from __future__ import annotations
@@ -82,21 +83,37 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _option(dest: str) -> str:
+    """The long option name of the flag stored at ``dest``, without its
+    leading dashes: the flag's config-file key."""
+    return "lambda" if dest == "lam" else dest.replace("_", "-")
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, then from defaults, and
-    check the type of every value, raising InvalidInput on a mismatch."""
+    check the type of every value, raising InvalidInput on a mismatch, on a
+    file that is not a JSON object, and on a key that names no flag the
+    subcommand lets a config file fill."""
     config = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidInput(f"config file is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise InvalidInput("config file must contain a JSON object")
-    for dest, default in _CONFIG_DEFAULTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, config.get(dest.replace("_", "-"), default))
+    dests = {_option(dest): dest for dest in _CONFIG_DEFAULTS if hasattr(args, dest)}
+    for key in config:
+        if key not in dests:
+            raise InvalidInput(f"unknown config key {key!r}; {args.command} takes "
+                               + ", ".join(sorted(dests)))
+    for key, dest in dests.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, config.get(key, _CONFIG_DEFAULTS[dest]))
     for dest, check in _FLAG_TYPES.items():
         if hasattr(args, dest):
-            setattr(args, dest, check(dest.replace("_", "-"), getattr(args, dest)))
+            setattr(args, dest, check(_option(dest), getattr(args, dest)))
     return args
 
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _hermitian_part, logsumexp, schatten_norm
+from .linalg import DensityState, logsumexp
 
 __all__ = [
     "ProbabilityVector",
-    "von_neumann_entropy_neg",
     "quantum_relative_entropy",
     "classical_relative_entropy",
-    "pinsker_gap",
 ]
 
 
@@ -74,14 +72,6 @@ class ProbabilityVector:
         return f"ProbabilityVector({np.array2string(self.entries, precision=4)})"
 
 
-def von_neumann_entropy_neg(rho: DensityState) -> float:
-    """Negative von Neumann entropy tr(rho log rho) - tr(rho)."""
-    lam = rho.eigenvalues
-    if lam[0] <= 0.0:
-        raise DomainError("entropy undefined for a singular state")
-    return float(np.sum(lam * np.log(lam)) - np.sum(lam))
-
-
 def quantum_relative_entropy(rho: DensityState, sigma: DensityState) -> float:
     """tr(rho log rho) - tr(rho log sigma) - tr(rho - sigma).
 
@@ -112,10 +102,3 @@ def classical_relative_entropy(p: ProbabilityVector, q: ProbabilityVector) -> fl
     mask = pe > 0.0
     kl = float(np.sum(pe[mask] * (np.log(pe[mask]) - np.log(qe[mask]))))
     return kl - float(np.sum(pe) - np.sum(qe))
-
-
-def pinsker_gap(rho: DensityState, sigma: DensityState) -> float:
-    """D(rho, sigma) - 0.5 * ||rho - sigma||_1^2; nonnegative by Pinsker."""
-    d = quantum_relative_entropy(rho, sigma)
-    tn = schatten_norm(_hermitian_part(rho.matrix - sigma.matrix), 1)
-    return d - 0.5 * tn * tn

@@ -26,8 +26,8 @@ def logsumexp(x: np.ndarray):
     """log sum exp(x) over the last axis, for rows with a finite maximum,
     shifted by that maximum so that no term overflows; -inf entries
     contribute nothing. A vector gives a float, a stack an array."""
-    top = np.max(x, axis=-1, keepdims=True)
-    out = top[..., 0] + np.log(np.sum(np.exp(x - top), axis=-1))
+    top = x.max(axis=-1, keepdims=True)
+    out = top[..., 0] + np.log(np.exp(x - top).sum(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -81,22 +81,25 @@ def schatten_norm(a: np.ndarray, p) -> float:
 class DensityState:
     """Strictly positive-definite, unit-trace Hermitian matrix in log domain.
 
-    The state is carried as a read-only Hermitian exponent array H with
-    rho = exp(H), normalized so that tr exp(H) = 1. The realized eigensystem
-    of rho is stored alongside, and the matrix rho is formed once, on first
-    use. If a materialized eigenvalue falls below the floor the state is
+    The state is carried as the eigenvectors V and the normalized
+    log-eigenvalues w of rho = V diag(exp w) V^H, so that tr rho = 1. The
+    read-only Hermitian exponent H = log rho and the matrix rho are each
+    formed once, on first read: an Armijo candidate that is rejected needs
+    neither. If a materialized eigenvalue falls below the floor the state is
     flagged, not rejected: the solver observes near-singularity rather than
     fabricating interiority.
     """
 
-    __slots__ = ("exponent", "eigenvalues", "eigenvectors", "floor_clamped", "_matrix")
+    __slots__ = ("eigenvalues", "eigenvectors", "floor_clamped", "_log_eigenvalues",
+                 "_exponent", "_matrix")
 
-    def __init__(self, exponent, eigenvalues, eigenvectors, floor_clamped):
-        self.exponent = exponent
-        self.eigenvalues = eigenvalues
+    def __init__(self, log_eigenvalues, eigenvectors):
+        self._log_eigenvalues = log_eigenvalues
         self.eigenvectors = eigenvectors
-        self.floor_clamped = floor_clamped
-        self._matrix = None
+        self.eigenvalues = np.exp(log_eigenvalues)
+        self.eigenvalues.flags.writeable = False
+        self.floor_clamped = bool(self.eigenvalues[0] < DEFAULT_EIG_FLOOR)
+        self._exponent = self._matrix = None
 
     @classmethod
     def from_exponent(cls, h) -> "DensityState":
@@ -112,15 +115,10 @@ class DensityState:
             vals, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError:  # LAPACK does not converge on inf entries
             raise InvalidInput("exponent has non-finite entries") from None
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InvalidInput("exponent has non-finite entries")
-        w = vals - logsumexp(vals)
         v.flags.writeable = False
-        exponent = _hermitian_part((v * w) @ v.conj().T)
-        exponent.flags.writeable = False
-        eigenvalues = np.exp(w)
-        eigenvalues.flags.writeable = False
-        return cls(exponent, eigenvalues, v, bool(eigenvalues[0] < DEFAULT_EIG_FLOOR))
+        return cls(vals - logsumexp(vals), v)
 
     @classmethod
     def from_matrix(cls, rho) -> "DensityState":
@@ -141,11 +139,20 @@ class DensityState:
 
     @property
     def dim(self) -> int:
-        return self.exponent.shape[0]
+        return self.eigenvalues.shape[0]
 
     @property
     def min_eig(self) -> float:
         return float(self.eigenvalues[0])
+
+    @property
+    def exponent(self) -> np.ndarray:
+        """log rho as a read-only Hermitian d x d array."""
+        if self._exponent is None:
+            v = self.eigenvectors
+            self._exponent = _hermitian_part((v * self._log_eigenvalues) @ v.conj().T)
+            self._exponent.flags.writeable = False
+        return self._exponent
 
     @property
     def matrix(self) -> np.ndarray:

@@ -108,9 +108,9 @@ def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
 
     def value(rho: DensityState) -> float:
         t = _measurement_probs(ens, rho)
-        if np.any(t <= 0.0):
+        if (t <= 0.0).any():
             return math.inf
-        return float(-np.sum(np.log(t)))
+        return float(-np.log(t).sum())
 
     def gradient(rho: DensityState) -> np.ndarray:
         t = _measurement_probs(ens, rho)
@@ -140,7 +140,7 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
             return math.inf
         if rho.eigenvalues[0] <= 0.0:
             return math.inf
-        return v - lam * float(np.sum(np.log(rho.eigenvalues)))
+        return v - lam * float(np.log(rho.eigenvalues).sum())
 
     def gradient(rho: DensityState) -> np.ndarray:
         if rho.eigenvalues[0] <= 0.0:

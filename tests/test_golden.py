@@ -11,18 +11,25 @@ is absolute, about 1e-16 |log rho|, which reaches 2e-13 once an eigenvalue
 of rho underflows and |log rho| ~ 745.
 
 The traces are `write_trace_csv` files in tests/data/golden/, with the final
-statuses in status.json next to them. Rewrite them only on purpose, with
+statuses in status.json next to them. Next to them too is the stdout of a
+3-weight `lambda-sweep` at d = 16, where the Armijo search backtracks about
+six times per iteration; it must match byte for byte. Rewrite them only on
+purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from expgrad.cli import main
 from expgrad.entropy import ProbabilityVector
 from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.objectives import (
@@ -37,6 +44,7 @@ from expgrad.objectives import (
 from expgrad.solver import SolverConfig, solve, write_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+SWEEP = GOLDEN / "lambda_sweep_d16_seed3.jsonl"
 REL_TOL = 1e-10
 GAP_ABS_TOL = 1e-12
 
@@ -164,6 +172,19 @@ def test_cases_cover_every_family_and_status(statuses):
     assert total_backtracks > 0
 
 
+def run_sweep(workdir):
+    ens_path = workdir / "ens.json"
+    assert main(["gen", "--dim", "16", "--num-ops", "64", "--seed", "3",
+                 "--out", str(ens_path)]) == 0
+    assert main(["lambda-sweep", "--operators", str(ens_path),
+                 "--lambdas", "0.1,0.01,0.001"]) == 0
+
+
+def test_lambda_sweep_stdout_is_golden(tmp_path, capsys):
+    run_sweep(tmp_path)
+    assert capsys.readouterr().out == SWEEP.read_text()
+
+
 def record():
     GOLDEN.mkdir(parents=True, exist_ok=True)
     statuses = {}
@@ -174,6 +195,10 @@ def record():
         print(f"{name}: {result.status.value}, {len(result.trace)} iterations, "
               f"{sum(r.backtracks for r in result.trace)} backtracks")
     (GOLDEN / "status.json").write_text(json.dumps(statuses, indent=1, sort_keys=True) + "\n")
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        run_sweep(Path(tmp))
+    SWEEP.write_text(out.getvalue())
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ from expgrad.objectives import (
 from expgrad.solver import (
     SolveStatus,
     SolverConfig,
+    _armijo,
     _divergence,
-    armijo_search,
     eg_step,
     solve,
     write_trace_csv,
@@ -40,6 +40,18 @@ def random_density(rng, d):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = HermitianOperator(a)
     return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
+
+
+def armijo_search(state, f, cfg):
+    """Armijo search from a DensityState or a ProbabilityVector.
+
+    Returns (alpha_accepted, next_state, backtracks).
+    """
+    g = f.gradient(state)
+    f_state = f.value(state)
+    if not math.isfinite(f_state):
+        raise DomainError("line search started outside the effective domain")
+    return _armijo(state, f, cfg, g, f_state)[:3]
 
 
 def random_ensemble(rng, d, n):
@@ -376,6 +388,30 @@ class TestWorkPerSolve:
         iters = len(res.trace)
         candidates = iters + sum(r.backtracks for r in res.trace)
         assert iters > 1 and candidates > iters
+        assert counts["eigh"] == 1 + candidates + 1
+        assert counts["gradient"] == iters + 1
+        assert counts["value"] == candidates + 1
+
+    def test_rejected_candidates_form_no_exponent(self, monkeypatch):
+        # log rho is formed for the start, each accepted iterate and each
+        # alpha_bar probe only: at most 2 iterations + 1 times, whatever the
+        # number of candidates; alpha_bar = 20 overshoots the barrier often
+        rng = np.random.default_rng(54)
+        f = hedged_qst_objective(random_ensemble(rng, 3, 6), 1e-3)
+        counts, f = self.count_work(monkeypatch, f)
+        exponent = vars(DensityState)["exponent"].fget
+
+        def forming(state):
+            counts["exponent"] += state._exponent is None
+            return exponent(state)
+
+        monkeypatch.setattr(DensityState, "exponent", property(forming))
+        res = solve(DensityState.maximally_mixed(3), f, SolverConfig(alpha_bar=20.0))
+        assert res.status in (SolveStatus.CONVERGED, SolveStatus.STATIONARY)
+        iters = len(res.trace)
+        candidates = iters + sum(r.backtracks for r in res.trace)
+        assert candidates > 2 * iters
+        assert counts["exponent"] <= 2 * iters + 1
         assert counts["eigh"] == 1 + candidates + 1
         assert counts["gradient"] == iters + 1
         assert counts["value"] == candidates + 1
