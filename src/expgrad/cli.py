@@ -108,6 +108,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if key not in dests:
             raise InvalidInput(f"unknown config key {key!r}; {args.command} takes "
                                + ", ".join(sorted(dests)))
+    if getattr(args, "lam", None) is not None or "lambda" in config:
+        if args.command == "run" and args.objective != "hedged-qst":
+            raise InvalidInput(f"'lambda' applies only to the hedged-qst objective, not {args.objective}")
     for key, dest in dests.items():
         if getattr(args, dest) is None:
             setattr(args, dest, config.get(key, _CONFIG_DEFAULTS[dest]))

@@ -12,7 +12,9 @@ assumed to commute: H_alpha is formed as a matrix sum and decomposed.
 
 phi, phi_derivatives and bregman_gap also take an array of alpha: one stack
 of H_alpha, one stacked eigvalsh or eigh (same bits as one call per matrix).
-The checks pass whole grids; fixed_point_check stacks its samples sigma too.
+The checks pass whole grids and build only the derivative orders they read:
+per probe, sandwich, ratio and kappa cost 2 decompositions, self-concordance
+1 and fixed point 3. The fixed-point margin is exact over all states sigma.
 """
 
 from __future__ import annotations
@@ -137,6 +139,27 @@ def _exp_dd2(a, b, c):
     return out
 
 
+def _moments(probe: LogPartitionProbe, alpha, order: int):
+    """The first ``order`` of (phi', phi'', phi''') as phi_derivatives computes
+    them, from one stacked eigh; skips the divided differences not read."""
+    mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha))
+    mu = mu - mu[..., -1:]  # common shift cancels in every ratio below
+    gt = u.conj().swapaxes(-1, -2) @ probe.direction @ u
+    z0 = np.sum(np.exp(mu), axis=-1)
+    m1 = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * np.exp(mu), axis=-1) / z0
+    moments = [m1]
+    if order >= 2:
+        d1 = _exp_dd1(mu[..., :, None], mu[..., None, :])
+        m2 = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1)) / z0
+        moments.append(m2 - m1 * m1)
+    if order >= 3:
+        d2 = _exp_dd2(mu[..., :, None, None], mu[..., None, :, None], mu[..., None, None, :])
+        triple = np.einsum("...ij,...jk,...ki->...ijk", gt, gt, gt).real
+        m3 = 2.0 * np.sum(triple * d2, axis=(-3, -2, -1)) / z0
+        moments.append(m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)
+    return tuple(map(float, moments)) if mu.ndim == 1 else tuple(moments)
+
+
 def phi_derivatives(probe: LogPartitionProbe, alpha):
     """First three derivatives of phi, exactly, through the spectral calculus
     of the partition trace Z(alpha) = tr exp(H_alpha).
@@ -150,35 +173,24 @@ def phi_derivatives(probe: LogPartitionProbe, alpha):
     Duhamel correction that this path accounts for. An array alpha gives
     three arrays, from one stacked eigh.
     """
-    mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha))
-    mu = mu - mu[..., -1:]  # common shift cancels in every ratio below
-    gt = u.conj().swapaxes(-1, -2) @ probe.direction @ u
-    z0 = np.sum(np.exp(mu), axis=-1)
-    z1 = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * np.exp(mu), axis=-1)
-    d1 = _exp_dd1(mu[..., :, None], mu[..., None, :])
-    z2 = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1))
-    d2 = _exp_dd2(mu[..., :, None, None], mu[..., None, :, None], mu[..., None, None, :])
-    triple = np.einsum("...ij,...jk,...ki->...ijk", gt, gt, gt).real
-    z3 = 2.0 * np.sum(triple * d2, axis=(-3, -2, -1))
-    m1 = z1 / z0
-    m2 = z2 / z0
-    m3 = z3 / z0
-    moments = (m1, m2 - m1 * m1, m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)
-    return tuple(map(float, moments)) if mu.ndim == 1 else moments
+    return _moments(probe, alpha, 3)
+
+
+def _gap(probe: LogPartitionProbe, alpha, d1):
+    """phi(0) - phi(alpha) + alpha phi'(alpha) at positive steps, given phi'."""
+    a = np.asarray(alpha, dtype=np.float64)
+    if np.any(a <= 0.0):
+        raise InvalidInput("step size must be positive")
+    values = phi(probe, np.append(0.0, a))
+    gap = values[0] - values[1:].reshape(a.shape) + a * d1
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def bregman_gap(probe: LogPartitionProbe, alpha):
     """D(rho(alpha), rho) through the log-partition identity
     phi(0) - phi(alpha) + alpha phi'(alpha); nonnegative (Peierls-Bogoliubov).
-    Also for an array alpha, with phi(0) and phi(alpha) from one eigvalsh.
-    """
-    a = np.asarray(alpha, dtype=np.float64)
-    if np.any(a <= 0.0):
-        raise InvalidInput("step size must be positive")
-    values = phi(probe, np.append(0.0, a))
-    d1, _, _ = phi_derivatives(probe, a)
-    gap = values[0] - values[1:].reshape(a.shape) + a * d1
-    return float(gap) if gap.ndim == 0 else gap
+    An array alpha costs one eigvalsh and one first-order eigh."""
+    return _gap(probe, alpha, _moments(probe, alpha, 1)[0])
 
 
 class SandwichResult(NamedTuple):
@@ -199,10 +211,10 @@ def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
     x = d * np.asarray(alpha, dtype=np.float64)
     if d == 0.0:
         return SandwichResult(x, x, x, degenerate=True)
-    _, var, _ = phi_derivatives(probe, alpha)
+    d1, var = _moments(probe, alpha, 2)
     lower = (np.expm1(-x) + x) / (d * d) * var
     upper = (np.expm1(x) - x) / (d * d) * var
-    return SandwichResult(lower, bregman_gap(probe, alpha), upper)
+    return SandwichResult(lower, _gap(probe, alpha, d1), upper)
 
 
 class RatioResult(NamedTuple):
@@ -271,36 +283,22 @@ class FixedPointResult(NamedTuple):
 
 
 def fixed_point_check(rho: DensityState, f: ObjectiveSpec,
-                      alpha_grid: Sequence[float],
-                      rng: np.random.Generator | None = None,
-                      samples: int = 100) -> FixedPointResult:
+                      alpha_grid: Sequence[float]) -> FixedPointResult:
     """True iff rho is (numerically) invariant under the EG update at every
-    grid step; a fixed point is then cross-checked for first-order optimality
-    <grad f(rho), sigma - rho> >= 0 over sampled feasible sigma, drawn as
-    random_density draws them. The steps and the samples are stacks."""
+    grid step (one stack); a fixed point then gets the exact margin over all
+    density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>."""
     alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
     if np.any(alphas <= 0.0):
         raise InvalidInput("step size must be positive")
     g = f.gradient(rho)
-    moved = _hermitian_part(_density_matrices(rho.exponent - alphas * g) - rho.matrix)
+    vals, v = np.linalg.eigh(rho.exponent - alphas * g)  # exp(H)/tr exp(H) per step
+    p = np.exp(vals - logsumexp(vals)[..., None])
+    moved = _hermitian_part((v * p[..., None, :]) @ v.conj().swapaxes(-1, -2) - rho.matrix)
     movement = float(np.max(np.sum(np.abs(np.linalg.eigvalsh(moved)), axis=-1), initial=0.0))
     if movement > 1e-10:
         return FixedPointResult(False, movement, None)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    z = rng.standard_normal((samples, 2, rho.dim, rho.dim))
-    s = _hermitian_part(z[:, 0] + 1j * z[:, 1])
-    vals = np.linalg.eigvalsh(s)
-    norms = np.sqrt(np.sum(vals * vals, axis=-1))
-    sigma = _density_matrices(s * (1.0 / norms)[:, None, None])
-    inner = (sigma - rho.matrix).reshape(samples, -1) @ g.conj().ravel()
-    return FixedPointResult(True, movement, float(np.min(inner.real, initial=math.inf)))
-
-
-def _density_matrices(h: np.ndarray) -> np.ndarray:
-    """exp(H)/tr exp(H) for a stack of H, as DensityState.from_exponent."""
-    vals, v = np.linalg.eigh(h)
-    p = np.exp(vals - logsumexp(vals)[..., None])
-    return (v * p[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    margin = np.linalg.eigvalsh(g)[0] - np.vdot(g, rho.matrix).real
+    return FixedPointResult(True, movement, float(margin))
 
 
 def self_concordance_check(probe: LogPartitionProbe,

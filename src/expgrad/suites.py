@@ -99,9 +99,8 @@ def _check_fixed_point(probe, rng):
     d = probe.dim
     f = qst_objective(standard_basis_ensemble(d))
     grid = (0.1, 1.0, 3.0)
-    at_opt = fixed_point_check(DensityState.maximally_mixed(d), f, grid, rng)
-    off = random_density(rng, d)
-    at_off = fixed_point_check(off, f, grid, rng)
+    at_opt = fixed_point_check(DensityState.maximally_mixed(d), f, grid)
+    at_off = fixed_point_check(random_density(rng, d), f, grid)
     if not at_opt.is_fixed_point or at_off.is_fixed_point:
         return -1.0
     return at_opt.optimality_margin + 1e-8

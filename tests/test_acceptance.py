@@ -214,7 +214,7 @@ def test_10_fixed_point_and_inner_product(probes):
         f = qst_objective(standard_basis_ensemble(d))
         at_opt = fixed_point_check(DensityState.maximally_mixed(d), f, grid)
         rng = np.random.default_rng([6, d])
-        at_off = fixed_point_check(random_density(rng, d), f, grid, rng)
+        at_off = fixed_point_check(random_density(rng, d), f, grid)
         if not at_opt.is_fixed_point or at_opt.optimality_margin < -1e-8:
             ok, detail = False, f"optimum not fixed at d={d}"
         if at_off.is_fixed_point:

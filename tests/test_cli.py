@@ -129,6 +129,14 @@ class TestRun:
             finals.append(json.loads(capsys.readouterr().out)["final_f"])
         assert finals[0] == finals[1] != finals[2]
 
+    def test_hedged_barrier_weight_defaults_to_a_tenth(self, basis_file, capsys):
+        argv = ["run", "--objective", "hedged-qst", "--operators", basis_file, "--max-iter", "3"]
+        finals = []
+        for extra in ([], ["--lambda", "0.1"]):
+            assert main(argv + extra) == 0
+            finals.append(json.loads(capsys.readouterr().out)["final_f"])
+        assert finals[0] == finals[1]
+
     def test_missing_operator_file(self, tmp_path):
         assert main(["run", "--objective", "qst",
                      "--operators", str(tmp_path / "absent.json")]) == 1
@@ -223,6 +231,23 @@ class TestMalformedInput:
         assert err["error"] == "InvalidInput"
         if named is not None:
             assert repr(named) in err["message"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--objective", "burg", "--dim", "3", "--lambda", "-1"], None),
+        (["--objective", "qst", "--operators", "BASIS", "--lambda", "5"], None),
+        (["--objective", "quadratic", "--dim", "3"], {"lambda": 5}),
+    ], ids=["burg-flag", "qst-flag", "quadratic-config"])
+    def test_lambda_without_hedged_objective(self, basis_file, tmp_path, capsys, argv, config):
+        argv = ["run"] + [basis_file if a == "BASIS" else a for a in argv]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and "'lambda'" in err["message"]
 
     @pytest.mark.parametrize("objective, payload", [
         ("poisson", {"dim": 1, "rows": [["a"]]}),

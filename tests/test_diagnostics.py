@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from expgrad import diagnostics
 from expgrad import (
     DensityState,
     FixedPointResult,
@@ -289,7 +290,7 @@ class TestFixedPoint:
         rng = np.random.default_rng(17)
         target = random_density(rng, 3)
         f = quadratic_objective(HermitianOperator(target.matrix))
-        res = fixed_point_check(target, f, (0.5, 1.0), rng)
+        res = fixed_point_check(target, f, (0.5, 1.0))
         assert res.is_fixed_point and res.optimality_margin >= -1e-8
 
 
@@ -419,32 +420,88 @@ class TestWorkPerCheck:
         assert self.per_probe(monkeypatch, probes,
                               lambda p: self_concordance_check(p, grid)) == [1] * len(probes)
 
-    def test_fixed_point_independent_of_samples(self, monkeypatch):
+    def test_sandwich(self, monkeypatch, probes):
+        grid = np.array([0.1, 1.0, 5.0])
+        assert self.per_probe(monkeypatch, probes,
+                              lambda p: sandwich_check(p, grid)) == [2] * len(probes)
+
+    def test_fixed_point(self, monkeypatch):
+        # the stacked steps' eigh, their movement's eigvalsh, and eigvalsh(g)
         cases = [(DensityState.maximally_mixed(d), qst_objective(standard_basis_ensemble(d)))
                  for d in (2, 5, 8)]
         counts = self.count_decompositions(monkeypatch)
         for rho, f in cases:
-            per_samples = []
-            for samples in (10, 100):
-                counts.clear()
-                res = fixed_point_check(rho, f, (0.1, 1.0, 3.0), np.random.default_rng(0), samples)
-                assert res.is_fixed_point
-                per_samples.append(sum(counts.values()))
-            assert per_samples[0] == per_samples[1] <= 8
+            counts.clear()
+            assert fixed_point_check(rho, f, (0.1, 1.0, 3.0)).is_fixed_point
+            assert sum(counts.values()) == 3
+
+    @staticmethod
+    def count_divided_differences(monkeypatch):
+        counts = Counter()
+        for name in ("_exp_dd1", "_exp_dd2"):
+            def counted(*args, _fn=getattr(diagnostics, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(diagnostics, name, counted)
+        return counts
+
+    def test_first_order_checks_build_no_divided_differences(self, monkeypatch, probes):
+        counts = self.count_divided_differences(monkeypatch)
+        grid = np.geomspace(1e-3, 1.0, 25)
+        for p in probes:
+            bregman_gap(p, grid)
+            ratio_monotonicity_check(p, grid)
+            kappa_bound_check(p, 1.0, grid)
+        assert counts == Counter()
+
+    def test_sandwich_builds_no_second_divided_difference(self, monkeypatch, probes):
+        counts = self.count_divided_differences(monkeypatch)
+        for p in probes:
+            sandwich_check(p, np.array([0.1, 1.0, 5.0]))
+        assert counts == Counter({"_exp_dd1": len(probes)})
 
 
-def test_fixed_point_samples_match_per_sample_draws():
-    # reference: one random_density and one validated inner product per sample
-    d, samples = 3, 40
-    rho, f = DensityState.maximally_mixed(d), qst_objective(standard_basis_ensemble(d))
-    rng = np.random.default_rng(44)
-    res = fixed_point_check(rho, f, (0.5,), rng, samples)
-    ref_rng = np.random.default_rng(44)
-    g = f.gradient(rho)
-    want = min(np.vdot(g, HermitianOperator(random_density(ref_rng, d).matrix - rho.matrix).mat).real
-               for _ in range(samples))
-    assert res.optimality_margin == pytest.approx(want, abs=1e-13)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+@pytest.fixture
+def bit_probes():
+    rng = np.random.default_rng(45)
+    return [random_probe(rng, d, kind) for d in (2, 5, 8) for kind in ("qst", "hermitian")
+            for _ in range(2)]
+
+
+def test_gap_and_sandwich_bits_match_full_derivatives(bit_probes):
+    # reference: phi(0) - phi(alpha) + alpha phi'(alpha), and the sandwich
+    # bounds from phi'', with phi' and phi'' from the third-order path
+    grid = np.array([1e-3, 0.1, 0.7, 1.0, 5.0])
+    for p in bit_probes:
+        values = phi(p, np.append(0.0, grid))
+        d1, var, _ = phi_derivatives(p, grid)
+        gap = values[0] - values[1:] + grid * d1
+        x, dd = p.delta * grid, p.delta * p.delta
+        assert np.array_equal(bregman_gap(p, grid), gap)
+        res = sandwich_check(p, grid)
+        assert np.array_equal(res.lower, (np.expm1(-x) + x) / dd * var)
+        assert np.array_equal(res.gap, gap)
+        assert np.array_equal(res.upper, (np.expm1(x) - x) / dd * var)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_fixed_point_margin_is_exact_minimum(d, scale):
+    # at a non-diagonal target the gradient is round-off, scaled up by scale,
+    # and generically commutes neither with rho nor with any sampled sigma
+    rng = np.random.default_rng(46 + d)
+    target = random_density(rng, d)
+    f = quadratic_objective(HermitianOperator(target.matrix), scale)
+    res = fixed_point_check(target, f, (0.5, 1.0))
+    assert res.is_fixed_point
+    g, rho = f.gradient(target), target.matrix
+    assert res.optimality_margin == np.linalg.eigvalsh(g)[0] - np.vdot(g, rho).real
+    for _ in range(200):
+        sigma = random_density(rng, d).matrix
+        assert res.optimality_margin <= np.vdot(g, sigma - rho).real + 1e-13
+    v = np.linalg.eigh(g)[1][:, 0]
+    bottom = np.vdot(g, np.outer(v, v.conj()) - rho).real
+    assert res.optimality_margin == pytest.approx(bottom, abs=1e-13)
 
 
 def test_suite_records_do_not_depend_on_other_checks():

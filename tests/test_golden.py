@@ -14,15 +14,20 @@ The traces are `write_trace_csv` files in tests/data/golden/, with the final
 statuses in status.json next to them. Next to them too is the stdout of a
 3-weight `lambda-sweep` at d = 16, where the Armijo search backtracks about
 six times per iteration; it must match byte for byte. Rewrite them only on
-purpose, with
+purpose, one named recording at a time (a case name, or `sweep` for the
+lambda-sweep stdout), with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+Every recording not named, and every other case's status.json entry, is
+left as it is.
 """
 
 import contextlib
 import csv
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -185,21 +190,54 @@ def test_lambda_sweep_stdout_is_golden(tmp_path, capsys):
     assert capsys.readouterr().out == SWEEP.read_text()
 
 
-def record():
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    statuses = {}
-    for name in CASES:
+def test_recording_one_case_writes_only_that_case(tmp_path, capsys):
+    (tmp_path / "status.json").write_text((GOLDEN / "status.json").read_text())
+    assert record_command([], tmp_path) != 0
+    assert record_command(["qst_d4", "no_such_case"], tmp_path) != 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["status.json"]
+    assert "usage" in capsys.readouterr().err
+    assert record_command(["quadratic_cap_hit"], tmp_path) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quadratic_cap_hit.csv", "status.json"]
+    assert (tmp_path / "status.json").read_text() == (GOLDEN / "status.json").read_text()
+    header, rows = read_trace(tmp_path / "quadratic_cap_hit.csv")
+    want_header, want = read_trace(GOLDEN / "quadratic_cap_hit.csv")
+    assert header == want_header and len(rows) == len(want)
+
+
+def record(names, golden=GOLDEN):
+    """Re-record the named cases, and the lambda-sweep stdout if `sweep` is
+    named, into golden; update only the named cases' status.json entries."""
+    golden.mkdir(parents=True, exist_ok=True)
+    status_path = golden / "status.json"
+    statuses = json.loads(status_path.read_text()) if status_path.exists() else {}
+    cases = [name for name in names if name in CASES]
+    for name in cases:
         result = run_case(name)
-        write_trace_csv(result.trace, GOLDEN / f"{name}.csv")
+        write_trace_csv(result.trace, golden / f"{name}.csv")
         statuses[name] = result.status.value
         print(f"{name}: {result.status.value}, {len(result.trace)} iterations, "
               f"{sum(r.backtracks for r in result.trace)} backtracks")
-    (GOLDEN / "status.json").write_text(json.dumps(statuses, indent=1, sort_keys=True) + "\n")
-    out = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
-        run_sweep(Path(tmp))
-    SWEEP.write_text(out.getvalue())
+    if cases:
+        status_path.write_text(json.dumps(statuses, indent=1, sort_keys=True) + "\n")
+    if "sweep" in names:
+        out = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+            run_sweep(Path(tmp))
+        (golden / SWEEP.name).write_text(out.getvalue())
+        print(f"sweep: {SWEEP.name}")
+
+
+def record_command(argv, golden=GOLDEN) -> int:
+    """`python tests/test_golden.py NAME...`; with no name, or an unknown
+    one, print the usage and write nothing."""
+    known = ["sweep", *CASES]
+    if not argv or not set(argv) <= set(known):
+        print("usage: PYTHONPATH=src python tests/test_golden.py NAME...\n"
+              "NAME is one of: " + ", ".join(known), file=sys.stderr)
+        return 2
+    record(argv, golden)
+    return 0
 
 
 if __name__ == "__main__":
-    record()
+    sys.exit(record_command(sys.argv[1:]))

@@ -1,0 +1,114 @@
+"""Property tests of the EG solver on drawn instances: monotone descent, unit
+trace and Hermiticity of every iterate, the Armijo condition at every
+accepted step, invariance of the step when the gradient moves by c I, and
+the solver's stored-exponent divergence against the relative entropy.
+
+Ensembles are drawn random (Wishart), rank-deficient (rank-one operators
+spanning half the space, so the optimum is singular) or near-commuting (one
+common eigenbasis plus a 1e-6 perturbation), at d up to 64. Examples are
+derandomized, so every run draws the same instances.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expgrad.diagnostics import random_density
+from expgrad.entropy import quantum_relative_entropy
+from expgrad.linalg import DensityState
+from expgrad.objectives import MeasurementEnsemble, hedged_qst_objective, qst_objective
+from expgrad.solver import SolverConfig, _divergence, eg_step, solve
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=15)
+KINDS = ("random", "rank-deficient", "near-commuting")
+
+kinds = st.sampled_from(KINDS)
+dims = st.sampled_from((2, 3, 5, 8, 16, 64))
+seeds = st.integers(0, 2 ** 32 - 1)
+steps = st.floats(1e-3, 10.0)
+
+
+def complex_gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(complex_gaussian(rng, d, d))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def draw_ensemble(kind, d, rng):
+    if kind == "random":
+        a = complex_gaussian(rng, 2 * d, d, d)
+        ops = a.conj().swapaxes(-1, -2) @ a
+    elif kind == "rank-deficient":
+        v = complex_gaussian(rng, max(1, d // 2), d)
+        ops = v[:, :, None] * v[:, None, :].conj()
+    else:
+        u = haar_unitary(rng, d)
+        ops = (u * (rng.random((2 * d, 1, d)) + 0.1)) @ u.conj().T
+        noise = 1e-6 * complex_gaussian(rng, 2 * d, d, d)
+        ops = ops + noise.conj().swapaxes(-1, -2) @ noise
+    return MeasurementEnsemble(list(ops))
+
+
+def assert_density(state):
+    m = state.matrix
+    scale = np.finfo(float).eps * state.dim
+    assert np.max(np.abs(m - m.conj().T)) <= 4 * scale
+    assert abs(np.trace(m).real - 1.0) <= 4 * scale
+    assert abs(np.sum(state.eigenvalues) - 1.0) <= 4 * scale
+
+
+@PROPERTY
+@given(kind=kinds, d=dims, seed=seeds, hedged=st.booleans())
+def test_accepted_steps_descend_and_pass_armijo(kind, d, seed, hedged):
+    # replay each accepted step of a solve from its recorded alpha: the
+    # replayed f is the solver's, and each step passes the Armijo test
+    rng = np.random.default_rng(seed)
+    ens = draw_ensemble(kind, d, rng)
+    f = hedged_qst_objective(ens, 1e-3) if hedged else qst_objective(ens)
+    cfg = SolverConfig(max_iters=4)
+    state = DensityState.maximally_mixed(d) if seed % 2 else random_density(rng, d)
+    result = solve(state, f, cfg)
+    assert result.trace
+    f_state = f.value(state)
+    for record in result.trace:
+        g = f.gradient(state)
+        nxt = eg_step(state, g, record.alpha_k)
+        f_next = f.value(nxt)
+        assert f_next == record.f_value
+        assert f_next <= f_state + cfg.tau * np.vdot(g, nxt.matrix - state.matrix).real
+        assert f_next <= f_state
+        assert_density(nxt)
+        state, f_state = nxt, f_next
+    assert_density(result.final_state)
+
+
+@PROPERTY
+@given(kind=kinds, d=dims, seed=seeds, c=st.floats(-100.0, 100.0), alpha=steps)
+def test_step_ignores_identity_shift(kind, d, seed, c, alpha):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, d)
+    shift = c * np.eye(d)
+    tol = 1e-13 * (1.0 + abs(alpha * c))
+    assert np.max(np.abs(eg_step(rho, shift, alpha).matrix - rho.matrix)) <= tol
+    g = qst_objective(draw_ensemble(kind, d, rng)).gradient(rho)
+    g = g / max(1.0, np.max(np.abs(g)))
+    moved = eg_step(rho, g, alpha)
+    assert np.max(np.abs(eg_step(rho, g + shift, alpha).matrix - moved.matrix)) <= tol
+    assert_density(moved)
+
+
+@PROPERTY
+@given(kind=kinds, d=dims, seed=seeds, alpha=steps)
+def test_divergence_is_relative_entropy(kind, d, seed, alpha):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, d)
+    g = qst_objective(draw_ensemble(kind, d, rng)).gradient(rho)
+    nxt = eg_step(rho, g / max(1.0, np.max(np.abs(g))), alpha)
+    want = quantum_relative_entropy(nxt, rho)
+    scale = 1.0 + np.max(np.abs(nxt.exponent)) + np.max(np.abs(rho.exponent))
+    assert abs(_divergence(nxt, rho) - want) <= 1e-13 * d * scale
+    assert _divergence(rho, rho) == 0.0
