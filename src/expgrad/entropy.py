@@ -85,10 +85,16 @@ def quantum_relative_entropy(rho: DensityState, sigma: DensityState) -> float:
         raise DomainError("relative entropy undefined against a singular state")
     if lam_r[0] <= 0.0:
         raise DomainError("relative entropy undefined for a singular state")
-    overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    own = float(np.sum(lam_r * np.log(lam_r)))
-    cross = float(lam_r @ overlap @ np.log(lam_s))
-    traces = float(np.sum(lam_r) - np.sum(lam_s))
+    return float(_relative_entropy(lam_r, rho.eigenvectors, lam_s, sigma.eigenvectors))
+
+
+def _relative_entropy(lam_r, u, lam_s, v):
+    """quantum_relative_entropy from positive eigenvalues and eigenvector
+    columns, stacked on leading axes that broadcast; no input checks."""
+    overlap = np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
+    own = np.sum(lam_r * np.log(lam_r), axis=-1)
+    cross = ((lam_r[..., None, :] @ overlap) @ np.log(lam_s)[..., None])[..., 0, 0]
+    traces = np.sum(lam_r, axis=-1) - np.sum(lam_s, axis=-1)
     return own - cross - traces
 
 

@@ -135,10 +135,10 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     base = qst_objective(ens)
 
     def value(rho: DensityState) -> float:
+        if rho.eigenvalues[0] <= 0.0:  # before base.value forms rho.matrix
+            return math.inf
         v = base.value(rho)
         if not math.isfinite(v):
-            return math.inf
-        if rho.eigenvalues[0] <= 0.0:
             return math.inf
         return v - lam * float(np.log(rho.eigenvalues).sum())
 

@@ -2,12 +2,13 @@
 Bregman-gap identity, sandwich/ratio/kappa bounds, and fixed-point checks."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from expgrad import diagnostics
+from expgrad import diagnostics, suites
 from expgrad import (
     DensityState,
     FixedPointResult,
@@ -187,8 +188,16 @@ class TestSandwich:
 
     def test_degenerate_direction(self):
         res = sandwich_check(constant_direction_probe(2, 0.7), 1.0)
-        assert res.degenerate
+        assert res.degenerate is True
         assert res.lower == res.gap == res.upper == 0.0
+        assert all(type(x) is float for x in res[:3])
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, [0.5, -0.5]])
+    def test_rejects_nonpositive_step(self, alpha):
+        # a zero-width direction too, although every quantity is an exact zero there
+        for p in (constant_direction_probe(3, 1.0), random_probe(np.random.default_rng(2), 3, "hermitian")):
+            with pytest.raises(InvalidInput):
+                sandwich_check(p, alpha)
 
 
 class TestRatioMonotonicity:
@@ -459,6 +468,104 @@ class TestWorkPerCheck:
         for p in probes:
             sandwich_check(p, np.array([0.1, 1.0, 5.0]))
         assert counts == Counter({"_exp_dd1": len(probes)})
+
+    @pytest.mark.parametrize("name, per_dim", [
+        ("sandwich", 2), ("ratio", 2), ("kappa", 2), ("self-concordance", 1),
+        # phi_derivatives 1, three finite-difference stacks, the relative
+        # entropy path 1, bregman_gap 2
+        ("moments", 7),
+        # the optimum's state, ensemble and check 1 + 1 + 3; the off-optimum
+        # states 2 and their check 3
+        ("fixed-point", 10),
+    ])
+    def test_suite_cost_does_not_grow_with_samples(self, monkeypatch, name, per_dim):
+        counts = self.count_decompositions(monkeypatch)
+        in_builds = Counter()
+
+        def build(*args, _build=suites.random_probe):
+            before = sum(counts.values())
+            probe = _build(*args)
+            in_builds["n"] += sum(counts.values()) - before
+            return probe
+
+        monkeypatch.setattr(suites, "random_probe", build)
+
+        def cost(samples):
+            counts.clear()
+            in_builds.clear()
+            run_suite(name, samples, 0)
+            return sum(counts.values()) - in_builds["n"]
+
+        assert cost(8) == cost(100) == 4 * per_dim
+
+
+def test_stacked_probe_matches_each_probe():
+    # a mixed population with a zero-width direction: every result of the
+    # stack, per probe, bit for bit what the probe alone gives
+    rng = np.random.default_rng(47)
+    probes = [random_probe(rng, 3, kind) for kind in ("qst", "hermitian", "qst")]
+    probes.insert(1, constant_direction_probe(3, -0.6))
+    stacked = LogPartitionProbe.stack(probes)
+    grid = np.geomspace(1e-3, 2.0, 9)
+    checks = {
+        "phi": lambda p: phi(p, grid),
+        "phi_derivatives": lambda p: phi_derivatives(p, grid),
+        "bregman_gap": lambda p: bregman_gap(p, grid),
+        "phi_fd_derivatives": lambda p: phi_fd_derivatives(p, grid, 1e-3),
+        "sandwich": lambda p: sandwich_check(p, grid),
+        "ratio": lambda p: ratio_monotonicity_check(p, grid),
+        "kappa": lambda p: kappa_bound_check(p, 2.0, grid),
+        "self-concordance": lambda p: self_concordance_check(p, grid),
+    }
+
+    def entry(result, i):
+        return tuple(entry(r, i) for r in result) if isinstance(result, tuple) else np.asarray(result)[i]
+
+    for name, check in checks.items():
+        together = check(stacked)
+        for i, p in enumerate(probes):
+            np.testing.assert_equal(entry(together, i), check(p), err_msg=name)
+    assert sandwich_check(stacked, grid).degenerate.tolist() == [False, True, False, False]
+    for mixed in ([], [probes[0], random_probe(rng, 2, "qst")]):
+        with pytest.raises(InvalidInput):
+            LogPartitionProbe.stack(mixed)
+
+    rngs = [np.random.default_rng([47, i]) for i in range(len(probes))]
+    for i, margin in enumerate(suites._CHECKS["fixed-point"](stacked, rngs)):
+        assert margin == suites._CHECKS["fixed-point"](LogPartitionProbe.stack(probes[i:i + 1]),
+                                                       [np.random.default_rng([47, i])])[0]
+    for name in ("sandwich", "ratio", "moments", "kappa", "self-concordance"):
+        margins = suites._CHECKS[name](stacked, rngs)
+        alone = [suites._CHECKS[name](LogPartitionProbe.stack([p]), rngs[:1])[0] for p in probes]
+        np.testing.assert_array_equal(margins, alone, err_msg=name)
+
+
+def test_list_of_states_matches_each_state():
+    states = random_density([np.random.default_rng([48, i]) for i in range(3)], 4)
+    for i, s in enumerate(states):
+        alone = random_density(np.random.default_rng([48, i]), 4)
+        assert np.array_equal(s.matrix, alone.matrix) and np.array_equal(s.exponent, alone.exponent)
+    states.append(DensityState.maximally_mixed(4))
+    f = qst_objective(standard_basis_ensemble(4))
+    together = fixed_point_check(states, f, (0.1, 1.0, 3.0))
+    assert together.is_fixed_point.tolist() == [False, False, False, True]
+    for i, s in enumerate(states):
+        alone = fixed_point_check(s, f, (0.1, 1.0, 3.0))
+        assert (together.is_fixed_point[i], together.max_movement[i]) == alone[:2]
+        assert alone.optimality_margin == (together.optimality_margin[i] if alone.is_fixed_point else None)
+
+
+def test_third_order_memory_is_bounded_at_d32():
+    # one (probe, step) pair per slab: O(d^3), not O(n d^3) (54.6 MB unslabbed)
+    p = random_probe(np.random.default_rng(32), 32, "qst")
+    tracemalloc.start()
+    try:
+        worst = self_concordance_check(p, np.geomspace(1e-3, 10.0, 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-10
+    assert peak < 8e6
 
 
 @pytest.fixture

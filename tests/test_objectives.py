@@ -152,6 +152,18 @@ class TestHedgedQstObjective:
         with pytest.raises(DomainError):
             f.gradient(rho)
 
+    def test_underflowed_state_skips_the_probabilities(self, monkeypatch):
+        calls = []
+        probabilities = MeasurementEnsemble.probabilities
+        monkeypatch.setattr(MeasurementEnsemble, "probabilities",
+                            lambda self, m: calls.append(m) or probabilities(self, m))
+        f = hedged_qst_objective(standard_basis_ensemble(2), 0.1)
+        rho = DensityState.from_exponent(np.diag([-800.0, 0.0]))
+        assert rho.eigenvalues[0] == 0.0
+        assert f.value(rho) == math.inf
+        assert calls == [] and rho._matrix is None
+        assert math.isfinite(f.value(DensityState.maximally_mixed(2))) and len(calls) == 1
+
     def test_gradient_fd(self):
         rng = np.random.default_rng(33)
         f = hedged_qst_objective(random_ensemble(rng, 3, 6), 0.05)
