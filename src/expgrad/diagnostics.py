@@ -169,11 +169,12 @@ def _exp_dd2(a, b, c):
     return out
 
 
-def _moments(probe: LogPartitionProbe, alpha, order: int):
+def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
     """The first ``order`` of (phi', phi'', phi''') as phi_derivatives computes
-    them, from one stacked eigh; skips the divided differences not read and
-    forms the rest one slab of (probe, step) pairs at a time."""
-    mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha))
+    them, from one stacked eigh (``eig``, when the caller has it already);
+    skips the divided differences not read and forms the rest one slab of
+    (probe, step) pairs at a time."""
+    mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha)) if eig is None else eig
     shape, d = mu.shape[:-1], mu.shape[-1]
     mu = (mu - mu[..., -1:]).reshape(-1, d)  # common shift cancels in every ratio below
     u = u.reshape(-1, d, d)

@@ -66,6 +66,11 @@ class ProbabilityVector:
     def min_eig(self) -> float:
         return float(np.min(self.entries))
 
+    @property
+    def log_spread(self) -> float:
+        """Spread max - min of the exponent; +inf with a zero entry."""
+        return float(np.max(self.exponent) - np.min(self.exponent))
+
     point = property(lambda self: self.entries)  # the name DensityState shares
 
     def __repr__(self):

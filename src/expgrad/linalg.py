@@ -146,6 +146,11 @@ class DensityState:
         return float(self.eigenvalues[0])
 
     @property
+    def log_spread(self) -> float:
+        """Spread max - min of the normalized log-eigenvalues."""
+        return float(self._log_eigenvalues[-1] - self._log_eigenvalues[0])
+
+    @property
     def exponent(self) -> np.ndarray:
         """log rho as a read-only Hermitian d x d array."""
         if self._exponent is None:

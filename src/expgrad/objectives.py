@@ -39,6 +39,9 @@ class ObjectiveSpec:
     ``kind`` is "matrix" (states are DensityState, gradients are Hermitian
     d x d arrays) or "vector" (states are ProbabilityVector, gradients are
     length-d arrays). ``value`` returns +inf outside the effective domain.
+    ``barrier`` is set by the constructors of objectives whose value is +inf
+    at every state with a zero eigenvalue or entry; the line search then
+    skips candidates that provably have one.
     """
 
     dim: int
@@ -46,6 +49,7 @@ class ObjectiveSpec:
     gradient: Callable
     in_domain: Callable
     kind: str = "matrix"
+    barrier: bool = False
 
 
 class MeasurementEnsemble:
@@ -150,7 +154,7 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     def in_domain(rho: DensityState) -> bool:
         return base.in_domain(rho) and rho.eigenvalues[0] > 0.0
 
-    return ObjectiveSpec(ens.dim, value, gradient, in_domain, "matrix")
+    return ObjectiveSpec(ens.dim, value, gradient, in_domain, "matrix", barrier=True)
 
 
 def burg_objective(d: int) -> ObjectiveSpec:
@@ -173,7 +177,7 @@ def burg_objective(d: int) -> ObjectiveSpec:
     def in_domain(x: ProbabilityVector) -> bool:
         return bool(np.all(x.entries > 0.0))
 
-    return ObjectiveSpec(d, value, gradient, in_domain, "vector")
+    return ObjectiveSpec(d, value, gradient, in_domain, "vector", barrier=True)
 
 
 def poisson_linear_objective(rows) -> ObjectiveSpec:

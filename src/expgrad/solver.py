@@ -12,13 +12,16 @@ Work per solve. The stationarity probe at the end of iteration k, the step
 of length alpha_bar from x_k, is the first Armijo candidate of iteration
 k+1, and the accepted candidate's f value is the new f. With
 candidates = iterations + total backtracks, a solve that stops on its own
-rule costs candidates + 1 evaluations of f (one per candidate, plus f(x0))
-and iterations + 1 gradients. On a matrix it also costs candidates + 1
-eigendecompositions (one per candidate, plus the last probe) and one
-eigvalsh per iteration for the gradient's spectral width. The exponent
-log rho is formed only where it is read, at the start, at each accepted
-iterate and at each alpha_bar probe, so at most 2 iterations + 1 times
-per solve however many candidates the line search rejects.
+rule costs candidates - excluded + 1 evaluations of f (one per candidate
+formed, plus f(x0)) and iterations + 1 gradients. On a matrix it also costs
+candidates - excluded + 1 eigendecompositions (one per candidate formed,
+plus the last probe) and one eigvalsh per iteration for the gradient's
+spectral width. A candidate is excluded, never formed, when the objective is
+a barrier and a Weyl bound on the spread of its exponent proves that an
+eigenvalue underflows to 0 (see _armijo). The exponent log rho is formed
+only where it is read, at the start, at each accepted iterate and at each
+alpha_bar probe, so at most 2 iterations + 1 times per solve however many
+candidates the line search rejects.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("k", "f", "alpha", "backtracks", "delta", "bregman_gap_bar", "min_eig")
+
+# exp(x) == 0.0 below -745.1332; _ROUNDING * d * scale bounds the rounding
+# of the spectral bound at that scale (see _armijo)
+_EXP_UNDERFLOW = 745.14
+_ROUNDING = 32 * np.finfo(np.float64).eps
 
 
 class SolveStatus(enum.Enum):
@@ -106,9 +114,15 @@ class IterationRecord:
 
 @dataclass
 class SolveResult:
+    """The last accepted state, the trace and the stopping status. On
+    BacktrackCapHit, last_alpha and last_value are the last candidate step
+    tried and its f value (+inf for an excluded candidate); None otherwise."""
+
     final_state: object
     trace: list[IterationRecord] = field(default_factory=list)
     status: SolveStatus = SolveStatus.MAX_ITERS
+    last_alpha: Optional[float] = None
+    last_value: Optional[float] = None
 
 
 def eg_step(state, g: np.ndarray, alpha: float):
@@ -129,17 +143,47 @@ def _divergence(new, old) -> float:
     return float(np.vdot(new.point, new.exponent - old.exponent).real)
 
 
-def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None):
+def _underflow_step(state, lo: float, hi: float) -> float:
+    """A step beyond which eg_step(state, g, alpha) provably has a zero
+    eigenvalue or entry, for a g with extreme eigenvalues lo <= hi; +inf
+    where the bound proves nothing (as at lo == hi). See _armijo."""
+    slack = _ROUNDING * state.dim
+    width = (hi - lo) - slack * max(-lo, hi)
+    if width <= 0.0:
+        return math.inf
+    spread = state.log_spread
+    return (_EXP_UNDERFLOW + spread + slack * (spread + math.log(state.dim))) / width
+
+
+def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, cut=math.inf):
     """Backtracking line search: the largest alpha_bar * shrink^j passing the
     sufficient-decrease test. A +inf candidate value counts as a failed test;
     equality at the boundary counts as acceptance. ``first``, when given, is
     the alpha_bar candidate already computed. Returns (alpha, candidate,
-    backtracks, f(candidate))."""
+    backtracks, f(candidate)).
+
+    A candidate with alpha > ``cut`` is not formed: it counts as a failed
+    test with value +inf, which is what forming it would give when ``cut``
+    is _underflow_step(state, ...) and f is a barrier. The argument: let
+    Delta = lambda_max(g) - lambda_min(g) and s the spread of the state's
+    normalized log-eigenvalues w. By Weyl's inequalities the exponent
+    H = log rho - alpha g has lambda_max(H) - lambda_min(H) >= alpha Delta - s.
+    As logsumexp >= max, the candidate's smallest normalized log-eigenvalue
+    is at most -(lambda_max(H) - lambda_min(H)), and exp of it is exactly 0.0
+    once that spread exceeds 745.1332; the barrier then gives +inf. Rounding
+    in Delta, in s, in forming H and the eigensolver's backward error move
+    the computed spread by at most c d eps (alpha ||g|| + max|w|) with a
+    modest c; _underflow_step adds 32 d eps (alpha ||g|| + s + log d) to
+    745.14, as max|w| <= s + log d for normalized w. On a vector the same
+    holds entrywise, without the eigensolver."""
     last_alpha = last_value = None
     for j in range(cfg.max_backtracks + 1):
         alpha = cfg.alpha_bar * cfg.shrink ** j
         if j == 0 and first is not None:
             candidate = first
+        elif alpha > cut:
+            last_alpha, last_value = alpha, math.inf
+            continue
         else:
             candidate = eg_step(state, g, alpha)
         f_cand = f.value(candidate)
@@ -175,17 +219,19 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
     probe = None  # the alpha_bar step from state, once computed
     result = SolveResult(state, [], SolveStatus.MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
+        spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
+        lo, hi = float(np.min(spectrum)), float(np.max(spectrum))
+        cut = _underflow_step(state, lo, hi) if f.barrier else math.inf
         try:
-            alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, g, f_prev, probe)
-        except BacktrackCapExceeded:
+            alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, g, f_prev, probe, cut)
+        except BacktrackCapExceeded as exc:
             result.status = SolveStatus.BACKTRACK_CAP_HIT
+            result.last_alpha, result.last_value = exc.last_alpha, exc.last_value
             break
         g_next = f.gradient(state_next)
         probe = eg_step(state_next, g_next, cfg.alpha_bar)
         gap_bar = _divergence(probe, state_next)
-        spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
-        delta = float(np.max(spectrum) - np.min(spectrum))
-        record = IterationRecord(k, f_new, alpha, backtracks, delta, gap_bar, state_next.min_eig)
+        record = IterationRecord(k, f_new, alpha, backtracks, hi - lo, gap_bar, state_next.min_eig)
         result.trace.append(record)
         if sink is not None:
             sink(record)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .diagnostics import (
     LogPartitionProbe,
-    bregman_gap,
+    _gap,
+    _moments,
     fixed_point_check,
     kappa_bound_check,
     phi,
@@ -82,13 +83,15 @@ def _check_moments(probe, rngs):
     # variance bound: phi'' <= Delta^2 / 4
     margin = np.minimum(margin, np.min(probe.delta[:, None] ** 2 / 4.0 + 1e-10 - analytic[1], axis=-1))
     # Bregman-gap identity against the relative-entropy path, with
-    # rho(alpha) = eg_step(rho, -G, alpha) from the same H_alpha
+    # rho(alpha) = eg_step(rho, -G, alpha) from the same H_alpha; the gap is
+    # bregman_gap(probe, alphas), reading that one decomposition
     alphas = np.array([0.1, 0.5, 1.0])
     vals, u = np.linalg.eigh(probe.hamiltonian_exponent(alphas))
     lam = np.stack([b.eigenvalues for b in probe.base])[:, None]
     v = np.stack([b.eigenvectors for b in probe.base])[:, None]
     direct = _relative_entropy(np.exp(vals - logsumexp(vals)[..., None]), u, lam, v)
-    rel = np.abs(bregman_gap(probe, alphas) - direct) / np.maximum(np.abs(direct), 1e-12)
+    gap = _gap(probe, alphas, _moments(probe, alphas, 1, (vals, u))[0])
+    rel = np.abs(gap - direct) / np.maximum(np.abs(direct), 1e-12)
     return np.minimum(margin, np.min(1e-8 - rel, axis=-1))
 
 

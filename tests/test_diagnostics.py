@@ -472,8 +472,8 @@ class TestWorkPerCheck:
     @pytest.mark.parametrize("name, per_dim", [
         ("sandwich", 2), ("ratio", 2), ("kappa", 2), ("self-concordance", 1),
         # phi_derivatives 1, three finite-difference stacks, the relative
-        # entropy path 1, bregman_gap 2
-        ("moments", 7),
+        # entropy path's eigh 1, which the Bregman gap shares, and its phi 1
+        ("moments", 6),
         # the optimum's state, ensemble and check 1 + 1 + 3; the off-optimum
         # states 2 and their check 3
         ("fixed-point", 10),

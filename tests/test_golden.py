@@ -27,6 +27,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -46,7 +47,7 @@ from expgrad.objectives import (
     quadratic_objective,
     standard_basis_ensemble,
 )
-from expgrad.solver import SolverConfig, solve, write_trace_csv
+from expgrad.solver import SolverConfig, eg_step, solve, write_trace_csv
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 SWEEP = GOLDEN / "lambda_sweep_d16_seed3.jsonl"
@@ -175,6 +176,20 @@ def test_cases_cover_every_family_and_status(statuses):
         _, rows = read_trace(GOLDEN / f"{name}.csv")
         total_backtracks += sum(int(r[3]) for r in rows)
     assert total_backtracks > 0
+
+
+def test_capped_case_keeps_its_last_candidate():
+    # the last candidate is alpha_bar * shrink^max_backtracks from the last
+    # accepted state, with its finite (rejected) f; a case that stops on its
+    # own rule has none
+    _, x0, f, cfg = CASES["quadratic_cap_hit"]()
+    result = solve(x0, f, cfg)
+    state = result.final_state
+    assert result.last_alpha == cfg.alpha_bar * cfg.shrink ** cfg.max_backtracks
+    assert result.last_value == f.value(eg_step(state, f.gradient(state), result.last_alpha))
+    assert math.isfinite(result.last_value)
+    converged = run_case("quadratic_d4")
+    assert (converged.last_alpha, converged.last_value) == (None, None)
 
 
 def run_sweep(workdir):

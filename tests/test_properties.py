@@ -1,13 +1,17 @@
 """Property tests of the EG solver on drawn instances: monotone descent, unit
 trace and Hermiticity of every iterate, the Armijo condition at every
-accepted step, invariance of the step when the gradient moves by c I, and
-the solver's stored-exponent divergence against the relative entropy.
+accepted step, invariance of the step when the gradient moves by c I, the
+solver's stored-exponent divergence against the relative entropy, and the
+soundness of the spectral bound by which the line search excludes
+candidates of a barrier objective.
 
 Ensembles are drawn random (Wishart), rank-deficient (rank-one operators
 spanning half the space, so the optimum is singular) or near-commuting (one
 common eigenbasis plus a 1e-6 perturbation), at d up to 64. Examples are
 derandomized, so every run draws the same instances.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,7 +21,7 @@ from expgrad.diagnostics import random_density
 from expgrad.entropy import quantum_relative_entropy
 from expgrad.linalg import DensityState
 from expgrad.objectives import MeasurementEnsemble, hedged_qst_objective, qst_objective
-from expgrad.solver import SolverConfig, _divergence, eg_step, solve
+from expgrad.solver import SolverConfig, _divergence, _underflow_step, eg_step, solve
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=15)
 KINDS = ("random", "rank-deficient", "near-commuting")
@@ -112,3 +116,41 @@ def test_divergence_is_relative_entropy(kind, d, seed, alpha):
     scale = 1.0 + np.max(np.abs(nxt.exponent)) + np.max(np.abs(rho.exponent))
     assert abs(_divergence(nxt, rho) - want) <= 1e-13 * d * scale
     assert _divergence(rho, rho) == 0.0
+
+
+def spectral_cut(state, g):
+    spectrum = np.linalg.eigvalsh(g)
+    return _underflow_step(state, float(spectrum[0]), float(spectrum[-1]))
+
+
+@PROPERTY
+@given(kind=kinds, d=dims, seed=seeds, lam=st.floats(1e-4, 1e-1))
+def test_excluded_steps_underflow(kind, d, seed, lam):
+    # every step past the bound forms a state with a zero eigenvalue and
+    # hedged value +inf; from the maximally mixed state Weyl's inequality is
+    # nearly tight, so the steps just past the bound test its constant
+    rng = np.random.default_rng(seed)
+    f = hedged_qst_objective(draw_ensemble(kind, d, rng), lam)
+    state = DensityState.maximally_mixed(d)
+    if seed % 3 == 1:
+        state = random_density(rng, d)
+    elif seed % 3 == 2:  # an iterate, nearer the boundary
+        state = solve(state, f, SolverConfig(max_iters=5)).final_state
+    g = f.gradient(state)
+    cut = spectral_cut(state, g)
+    assert math.isfinite(cut)
+    for alpha in cut * np.array([1.0 + 1e-12, 1.001, 1.004, 1.01, 1.1, 2.0, 10.0, 1e3]):
+        nxt = eg_step(state, g, alpha)
+        assert nxt.eigenvalues[0] == 0.0
+        assert f.value(nxt) == math.inf
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, c=st.floats(-1e6, 1e6))
+def test_identity_gradient_excludes_nothing(d, seed, c):
+    # a gradient c I (rotated, so with round-off) moves no eigenvalue apart
+    rng = np.random.default_rng(seed)
+    state = random_density(rng, d)
+    u = haar_unitary(rng, d)
+    assert spectral_cut(state, c * np.eye(d)) == math.inf
+    assert spectral_cut(state, (u * c) @ u.conj().T) == math.inf

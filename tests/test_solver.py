@@ -28,6 +28,7 @@ from expgrad.solver import (
     SolverConfig,
     _armijo,
     _divergence,
+    _underflow_step,
     eg_step,
     solve,
     write_trace_csv,
@@ -349,9 +350,13 @@ class TestStoppingGap:
 
 
 class TestWorkPerSolve:
-    """Each Armijo candidate costs one eigendecomposition and one f
+    """Each Armijo candidate formed costs one eigendecomposition and one f
     evaluation, each accepted iterate one gradient: the alpha_bar probe that
-    tests stationarity is reused as the next iteration's first candidate."""
+    tests stationarity is reused as the next iteration's first candidate.
+    On a barrier objective, a candidate whose step passes the spectral
+    underflow bound of its search is excluded, never formed, so a solve
+    costs candidates - excluded + 2 eigendecompositions (with the start's)
+    and candidates - excluded + 1 values of f."""
 
     @staticmethod
     def count_work(monkeypatch, f):
@@ -366,6 +371,27 @@ class TestWorkPerSolve:
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         return counts, dataclasses.replace(f, value=counted("value", f.value),
                                            gradient=counted("gradient", f.gradient))
+
+    @staticmethod
+    def replay_excluded(x0, f, cfg, trace):
+        """The candidates the solver excludes, counted by replaying each
+        search from its recorded iterate: every candidate it forms, the
+        carried-over alpha_bar probe aside, with a step past the bound.
+        Each one, formed here, has value +inf."""
+        if not f.barrier:
+            return 0
+        state, excluded = x0, 0
+        for r in trace:
+            g = f.gradient(state)
+            spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
+            cut = _underflow_step(state, float(np.min(spectrum)), float(np.max(spectrum)))
+            for j in range(0 if r.k == 1 else 1, r.backtracks + 1):
+                alpha = cfg.alpha_bar * cfg.shrink ** j
+                if alpha > cut:
+                    assert f.value(eg_step(state, g, alpha)) == math.inf
+                    excluded += 1
+            state = eg_step(state, g, r.alpha_k)
+        return excluded
 
     @staticmethod
     def matrix_problem(family):
@@ -384,13 +410,17 @@ class TestWorkPerSolve:
         rho0 = DensityState.maximally_mixed(3)
         assert counts["eigh"] == 1
         res = solve(rho0, f, cfg)
+        work = Counter(counts)
         assert res.status in (SolveStatus.CONVERGED, SolveStatus.STATIONARY)
         iters = len(res.trace)
         candidates = iters + sum(r.backtracks for r in res.trace)
         assert iters > 1 and candidates > iters
-        assert counts["eigh"] == 1 + candidates + 1
-        assert counts["gradient"] == iters + 1
-        assert counts["value"] == candidates + 1
+        excluded = self.replay_excluded(rho0, f, cfg, res.trace)
+        if family != "hedged-qst":  # not barriers
+            assert excluded == 0
+        assert work["eigh"] == 1 + candidates - excluded + 1
+        assert work["gradient"] == iters + 1
+        assert work["value"] == candidates - excluded + 1
 
     def test_rejected_candidates_form_no_exponent(self, monkeypatch):
         # log rho is formed for the start, each accepted iterate and each
@@ -406,23 +436,42 @@ class TestWorkPerSolve:
             return exponent(state)
 
         monkeypatch.setattr(DensityState, "exponent", property(forming))
-        res = solve(DensityState.maximally_mixed(3), f, SolverConfig(alpha_bar=20.0))
+        cfg = SolverConfig(alpha_bar=20.0)
+        rho0 = DensityState.maximally_mixed(3)
+        res = solve(rho0, f, cfg)
+        work = Counter(counts)
         assert res.status in (SolveStatus.CONVERGED, SolveStatus.STATIONARY)
         iters = len(res.trace)
         candidates = iters + sum(r.backtracks for r in res.trace)
         assert candidates > 2 * iters
-        assert counts["exponent"] <= 2 * iters + 1
-        assert counts["eigh"] == 1 + candidates + 1
-        assert counts["gradient"] == iters + 1
-        assert counts["value"] == candidates + 1
+        excluded = self.replay_excluded(rho0, f, cfg, res.trace)
+        assert excluded > 0
+        assert work["exponent"] <= 2 * iters + 1
+        assert work["eigh"] == 1 + candidates - excluded + 1
+        assert work["gradient"] == iters + 1
+        assert work["value"] == candidates - excluded + 1
 
     def test_simplex_solve(self, monkeypatch):
         counts, f = self.count_work(monkeypatch, burg_objective(5))
-        res = solve(ProbabilityVector([0.5, 0.2, 0.15, 0.1, 0.05]), f)
+        x0, cfg = ProbabilityVector([0.5, 0.2, 0.15, 0.1, 0.05]), SolverConfig()
+        res = solve(x0, f, cfg)
+        work = Counter(counts)
         iters = len(res.trace)
         assert iters > 1
-        assert counts["gradient"] == iters + 1
-        assert counts["value"] == iters + sum(r.backtracks for r in res.trace) + 1
+        excluded = self.replay_excluded(x0, f, cfg, res.trace)
+        assert work["gradient"] == iters + 1
+        assert work["value"] == iters + sum(r.backtracks for r in res.trace) - excluded + 1
+
+    def test_capped_search_of_excluded_candidates(self, monkeypatch):
+        # every step from alpha_bar = 1e6 passes the bound: the search hits
+        # the cap with no candidate formed, and keeps why it stopped
+        rng = np.random.default_rng(46)
+        counts, f = self.count_work(monkeypatch, hedged_qst_objective(random_ensemble(rng, 2, 4), 1e-3))
+        cfg = SolverConfig(alpha_bar=1e6, max_backtracks=3)
+        res = solve(DensityState.maximally_mixed(2), f, cfg)
+        assert res.status is SolveStatus.BACKTRACK_CAP_HIT and res.trace == []
+        assert (res.last_alpha, res.last_value) == (1e6 * 0.5 ** 3, math.inf)
+        assert counts["eigh"] == 1 and counts["value"] == 1
 
 
 class TestTraceCsv:

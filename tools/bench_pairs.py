@@ -1,0 +1,90 @@
+"""Paired parent/change benchmark runs, summarised into one BENCH JSON file.
+
+    git archive PARENT_REV | tar -x -C /tmp/parent
+    python3 tools/bench_pairs.py --parent /tmp/parent --change . \
+        --pairs sweep=10 diagnose=4 --seconds 60 --out BENCH_9.json
+
+Each tree is a source checkout with its own ``perfbench/run.py``. Pair i of a
+workload runs both trees at seed i + 1, one after the other, the parent first
+in even pairs and the change first in odd ones, so drift in the host's speed
+falls on both sides alike. For each end-to-end metric the file holds each
+side's runs, median and quartiles, and the change's wins (pairs in which it
+reads lower; ties count for neither). A traced ``sweep`` run of each tree at
+seed 0 gives the per-layer work counts. Runs go one at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("wall_s", "ms_per_iter", "setup_s", "peak_rss_mb")
+COUNTS = ("linalg.eigh_calls", "objectives.value_calls", "solver.iters",
+          "solver.backtracks", "linalg.eigh_per_candidate")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The last stdout line of one ``perfbench/run.py`` run, parsed."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{tree}: {workload} seed {seed} failed its correctness gate")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def pairs(parent: Path, change: Path, workload: str, count: int, seconds: float) -> dict:
+    sides = {"parent": [], "change": []}
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            tree = parent if side == "parent" else change
+            sides[side].append(run(tree, workload, i + 1, seconds, 0))
+            print(f"{workload} pair {i} {side}: {sides[side][-1]}", file=sys.stderr, flush=True)
+    report = {"pairs": count, "seeds": list(range(1, count + 1)), "seconds": seconds}
+    for metric in METRICS:
+        parent_runs = [r[metric] for r in sides["parent"]]
+        change_runs = [r[metric] for r in sides["change"]]
+        report[metric] = {
+            "parent": summary(parent_runs),
+            "change": summary(change_runs),
+            "change_wins": sum(c < p for p, c in zip(parent_runs, change_runs)),
+        }
+    return report
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, required=True)
+    p.add_argument("--pairs", nargs="+", default=["sweep=10", "diagnose=4"],
+                   help="WORKLOAD=COUNT, one per workload")
+    p.add_argument("--seconds", type=float, default=60.0)
+    p.add_argument("--trace-seconds", type=float, default=30.0)
+    p.add_argument("--out", type=Path, required=True)
+    args = p.parse_args(argv)
+    report = {"end_to_end": {}, "traced_sweep_seed0": {}}
+    for spec in args.pairs:
+        workload, count = spec.split("=")
+        report["end_to_end"][workload] = pairs(args.parent, args.change, workload,
+                                               int(count), args.seconds)
+    for side, tree in (("parent", args.parent), ("change", args.change)):
+        layers = run(tree, "sweep", 0, args.trace_seconds, 1)
+        report["traced_sweep_seed0"][side] = {name: layers[name] for name in COUNTS}
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
