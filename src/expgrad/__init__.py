@@ -27,7 +27,7 @@ from .diagnostics import (
     sandwich_check,
     self_concordance_check,
 )
-from .errors import BacktrackCapExceeded, DomainError, InvalidInput
+from .errors import DomainError, InvalidInput
 from .linalg import DensityState, HermitianOperator, schatten_norm
 from .objectives import (
     MeasurementEnsemble,

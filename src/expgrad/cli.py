@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from .entropy import ProbabilityVector
-from .errors import BacktrackCapExceeded, DomainError, InvalidInput
+from .errors import DomainError, InvalidInput
 from .linalg import DensityState, HermitianOperator
 from .objectives import (
     burg_objective,
@@ -161,10 +161,7 @@ def cmd_gen(args) -> int:
     if num_ops < 1:
         raise InvalidInput("--num-ops must be at least 1")
     rng = np.random.default_rng(args.seed)
-    ops = []
-    for _ in range(num_ops):
-        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        ops.append(a.conj().T @ a)  # PSD by construction
+    ops = [diagnostics.random_psd(rng, dim) for _ in range(num_ops)]
     save_ensemble(MeasurementEnsemble(ops), args.out)
     return 0
 
@@ -299,7 +296,7 @@ def main(argv=None) -> int:
     except InvalidInput as exc:
         print(json.dumps({"error": "InvalidInput", "message": str(exc)}), file=sys.stderr)
         return 2
-    except (DomainError, BacktrackCapExceeded, OSError, json.JSONDecodeError) as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ import numpy as np
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
 from .linalg import DensityState, HermitianOperator, _hermitian_part, logsumexp
-from .objectives import ObjectiveSpec
+from .objectives import MeasurementEnsemble, ObjectiveSpec, qst_objective
 from .solver import eg_step
 
 __all__ = [
@@ -328,8 +328,9 @@ def fixed_point_check(rho: DensityState | list, f: ObjectiveSpec,
     """True iff rho is (numerically) invariant under the EG update at every
     grid step (one stack); a fixed point then gets the exact margin over all
     density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A list
-    of states gives one array entry per state (margin nan off a fixed point)
-    from the same three decompositions."""
+    of states, such as the base states of a stacked probe, gives one array
+    entry per state (margin nan off a fixed point) from the same three
+    decompositions."""
     alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
     if np.any(alphas <= 0.0):
         raise InvalidInput("step size must be positive")
@@ -362,20 +363,19 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     return _hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
-def random_density(rng: np.random.Generator | list, d: int) -> DensityState | list:
+def random_density(rng: np.random.Generator, d: int) -> DensityState:
     """exp(S)/tr exp(S) for a random Hermitian S of unit Frobenius norm (its
-    Schatten 2-norm); a list of generators gives a list of states, from one
-    stacked eigvalsh and one stacked eigh."""
-    s = np.stack([random_hermitian(r, d) for r in (rng if isinstance(rng, list) else [rng])])
+    Schatten 2-norm), from one eigvalsh and one eigh."""
+    s = random_hermitian(rng, d)
     vals = np.linalg.eigvalsh(s)
-    s *= (1.0 / np.sqrt(np.sum(vals * vals, axis=-1)))[:, None, None]
+    s *= 1.0 / np.sqrt(np.sum(vals * vals))
     vals, v = np.linalg.eigh(s)
     v.flags.writeable = False
-    states = [DensityState(w - logsumexp(w), vecs) for w, vecs in zip(vals, v)]
-    return states if isinstance(rng, list) else states[0]
+    return DensityState(vals - logsumexp(vals), v)
 
 
 def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A^H A for a complex Gaussian d x d matrix A: PSD by construction."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return a.conj().T @ a
 
@@ -385,8 +385,6 @@ def random_probe(rng: np.random.Generator, d: int,
     """Seeded probe with a random base state; the direction is either a
     tomography gradient (generically non-commuting with the base) or a plain
     random Hermitian. Both populations exercise the moment formulas."""
-    from .objectives import MeasurementEnsemble, qst_objective
-
     rho = random_density(rng, d)
     if direction_kind == "qst":
         ens = MeasurementEnsemble([random_psd(rng, d) for _ in range(2 * d)])

@@ -8,11 +8,3 @@ class InvalidInput(ValueError):
 class DomainError(ValueError):
     """Operation requested outside the effective domain of a function."""
 
-
-class BacktrackCapExceeded(RuntimeError):
-    """Armijo backtracking hit the safety cap without acceptance."""
-
-    def __init__(self, message, last_alpha=None, last_value=None):
-        super().__init__(message)
-        self.last_alpha = last_alpha
-        self.last_value = last_value

@@ -81,10 +81,6 @@ class MeasurementEnsemble:
         self._flat = stack.view(np.float64).reshape(len(ops), -1)
         self._flat.flags.writeable = False
 
-    @property
-    def count(self) -> int:
-        return len(self.operators)
-
     def probabilities(self, rho_mat: np.ndarray) -> np.ndarray:
         """tr(M_i rho) for every operator: Re vdot(M_i, rho), with rho a
         d x d complex array."""
@@ -102,28 +98,24 @@ def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
     return MeasurementEnsemble([np.outer(eye[i], eye[i]) for i in range(d)])
 
 
-def _measurement_probs(ens: MeasurementEnsemble, rho: DensityState) -> np.ndarray:
-    # tr(M_i rho); negative round-off on PSD operators counts as out of domain
-    return ens.probabilities(rho.matrix)
-
-
 def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
     """Log-likelihood objective -sum_i log tr(M_i rho)."""
 
     def value(rho: DensityState) -> float:
-        t = _measurement_probs(ens, rho)
+        t = ens.probabilities(rho.matrix)
+        # negative round-off on PSD operators counts as out of domain
         if (t <= 0.0).any():
             return math.inf
         return float(-np.log(t).sum())
 
     def gradient(rho: DensityState) -> np.ndarray:
-        t = _measurement_probs(ens, rho)
+        t = ens.probabilities(rho.matrix)
         if np.any(t <= 0.0):
             raise DomainError("gradient requested where some tr(M_i rho) <= 0")
         return _hermitian_part(-ens.weighted_sum(1.0 / t))
 
     def in_domain(rho: DensityState) -> bool:
-        return bool(np.all(_measurement_probs(ens, rho) > 0.0))
+        return bool(np.all(ens.probabilities(rho.matrix) > 0.0))
 
     return ObjectiveSpec(ens.dim, value, gradient, in_domain, "matrix")
 

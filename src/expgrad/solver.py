@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .entropy import ProbabilityVector
-from .errors import BacktrackCapExceeded, DomainError, InvalidInput
+from .errors import DomainError, InvalidInput
 from .linalg import DensityState
 from .objectives import ObjectiveSpec
 
@@ -160,7 +160,8 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
     sufficient-decrease test. A +inf candidate value counts as a failed test;
     equality at the boundary counts as acceptance. ``first``, when given, is
     the alpha_bar candidate already computed. Returns (alpha, candidate,
-    backtracks, f(candidate)).
+    backtracks, f(candidate)); past the cap, (alpha, None, max_backtracks, f)
+    for the last step tried, with f +inf for a candidate not formed.
 
     A candidate with alpha > ``cut`` is not formed: it counts as a failed
     test with value +inf, which is what forming it would give when ``cut``
@@ -176,24 +177,20 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
     modest c; _underflow_step adds 32 d eps (alpha ||g|| + s + log d) to
     745.14, as max|w| <= s + log d for normalized w. On a vector the same
     holds entrywise, without the eigensolver."""
-    last_alpha = last_value = None
     for j in range(cfg.max_backtracks + 1):
         alpha = cfg.alpha_bar * cfg.shrink ** j
         if j == 0 and first is not None:
             candidate = first
         elif alpha > cut:
-            last_alpha, last_value = alpha, math.inf
+            f_cand = math.inf
             continue
         else:
             candidate = eg_step(state, g, alpha)
         f_cand = f.value(candidate)
-        last_alpha, last_value = alpha, f_cand
         if math.isfinite(f_cand) and f_cand <= f_state + cfg.tau * float(
                 np.vdot(g, candidate.point - state.point).real):
             return alpha, candidate, j, f_cand
-    raise BacktrackCapExceeded(
-        f"no acceptable step within {cfg.max_backtracks} backtracks",
-        last_alpha=last_alpha, last_value=last_value)
+    return alpha, None, cfg.max_backtracks, f_cand
 
 
 _KINDS = {DensityState: "matrix", ProbabilityVector: "vector"}
@@ -222,11 +219,10 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
         spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
         lo, hi = float(np.min(spectrum)), float(np.max(spectrum))
         cut = _underflow_step(state, lo, hi) if f.barrier else math.inf
-        try:
-            alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, g, f_prev, probe, cut)
-        except BacktrackCapExceeded as exc:
+        alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, g, f_prev, probe, cut)
+        if state_next is None:
             result.status = SolveStatus.BACKTRACK_CAP_HIT
-            result.last_alpha, result.last_value = exc.last_alpha, exc.last_value
+            result.last_alpha, result.last_value = alpha, f_new
             break
         g_next = f.gradient(state_next)
         probe = eg_step(state_next, g_next, cfg.alpha_bar)

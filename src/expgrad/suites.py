@@ -22,7 +22,6 @@ from .diagnostics import (
     kappa_bound_check,
     phi,
     phi_derivatives,
-    random_density,
     random_probe,
     ratio_monotonicity_check,
     sandwich_check,
@@ -60,21 +59,21 @@ def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
     return tuple((4.0 * fine - coarse) / 3.0)
 
 
-# Each check takes the stacked probes of one dimension and their generators,
-# and returns one margin per probe.
-def _check_sandwich(probe, rngs):
+# Each check takes the stacked probes of one dimension and returns one margin
+# per probe.
+def _check_sandwich(probe):
     res = sandwich_check(probe, np.array([0.1, 1.0, 5.0]))
     margin = np.min([res.gap - res.lower + 1e-9, res.upper - res.gap + 1e-9, res.lower + 1e-12],
                     axis=(0, -1))
     return np.where(res.degenerate, math.inf, margin)
 
 
-def _check_ratio(probe, rngs):
+def _check_ratio(probe):
     res = ratio_monotonicity_check(probe, np.geomspace(1e-3, 10.0, 25))
     return np.where(res.degenerate, 0.0, -res.worst_violation)
 
 
-def _check_moments(probe, rngs):
+def _check_moments(probe):
     alphas = np.array([0.1, 0.3, 0.7])
     analytic = np.array(phi_derivatives(probe, alphas))  # (derivative, probe, alpha)
     fd = np.array([phi_fd_derivatives(probe, alphas, h) for h in _FD_STEPS])  # one stack per h
@@ -95,22 +94,23 @@ def _check_moments(probe, rngs):
     return np.minimum(margin, np.min(1e-8 - rel, axis=-1))
 
 
-def _check_kappa(probe, rngs):
+def _check_kappa(probe):
     res = kappa_bound_check(probe, 1.0, np.linspace(0.05, 1.0, 20))
     return np.where(res.degenerate, 0.0, res.worst_margin + 1e-9 * np.maximum(1.0, np.abs(res.rhs)))
 
 
-def _check_fixed_point(probe, rngs):
+def _check_fixed_point(probe):
+    # the control: the probes' base states, random densities, are no fixed points
     d = probe.dim
     f = qst_objective(standard_basis_ensemble(d))
     grid = (0.1, 1.0, 3.0)
     at_opt = fixed_point_check(DensityState.maximally_mixed(d), f, grid)
-    at_off = fixed_point_check(random_density(rngs, d), f, grid)
+    at_off = fixed_point_check(list(probe.base), f, grid)
     margin = at_opt.optimality_margin + 1e-8 if at_opt.is_fixed_point else -1.0
     return np.where(at_off.is_fixed_point, -1.0, margin)
 
 
-def _check_self_concordance(probe, rngs):
+def _check_self_concordance(probe):
     return 1e-10 - self_concordance_check(probe, np.geomspace(1e-3, 10.0, 25))
 
 
@@ -130,34 +130,28 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
     Probes cycle through dimensions (2, 3, 5, 8) and alternate between
     tomography-gradient and plain Hermitian directions, covering both
     commuting and non-commuting (state, direction) pairs. Each probe is
-    built once, each check runs once per dimension on the stacked probes of
-    that dimension, and each probe's generator restarts from the state just
-    after its build for every check.
+    built once, and each check runs once per dimension on the stacked probes
+    of that dimension.
     """
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     names = [n for n in SUITE_NAMES if n != "all"] if name == "all" else [name]
-    probes = []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        probe = random_probe(rng, _PROBE_DIMS[i % len(_PROBE_DIMS)], "qst" if i % 2 == 0 else "hermitian")
-        probes.append((probe, rng, rng.bit_generator.state))
+    probes = [random_probe(np.random.default_rng([seed, i]), _PROBE_DIMS[i % len(_PROBE_DIMS)],
+                           "qst" if i % 2 == 0 else "hermitian") for i in range(samples)]
     by_dim: dict[int, list[int]] = {}
-    for i, (probe, _, _) in enumerate(probes):
+    for i, probe in enumerate(probes):
         by_dim.setdefault(probe.dim, []).append(i)
-    groups = [(idx, LogPartitionProbe.stack([probes[i][0] for i in idx])) for idx in by_dim.values()]
+    groups = [(idx, LogPartitionProbe.stack([probes[i] for i in idx])) for idx in by_dim.values()]
     margins = np.empty((len(names), samples))
     for row, check_name in zip(margins, names):
         for idx, stacked in groups:
-            for i in idx:
-                probes[i][1].bit_generator.state = probes[i][2]
-            row[idx] = _CHECKS[check_name](stacked, [probes[i][1] for i in idx])
+            row[idx] = _CHECKS[check_name](stacked)
     return [{
         "check": check_name,
         "seed": seed,
         "dim": probe.dim,
         "pass": bool(margin >= 0.0),
         "worst_margin": float(margin),
-    } for check_name, row in zip(names, margins) for (probe, _, _), margin in zip(probes, row)]
+    } for check_name, row in zip(names, margins) for probe, margin in zip(probes, row)]

@@ -93,6 +93,16 @@ class TestRun:
         with open(trace_path, newline="") as fh:
             assert len(list(csv.reader(fh))) == 1  # header only
 
+    def test_backtrack_cap_hit_is_a_status(self, tmp_path, capsys):
+        # every candidate from alpha_bar = 1e6 down to 1e6 / 8 overshoots the barrier
+        ens_path = tmp_path / "ens.json"
+        main(["gen", "--dim", "2", "--num-ops", "4", "--out", str(ens_path)])
+        rc = main(["run", "--objective", "hedged-qst", "--operators", str(ens_path),
+                   "--lambda", "1e-3", "--alpha-bar", "1e6", "--max-backtracks", "3"])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "BacktrackCapHit" and summary["iters"] == 0
+
     def test_trace_deterministic(self, basis_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

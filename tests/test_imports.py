@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+A stand-in for a linter's unused-import rule, which catches the imports that
+deleting code leaves behind. ``__init__.py`` is left out, as it imports to
+re-export. An import on a line marked ``# noqa: F401`` is exempt, for a name
+kept only so that callers can reach it through the module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expgrad"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_detects_an_unused_import():
+    source = "import math\nimport numpy as np\nfrom x import a, b  # noqa: F401\nnp.zeros(1)\n"
+    assert unused_imports(source) == ["line 1: math"]
