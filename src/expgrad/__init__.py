@@ -4,7 +4,6 @@ diagnostics suite for the surrounding convex-analysis machinery."""
 
 from .entropy import (
     ProbabilityVector,
-    classical_relative_entropy,
     quantum_relative_entropy,
 )
 from .diagnostics import (
@@ -28,14 +27,13 @@ from .diagnostics import (
     self_concordance_check,
 )
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator, schatten_norm
+from .linalg import DensityState, HermitianOperator
 from .objectives import (
     MeasurementEnsemble,
     ObjectiveSpec,
     burg_objective,
     hedged_qst_objective,
     poisson_linear_objective,
-    qst_hardness_witness,
     qst_objective,
     quadratic_objective,
     standard_basis_ensemble,

@@ -15,7 +15,9 @@ Every function of a probe also takes an array of alpha and a stacked probe
 eigh over all probes and steps, with the bits of one call per matrix. So a
 call costs a fixed number of decompositions: sandwich, ratio and kappa 2,
 self-concordance 1, fixed point 3 (one state or a list), each building only
-the derivative orders it reads. The fixed-point margin is exact. The arrays
+the derivative orders it reads. random_probe also takes a list of
+generators: their probes as one stack, from one stacked decomposition of
+each kind of matrix. The fixed-point margin is exact. The arrays
 formed from a decomposition are built in slabs of at most _SLAB_ELEMENTS
 elements or one (probe, step) pair: memory O(n d^2 + d^3) for n steps.
 """
@@ -30,7 +32,7 @@ import numpy as np
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
 from .linalg import DensityState, HermitianOperator, _hermitian_part, logsumexp
-from .objectives import MeasurementEnsemble, ObjectiveSpec, qst_objective
+from .objectives import ObjectiveSpec
 from .solver import eg_step
 
 __all__ = [
@@ -95,10 +97,14 @@ class LogPartitionProbe:
         exponents and directions on a leading axis, delta an array."""
         if len({p.dim for p in probes}) != 1:
             raise InvalidInput("a stack needs one or more probes of one dimension")
+        return cls._of(tuple(p.base for p in probes), *(
+            np.array([getattr(p, n) for p in probes]) for n in ("exponent", "direction", "delta")))
+
+    @classmethod
+    def _of(cls, base, exponent, direction, delta) -> "LogPartitionProbe":
+        """A probe from its parts, unchecked."""
         out = cls.__new__(cls)
-        out.base = tuple(p.base for p in probes)
-        out.exponent, out.direction, out.delta = (
-            np.array([getattr(p, n) for p in probes]) for n in ("exponent", "direction", "delta"))
+        out.base, out.exponent, out.direction, out.delta = base, exponent, direction, delta
         return out
 
     @classmethod
@@ -271,8 +277,13 @@ def ratio_monotonicity_check(probe: LogPartitionProbe,
     grid = np.asarray(alpha_grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise InvalidInput("grid must be strictly ascending and positive")
+    return _ratio_check(probe, grid, _moments(probe, grid, 1)[0])
+
+
+def _ratio_check(probe: LogPartitionProbe, grid, d1) -> RatioResult:
+    """ratio_monotonicity_check on a valid grid, given phi' there."""
     d = np.asarray(probe.delta)[..., None]
-    gaps = bregman_gap(probe, grid)
+    gaps = _gap(probe, grid, d1)
     ratios = np.divide(gaps, chi(d * grid), out=np.zeros_like(gaps), where=d != 0.0)
     # allowed slack: next <= prev * (1 + 1e-8) + 1e-12
     excess = ratios[..., 1:] - (ratios[..., :-1] * (1.0 + 1e-8) + 1e-12)
@@ -353,7 +364,12 @@ def self_concordance_check(probe: LogPartitionProbe,
     """Worst normalized excess of |phi'''| over Delta * phi'' on the grid;
     nonpositive (within slack) when the self-concordant-likeness bound holds.
     """
-    _, var, third = phi_derivatives(probe, np.asarray(alpha_grid, dtype=np.float64))
+    return _concordance_excess(probe, phi_derivatives(probe, np.asarray(alpha_grid, dtype=np.float64)))
+
+
+def _concordance_excess(probe: LogPartitionProbe, derivatives) -> float:
+    """self_concordance_check, given phi_derivatives on the grid."""
+    _, var, third = derivatives
     bound = np.asarray(probe.delta)[..., None] * var
     return _scalar(np.max((np.abs(third) - bound) / np.maximum(1.0, bound), axis=-1, initial=-math.inf))
 
@@ -366,12 +382,17 @@ def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
 def random_density(rng: np.random.Generator, d: int) -> DensityState:
     """exp(S)/tr exp(S) for a random Hermitian S of unit Frobenius norm (its
     Schatten 2-norm), from one eigvalsh and one eigh."""
-    s = random_hermitian(rng, d)
+    return _random_densities([rng], d)[0]
+
+
+def _random_densities(rngs, d: int) -> tuple:
+    """random_density of each generator, from one stacked eigvalsh and eigh."""
+    s = np.stack([random_hermitian(rng, d) for rng in rngs])
     vals = np.linalg.eigvalsh(s)
-    s *= 1.0 / np.sqrt(np.sum(vals * vals))
+    s *= (1.0 / np.sqrt(np.sum(vals * vals, axis=-1)))[:, None, None]
     vals, v = np.linalg.eigh(s)
     v.flags.writeable = False
-    return DensityState(vals - logsumexp(vals), v)
+    return tuple(map(DensityState, vals - logsumexp(vals)[:, None], v))
 
 
 def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -380,15 +401,43 @@ def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
     return a.conj().T @ a
 
 
-def random_probe(rng: np.random.Generator, d: int,
-                 direction_kind: str = "qst") -> LogPartitionProbe:
+def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     """Seeded probe with a random base state; the direction is either a
     tomography gradient (generically non-commuting with the base) or a plain
-    random Hermitian. Both populations exercise the moment formulas."""
-    rho = random_density(rng, d)
-    if direction_kind == "qst":
-        ens = MeasurementEnsemble([random_psd(rng, d) for _ in range(2 * d)])
-        return LogPartitionProbe.from_objective(rho, qst_objective(ens))
-    if direction_kind == "hermitian":
-        return LogPartitionProbe(rho, random_hermitian(rng, d))
-    raise InvalidInput(f"unknown direction kind {direction_kind!r}")
+    random Hermitian. Both populations exercise the moment formulas.
+
+    A list of generators, with a list of kinds, gives their probes as one
+    stack, bit for bit LogPartitionProbe.stack of one call per generator:
+    each generator draws what its probe alone draws, and each kind of matrix
+    is decomposed once for all probes (eigvalsh and eigh of the base states,
+    the ensembles' PSD eigvalsh, the directions' eigvalsh). The checks of the
+    ensembles and directions run on the stacks."""
+    if isinstance(rng, np.random.Generator):
+        p = random_probe([rng], d, [direction_kind])
+        return LogPartitionProbe._of(p.base[0], p.base[0].exponent, p.direction[0], float(p.delta[0]))
+    for kind in direction_kind:
+        if kind not in ("qst", "hermitian"):
+            raise InvalidInput(f"unknown direction kind {kind!r}")
+    base = _random_densities(rng, d)
+    g = np.stack([random_hermitian(r, d) if kind == "hermitian" else np.zeros((d, d), complex)
+                  for r, kind in zip(rng, direction_kind)])
+    qst = [i for i, kind in enumerate(direction_kind) if kind == "qst"]
+    if qst:  # -grad f for the qst_objective of a MeasurementEnsemble of 2d random PSD operators
+        z = np.stack([rng[i].standard_normal((2 * d, 2, d, d)) for i in qst])  # 2d random_psd draws
+        a = z[:, :, 0] + 1j * z[:, :, 1]
+        ops = a.conj().swapaxes(-1, -2) @ a
+        if not np.all(np.isfinite(ops)):
+            raise InvalidInput("operator has non-finite entries")
+        ops = _hermitian_part(ops)
+        if np.any(np.linalg.eigvalsh(ops)[..., 0] < -1e-10):
+            raise InvalidInput("operator is not PSD")
+        flat = ops.view(np.float64).reshape(len(qst), 2 * d, -1)  # the ensemble's real layout
+        rho = np.stack([base[i].matrix for i in qst]).view(np.float64).reshape(len(qst), -1, 1)
+        weights = 1.0 / (flat @ rho).swapaxes(-1, -2)  # 1 / tr(M_i rho)
+        g[qst] = -_hermitian_part(-(weights @ flat).view(np.complex128).reshape(-1, d, d))
+    if not np.all(np.isfinite(g)):
+        raise InvalidInput("direction has non-finite entries")
+    g = _hermitian_part(g)
+    g.flags.writeable = False
+    vals = np.linalg.eigvalsh(g)
+    return LogPartitionProbe._of(base, np.array([b.exponent for b in base]), g, vals[:, -1] - vals[:, 0])

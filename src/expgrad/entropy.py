@@ -17,7 +17,6 @@ from .linalg import DensityState, logsumexp
 __all__ = [
     "ProbabilityVector",
     "quantum_relative_entropy",
-    "classical_relative_entropy",
 ]
 
 
@@ -101,15 +100,3 @@ def _relative_entropy(lam_r, u, lam_s, v):
     cross = ((lam_r[..., None, :] @ overlap) @ np.log(lam_s)[..., None])[..., 0, 0]
     traces = np.sum(lam_r, axis=-1) - np.sum(lam_s, axis=-1)
     return own - cross - traces
-
-
-def classical_relative_entropy(p: ProbabilityVector, q: ProbabilityVector) -> float:
-    """KL divergence sum p_i log(p_i/q_i) - sum(p_i - q_i), with 0 log 0 = 0."""
-    if p.dim != q.dim:
-        raise InvalidInput(f"dimension mismatch: {p.dim} vs {q.dim}")
-    pe, qe = p.entries, q.entries
-    if np.any((qe == 0.0) & (pe > 0.0)):
-        raise DomainError("KL divergence undefined: q vanishes where p does not")
-    mask = pe > 0.0
-    kl = float(np.sum(pe[mask] * (np.log(pe[mask]) - np.log(qe[mask]))))
-    return kl - float(np.sum(pe) - np.sum(qe))

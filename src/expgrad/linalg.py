@@ -1,5 +1,5 @@
-"""Dense Hermitian linear algebra: the validating Hermitian input type,
-Schatten norms, and the log-domain density-matrix representation.
+"""Dense Hermitian linear algebra: the validating Hermitian input type
+and the log-domain density-matrix representation.
 
 Everything here is dense and double precision; the methods built on top are
 spectral-decomposition-bound, so there is nothing to gain from sparsity at
@@ -15,7 +15,6 @@ from .errors import DomainError, InvalidInput
 __all__ = [
     "HermitianOperator",
     "DensityState",
-    "schatten_norm",
     "logsumexp",
 ]
 
@@ -63,19 +62,6 @@ class HermitianOperator:
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
-
-
-def schatten_norm(a: np.ndarray, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf} of a Hermitian array, read as
-    numpy.linalg.eigvalsh reads it (lower triangle)."""
-    vals = np.linalg.eigvalsh(a)
-    if p == 1:
-        return float(np.sum(np.abs(vals)))
-    if p == 2:
-        return float(np.sqrt(np.sum(vals * vals)))
-    if p in (np.inf, float("inf"), "inf"):
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    raise InvalidInput(f"unsupported Schatten order {p!r}")
 
 
 class DensityState:

@@ -27,7 +27,6 @@ __all__ = [
     "burg_objective",
     "poisson_linear_objective",
     "quadratic_objective",
-    "qst_hardness_witness",
     "standard_basis_ensemble",
 ]
 
@@ -217,18 +216,3 @@ def quadratic_objective(target: HermitianOperator, scale: float = 1.0) -> Object
         return _hermitian_part(scale * (rho.matrix - target.mat))
 
     return ObjectiveSpec(target.dim, value, gradient, lambda rho: True, "matrix")
-
-
-def qst_hardness_witness(smoothness: float) -> tuple[float, float]:
-    """Certify that the tomography objective is not `smoothness`-smooth
-    relative to negative entropy.
-
-    Returns (x, violation) with x = 1/(2 * smoothness): relative smoothness
-    would require L/x - 1/x^2 >= 0 on (0, 1), but the returned violation
-    L/x - 1/x^2 = -2 L^2 is strictly negative for every L > 0.
-    """
-    if smoothness <= 0.0:
-        raise InvalidInput("smoothness constant must be positive")
-    x = 1.0 / (2.0 * smoothness)
-    violation = smoothness / x - 1.0 / (x * x)
-    return x, violation

@@ -70,9 +70,11 @@ class SolverConfig:
     """Armijo and stopping parameters.
 
     alpha_bar is the initial step, shrink the backtracking factor, tau the
-    sufficient-decrease fraction. 60 halvings from alpha_bar reach 1e-18 of
-    the initial step, below any meaningful scale, so max_backtracks is a
-    safety cap rather than a tuning knob.
+    sufficient-decrease fraction. max_backtracks is a safety cap: 60 halvings
+    reach 1e-18 of alpha_bar, yet a gradient of spectral width 1e23 makes
+    every such step underflow. A search that reaches the cap ends the run as
+    BacktrackCapHit, with the last step tried and its value in the result's
+    last_alpha and last_value.
     """
 
     alpha_bar: float = 1.0

@@ -3,8 +3,10 @@
 Each suite evaluates one family of checks on a reproducible probe population
 and emits one record per probe: {check, seed, dim, pass, worst_margin}. A
 margin is the worst remaining slack after the check's stated tolerance, so
-pass is equivalent to worst_margin >= 0. Each check runs once per probe
-dimension, on the stacked probes of that dimension, with whole alpha grids.
+pass is equivalent to worst_margin >= 0. The probes of each dimension are
+built as one stack, and each check runs once per dimension on that stack,
+with whole alpha grids; under "all", the ratio and self-concordance checks
+read one derivative pass on their common grid.
 """
 
 from __future__ import annotations
@@ -16,16 +18,16 @@ import numpy as np
 
 from .diagnostics import (
     LogPartitionProbe,
+    _concordance_excess,
     _gap,
     _moments,
+    _ratio_check,
     fixed_point_check,
     kappa_bound_check,
     phi,
     phi_derivatives,
     random_probe,
-    ratio_monotonicity_check,
     sandwich_check,
-    self_concordance_check,
 )
 # quantum_relative_entropy is not called here, but perfbench's tracer wraps it under this name
 from .entropy import _relative_entropy, quantum_relative_entropy  # noqa: F401
@@ -40,6 +42,7 @@ SUITE_NAMES = ("sandwich", "ratio", "moments", "kappa", "fixed-point",
 
 _PROBE_DIMS = (2, 3, 5, 8)
 _FD_STEPS = (1e-4, 1e-3, 1e-2)
+_GRID = np.geomspace(1e-3, 10.0, 25)  # the ratio and self-concordance grid
 
 
 def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
@@ -59,21 +62,23 @@ def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
     return tuple((4.0 * fine - coarse) / 3.0)
 
 
-# Each check takes the stacked probes of one dimension and returns one margin
-# per probe.
-def _check_sandwich(probe):
+# Each check takes the stacked probes of one dimension, and phi_derivatives on
+# _GRID when the suite has them for ratio and self-concordance together (else
+# None), and returns one margin per probe.
+def _check_sandwich(probe, _):
     res = sandwich_check(probe, np.array([0.1, 1.0, 5.0]))
     margin = np.min([res.gap - res.lower + 1e-9, res.upper - res.gap + 1e-9, res.lower + 1e-12],
                     axis=(0, -1))
     return np.where(res.degenerate, math.inf, margin)
 
 
-def _check_ratio(probe):
-    res = ratio_monotonicity_check(probe, np.geomspace(1e-3, 10.0, 25))
+def _check_ratio(probe, derivatives):
+    # phi' is the same bits at every order of _moments
+    res = _ratio_check(probe, _GRID, (derivatives or _moments(probe, _GRID, 1))[0])
     return np.where(res.degenerate, 0.0, -res.worst_violation)
 
 
-def _check_moments(probe):
+def _check_moments(probe, _):
     alphas = np.array([0.1, 0.3, 0.7])
     analytic = np.array(phi_derivatives(probe, alphas))  # (derivative, probe, alpha)
     fd = np.array([phi_fd_derivatives(probe, alphas, h) for h in _FD_STEPS])  # one stack per h
@@ -94,12 +99,12 @@ def _check_moments(probe):
     return np.minimum(margin, np.min(1e-8 - rel, axis=-1))
 
 
-def _check_kappa(probe):
+def _check_kappa(probe, _):
     res = kappa_bound_check(probe, 1.0, np.linspace(0.05, 1.0, 20))
     return np.where(res.degenerate, 0.0, res.worst_margin + 1e-9 * np.maximum(1.0, np.abs(res.rhs)))
 
 
-def _check_fixed_point(probe):
+def _check_fixed_point(probe, _):
     # the control: the probes' base states, random densities, are no fixed points
     d = probe.dim
     f = qst_objective(standard_basis_ensemble(d))
@@ -110,8 +115,8 @@ def _check_fixed_point(probe):
     return np.where(at_off.is_fixed_point, -1.0, margin)
 
 
-def _check_self_concordance(probe):
-    return 1e-10 - self_concordance_check(probe, np.geomspace(1e-3, 10.0, 25))
+def _check_self_concordance(probe, derivatives):
+    return 1e-10 - _concordance_excess(probe, derivatives or phi_derivatives(probe, _GRID))
 
 
 _CHECKS: dict[str, Callable] = {
@@ -127,31 +132,37 @@ _CHECKS: dict[str, Callable] = {
 def run_suite(name: str, samples: int, seed: int) -> list[dict]:
     """Run a named suite (or all of them) over `samples` seeded probes.
 
-    Probes cycle through dimensions (2, 3, 5, 8) and alternate between
-    tomography-gradient and plain Hermitian directions, covering both
-    commuting and non-commuting (state, direction) pairs. Each probe is
-    built once, and each check runs once per dimension on the stacked probes
-    of that dimension.
+    Probe i has dimension (2, 3, 5, 8)[i % 4] and a tomography-gradient
+    direction for even i, a plain Hermitian one for odd i, covering both
+    commuting and non-commuting (state, direction) pairs; it draws from its
+    own generator, default_rng([seed, i]). The probes of each dimension are
+    built as one stack, from 3 or 4 stacked decompositions, and each check
+    runs once per dimension on that stack, at a fixed cost per dimension:
+    sandwich, ratio and kappa 2, self-concordance 1, moments 6, fixed point
+    8. Under "all", ratio and self-concordance share one phi_derivatives pass
+    on their common grid, so "all" costs 20 per dimension, not 21, and its
+    records equal the six single-check suites' bit for bit.
     """
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     names = [n for n in SUITE_NAMES if n != "all"] if name == "all" else [name]
-    probes = [random_probe(np.random.default_rng([seed, i]), _PROBE_DIMS[i % len(_PROBE_DIMS)],
-                           "qst" if i % 2 == 0 else "hermitian") for i in range(samples)]
-    by_dim: dict[int, list[int]] = {}
-    for i, probe in enumerate(probes):
-        by_dim.setdefault(probe.dim, []).append(i)
-    groups = [(idx, LogPartitionProbe.stack([probes[i] for i in idx])) for idx in by_dim.values()]
+    shared = "ratio" in names and "self-concordance" in names
     margins = np.empty((len(names), samples))
-    for row, check_name in zip(margins, names):
-        for idx, stacked in groups:
-            row[idx] = _CHECKS[check_name](stacked)
+    for k, d in enumerate(_PROBE_DIMS):
+        idx = range(k, samples, len(_PROBE_DIMS))
+        if not idx:
+            continue
+        probe = random_probe([np.random.default_rng([seed, i]) for i in idx], d,
+                             ["qst" if i % 2 == 0 else "hermitian" for i in idx])
+        derivatives = phi_derivatives(probe, _GRID) if shared else None
+        for row, check_name in zip(margins, names):
+            row[idx] = _CHECKS[check_name](probe, derivatives)
     return [{
         "check": check_name,
         "seed": seed,
-        "dim": probe.dim,
+        "dim": _PROBE_DIMS[i % len(_PROBE_DIMS)],
         "pass": bool(margin >= 0.0),
         "worst_margin": float(margin),
-    } for check_name, row in zip(names, margins) for probe, margin in zip(probes, row)]
+    } for check_name, row in zip(names, margins) for i, margin in enumerate(row)]

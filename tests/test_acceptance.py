@@ -28,7 +28,6 @@ from expgrad import (
     phi_derivatives,
     phi_fd_derivatives,
     poisson_linear_objective,
-    qst_hardness_witness,
     qst_objective,
     quadratic_objective,
     quantum_relative_entropy,
@@ -36,11 +35,11 @@ from expgrad import (
     random_probe,
     ratio_monotonicity_check,
     sandwich_check,
-    schatten_norm,
     solve,
     standard_basis_ensemble,
 )
 from expgrad.diagnostics import random_psd
+from helpers import qst_hardness_witness, schatten_norm
 
 LOG2 = math.log(2.0)
 PROBE_SEED = 2024

@@ -15,6 +15,7 @@ from expgrad import (
     HermitianOperator,
     InvalidInput,
     LogPartitionProbe,
+    MeasurementEnsemble,
     bregman_gap,
     chi,
     eg_step,
@@ -477,26 +478,24 @@ class TestWorkPerCheck:
         # the optimum's state, ensemble and check 1 + 1 + 3; the check of the
         # probes' base states 3
         ("fixed-point", 8),
+        # the six checks, less the one phi_derivatives pass that ratio and
+        # self-concordance share
+        ("all", 20),
     ])
     def test_suite_cost_does_not_grow_with_samples(self, monkeypatch, name, per_dim):
+        # each dimension's probes are one stacked build: the base states'
+        # eigvalsh and eigh and the directions' eigvalsh, and for the
+        # tomography directions of dimensions 2 and 5 the ensembles' eigvalsh
+        builds = 4 * 3 + 2
         counts = self.count_decompositions(monkeypatch)
-        in_builds = Counter()
-
-        def build(*args, _build=suites.random_probe):
-            before = sum(counts.values())
-            probe = _build(*args)
-            in_builds["n"] += sum(counts.values()) - before
-            return probe
-
-        monkeypatch.setattr(suites, "random_probe", build)
 
         def cost(samples):
             counts.clear()
-            in_builds.clear()
             run_suite(name, samples, 0)
-            return sum(counts.values()) - in_builds["n"]
+            return sum(counts.values())
 
-        assert cost(8) == cost(100) == 4 * per_dim
+        assert cost(8) == cost(100) == 4 * per_dim + builds
+        assert cost(100) <= 4 * 25
 
 
 def test_stacked_probe_matches_each_probe():
@@ -531,8 +530,37 @@ def test_stacked_probe_matches_each_probe():
             LogPartitionProbe.stack(mixed)
 
     for name, check in suites._CHECKS.items():
-        alone = [check(LogPartitionProbe.stack([p]))[0] for p in probes]
-        np.testing.assert_array_equal(check(stacked), alone, err_msg=name)
+        alone = [check(LogPartitionProbe.stack([p]), None)[0] for p in probes]
+        np.testing.assert_array_equal(check(stacked, None), alone, err_msg=name)
+
+
+def test_stacked_build_matches_each_probe():
+    # a mixed population of 7 built as one stack: bit for bit the stack of
+    # the probes built one at a time from the same generators
+    kinds = ["qst", "hermitian", "hermitian", "qst", "qst", "hermitian", "qst"]
+    for d in (2, 5):
+        stacked = random_probe([np.random.default_rng([49, i]) for i in range(7)], d, kinds)
+        alone = [random_probe(np.random.default_rng([49, i]), d, kind) for i, kind in enumerate(kinds)]
+        for i, p in enumerate(alone):
+            for got, want in ((stacked.base[i].eigenvalues, p.base.eigenvalues),
+                              (stacked.base[i].eigenvectors, p.base.eigenvectors),
+                              (stacked.exponent[i], p.exponent), (stacked.direction[i], p.direction),
+                              (stacked.delta[i], p.delta)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # the direction is the tomography gradient, or the Hermitian draw,
+        # that LogPartitionProbe forms from the same draws
+        for i, kind in ((0, "qst"), (1, "hermitian")):
+            rng = np.random.default_rng([49, i])
+            rho = random_density(rng, d)
+            if kind == "qst":
+                ens = MeasurementEnsemble([diagnostics.random_psd(rng, d) for _ in range(2 * d)])
+                want = LogPartitionProbe.from_objective(rho, qst_objective(ens))
+            else:
+                want = LogPartitionProbe(rho, random_hermitian(rng, d))
+            for n in ("exponent", "direction", "delta"):
+                assert np.asarray(getattr(alone[i], n)).tobytes() == np.asarray(getattr(want, n)).tobytes()
+    with pytest.raises(InvalidInput):
+        random_probe([np.random.default_rng(0)], 3, ["qst-ish"])
 
 
 def test_list_of_states_matches_each_state():
@@ -604,5 +632,9 @@ def test_fixed_point_margin_is_exact_minimum(d, scale):
 
 
 def test_suite_records_do_not_depend_on_other_checks():
+    # "all" shares one derivative pass between ratio and self-concordance;
+    # its records are still the six single-check suites', bit for bit
     checks = ("sandwich", "ratio", "moments", "kappa", "fixed-point", "self-concordance")
-    assert run_suite("all", 6, 3) == [r for c in checks for r in run_suite(c, 6, 3)]
+    for seed, samples in [(3, 6)] + [(s, n) for s in (0, 1, 2, 7) for n in (7, 24, 100)]:
+        assert run_suite("all", samples, seed) == [
+            r for c in checks for r in run_suite(c, samples, seed)], (seed, samples)

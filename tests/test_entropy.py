@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from expgrad.entropy import (
-    ProbabilityVector,
-    classical_relative_entropy,
-    quantum_relative_entropy,
-)
+from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator, _hermitian_part, schatten_norm
+from expgrad.linalg import DensityState, HermitianOperator, _hermitian_part
+from helpers import classical_relative_entropy, schatten_norm
 
 
 def von_neumann_entropy_neg(rho: DensityState) -> float:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from expgrad.errors import DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator, logsumexp, schatten_norm
+from expgrad.linalg import DensityState, HermitianOperator, logsumexp
+from helpers import schatten_norm
 
 
 def random_hermitian(rng, d):

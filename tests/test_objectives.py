@@ -11,11 +11,11 @@ from expgrad.objectives import (
     burg_objective,
     hedged_qst_objective,
     poisson_linear_objective,
-    qst_hardness_witness,
     qst_objective,
     quadratic_objective,
     standard_basis_ensemble,
 )
+from helpers import qst_hardness_witness
 
 LOG2 = np.log(2.0)
 

@@ -7,13 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from expgrad.entropy import (
-    ProbabilityVector,
-    classical_relative_entropy,
-    quantum_relative_entropy,
-)
+from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator, schatten_norm
+from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.objectives import (
     MeasurementEnsemble,
     burg_objective,
@@ -33,6 +29,7 @@ from expgrad.solver import (
     solve,
     write_trace_csv,
 )
+from helpers import classical_relative_entropy, schatten_norm
 
 LOG2 = np.log(2.0)
 
