@@ -12,14 +12,16 @@ assumed to commute: H_alpha is formed as a matrix sum and decomposed.
 
 Every function of a probe also takes an array of alpha and a stacked probe
 (LogPartitionProbe.stack; results per probe), for one stacked eigvalsh or
-eigh over all probes and steps, with the bits of one call per matrix. So a
-call costs a fixed number of decompositions: sandwich, ratio and kappa 2,
-self-concordance 1, fixed point 3 (one state or a list), each building only
-the derivative orders it reads. random_probe also takes a list of
-generators: their probes as one stack, from one stacked decomposition of
-each kind of matrix. The fixed-point margin is exact. The arrays
-formed from a decomposition are built in slabs of at most _SLAB_ELEMENTS
-elements or one (probe, step) pair: memory O(n d^2 + d^3) for n steps.
+eigh over all probes and steps, with the bits of one call per matrix. A
+Bregman gap reads phi(alpha) from the eigh that gives phi'(alpha), and
+phi(0) from the base state's stored log-eigenvalues. So a call costs a fixed
+number of decompositions: sandwich, ratio, kappa and self-concordance 1,
+fixed point 3 (one state or a list), each building only the derivative
+orders it reads. random_probe also takes a list of generators: their probes
+as one stack, from one stacked decomposition of each kind of matrix. The
+fixed-point margin is exact. The arrays formed from a decomposition are
+built in slabs of at most _SLAB_ELEMENTS elements or one (probe, step) pair:
+memory O(n d^2 + d^3) for n steps.
 """
 
 from __future__ import annotations
@@ -152,22 +154,20 @@ def _exp_dd1(a, b):
     return ratio
 
 
-def _exp_dd2(a, b, c):
-    """Second divided difference of exp, elementwise.
+def _exp_dd2(lo, mid, hi):
+    """Second divided difference of exp, elementwise, for ordered triples
+    lo <= mid <= hi (the divided difference is symmetric in its arguments).
 
     For well-separated triples, one recurrence step through the extreme pair;
     for clustered triples, a centered Taylor expansion (error O(spread^5)).
     """
-    lo = np.minimum(np.minimum(a, b), c)
-    hi = np.maximum(np.maximum(a, b), c)
-    mid = a + b + c - lo - hi
     out = _exp_dd1(mid, hi)
     out -= _exp_dd1(lo, mid)
-    spread = np.subtract(hi, lo, out=hi)
+    spread = hi - lo
     clustered = spread < _DD_CLUSTER_TOL
     spread[clustered] = 1.0
     out /= spread
-    a, b, c = (np.broadcast_to(v, out.shape)[clustered] for v in (a, b, c))
+    a, b, c = lo[clustered], mid[clustered], hi[clustered]
     m = (a + b + c) / 3.0
     x, y, z = a - m, b - m, c - m
     p2 = x * x + y * y + z * z
@@ -175,19 +175,36 @@ def _exp_dd2(a, b, c):
     return out
 
 
+def _sorted_triples(d: int):
+    """The index triples i <= j <= k below d, each with its multiplicity among
+    all d^3 triples (1, 3 or 6); built in O(d^3 / 6) memory."""
+    j, k = np.triu_indices(d)
+    n = j + 1  # i = 0, ..., j for each pair j <= k
+    i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    j, k = np.repeat(j, n), np.repeat(k, n)
+    weight = np.where(i == k, 1.0, np.where((i == j) | (j == k), 3.0, 6.0))
+    return i, j, k, weight
+
+
 def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
-    """The first ``order`` of (phi', phi'', phi''') as phi_derivatives computes
-    them, from one stacked eigh (``eig``, when the caller has it already);
-    skips the divided differences not read and forms the rest one slab of
-    (probe, step) pairs at a time."""
+    """phi and the first ``order`` of (phi', phi'', phi''') as phi_derivatives
+    computes them, from one stacked eigh (``eig``, when the caller has it
+    already); skips the divided differences not read and forms the rest one
+    slab of (probe, step) pairs at a time. eigh gives the eigenvalues
+    ascending, so the third order sums the triples i <= j <= k only, each
+    weighted by its multiplicity: both of its factors are symmetric in
+    (i, j, k)."""
     mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha)) if eig is None else eig
     shape, d = mu.shape[:-1], mu.shape[-1]
+    value = logsumexp(mu)
     mu = (mu - mu[..., -1:]).reshape(-1, d)  # common shift cancels in every ratio below
     u = u.reshape(-1, d, d)
     g = probe.direction.reshape(-1, d, d)
     owner = np.arange(len(mu)) // (len(mu) // len(g))  # the probe of each pair
     raw = np.empty((order, len(mu)))  # Z'/Z, Z''/Z, Z'''/Z per pair
     slab = max(1, _SLAB_ELEMENTS // d ** 3)
+    if order >= 3:
+        i, j, k, weight = _sorted_triples(d)
     for s in range(0, len(mu), slab):
         m, v, at = mu[s:s + slab], u[s:s + slab], slice(s, s + slab)
         gt = v.conj().swapaxes(-1, -2) @ g[owner[at]] @ v
@@ -197,12 +214,13 @@ def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
             d1 = _exp_dd1(m[..., :, None], m[..., None, :])
             raw[1, at] = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1)) / z0
         if order >= 3:
-            raw[2, at] = 2.0 * np.sum(
-                _exp_dd2(m[..., :, None, None], m[..., None, :, None], m[..., None, None, :])
-                * np.einsum("...ij,...jk,...ki->...ijk", gt, gt, gt).real, axis=(-3, -2, -1)) / z0
+            cycle = (gt[:, i, j] * gt[:, j, k] * gt[:, k, i]).real
+            cycle *= _exp_dd2(m[:, i], m[:, j], m[:, k])
+            cycle *= weight
+            raw[2, at] = 2.0 * np.sum(cycle, axis=-1) / z0
     m1, m2, m3 = (*raw.reshape((order,) + shape), 0.0, 0.0)[:3]
     moments = (m1, m2 - m1 * m1, m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)[:order]
-    return tuple(map(_scalar, moments))
+    return (value, *map(_scalar, moments))
 
 
 def phi_derivatives(probe: LogPartitionProbe, alpha):
@@ -218,23 +236,26 @@ def phi_derivatives(probe: LogPartitionProbe, alpha):
     Duhamel correction that this path accounts for. An array alpha gives
     three arrays, from one stacked eigh.
     """
-    return _moments(probe, alpha, 3)
+    return _moments(probe, alpha, 3)[1:]
 
 
-def _gap(probe: LogPartitionProbe, alpha, d1):
-    """phi(0) - phi(alpha) + alpha phi'(alpha) at positive steps, given phi'."""
+def _gap(probe: LogPartitionProbe, alpha, value, d1):
+    """phi(0) - phi(alpha) + alpha phi'(alpha) at positive steps, given phi
+    and phi' there (from one decomposition, by _moments). phi(0) is the
+    logsumexp of the base states' stored log-eigenvalues, since H_0 = log rho."""
     a = np.asarray(alpha, dtype=np.float64)
     if np.any(a <= 0.0):
         raise InvalidInput("step size must be positive")
-    values = phi(probe, np.append(0.0, a))
-    return _scalar(np.reshape(values[..., :1] - values[..., 1:], np.shape(d1)) + a * d1)
+    base = probe.base if isinstance(probe.base, tuple) else (probe.base,)
+    at_zero = logsumexp(np.array([b._log_eigenvalues for b in base]))
+    return _scalar(np.reshape(at_zero, np.shape(probe.delta) + (1,) * a.ndim) - value + a * d1)
 
 
 def bregman_gap(probe: LogPartitionProbe, alpha):
     """D(rho(alpha), rho) through the log-partition identity
     phi(0) - phi(alpha) + alpha phi'(alpha); nonnegative (Peierls-Bogoliubov).
-    An array alpha costs one eigvalsh and one first-order eigh."""
-    return _gap(probe, alpha, _moments(probe, alpha, 1)[0])
+    An array alpha costs one first-order eigh, which gives phi(alpha) too."""
+    return _gap(probe, alpha, *_moments(probe, alpha, 1))
 
 
 class SandwichResult(NamedTuple):
@@ -255,9 +276,9 @@ def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
     a = np.asarray(alpha, dtype=np.float64)
     d = np.reshape(probe.delta, np.shape(probe.delta) + (1,) * a.ndim)
     flat = d == 0.0
-    d1, var = _moments(probe, a, 2)
+    value, d1, var = _moments(probe, a, 2)
     x, dd = d * a, np.where(flat, 1.0, d * d)
-    parts = ((np.expm1(-x) + x) / dd * var, _gap(probe, a, d1), (np.expm1(x) - x) / dd * var)
+    parts = ((np.expm1(-x) + x) / dd * var, _gap(probe, a, value, d1), (np.expm1(x) - x) / dd * var)
     return SandwichResult(*map(_scalar, np.where(flat, 0.0, parts)),
                           degenerate=_scalar(np.reshape(flat, np.shape(probe.delta))))
 
@@ -277,13 +298,13 @@ def ratio_monotonicity_check(probe: LogPartitionProbe,
     grid = np.asarray(alpha_grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise InvalidInput("grid must be strictly ascending and positive")
-    return _ratio_check(probe, grid, _moments(probe, grid, 1)[0])
+    return _ratio_check(probe, grid, *_moments(probe, grid, 1))
 
 
-def _ratio_check(probe: LogPartitionProbe, grid, d1) -> RatioResult:
-    """ratio_monotonicity_check on a valid grid, given phi' there."""
+def _ratio_check(probe: LogPartitionProbe, grid, value, d1) -> RatioResult:
+    """ratio_monotonicity_check on a valid grid, given phi and phi' there."""
     d = np.asarray(probe.delta)[..., None]
-    gaps = _gap(probe, grid, d1)
+    gaps = _gap(probe, grid, value, d1)
     ratios = np.divide(gaps, chi(d * grid), out=np.zeros_like(gaps), where=d != 0.0)
     # allowed slack: next <= prev * (1 + 1e-8) + 1e-12
     excess = ratios[..., 1:] - (ratios[..., :-1] * (1.0 + 1e-8) + 1e-12)
@@ -364,12 +385,12 @@ def self_concordance_check(probe: LogPartitionProbe,
     """Worst normalized excess of |phi'''| over Delta * phi'' on the grid;
     nonpositive (within slack) when the self-concordant-likeness bound holds.
     """
-    return _concordance_excess(probe, phi_derivatives(probe, np.asarray(alpha_grid, dtype=np.float64)))
+    _, var, third = phi_derivatives(probe, np.asarray(alpha_grid, dtype=np.float64))
+    return _concordance_excess(probe, var, third)
 
 
-def _concordance_excess(probe: LogPartitionProbe, derivatives) -> float:
-    """self_concordance_check, given phi_derivatives on the grid."""
-    _, var, third = derivatives
+def _concordance_excess(probe: LogPartitionProbe, var, third) -> float:
+    """self_concordance_check, given phi'' and phi''' on the grid."""
     bound = np.asarray(probe.delta)[..., None] * var
     return _scalar(np.max((np.abs(third) - bound) / np.maximum(1.0, bound), axis=-1, initial=-math.inf))
 
@@ -434,7 +455,7 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
         flat = ops.view(np.float64).reshape(len(qst), 2 * d, -1)  # the ensemble's real layout
         rho = np.stack([base[i].matrix for i in qst]).view(np.float64).reshape(len(qst), -1, 1)
         weights = 1.0 / (flat @ rho).swapaxes(-1, -2)  # 1 / tr(M_i rho)
-        g[qst] = -_hermitian_part(-(weights @ flat).view(np.complex128).reshape(-1, d, d))
+        g[qst] = (weights @ flat).view(np.complex128).reshape(-1, d, d)
     if not np.all(np.isfinite(g)):
         raise InvalidInput("direction has non-finite entries")
     g = _hermitian_part(g)

@@ -86,7 +86,10 @@ class MeasurementEnsemble:
         return self._flat @ np.ascontiguousarray(rho_mat, dtype=np.complex128).view(np.float64).ravel()
 
     def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_i weights_i M_i as a d x d complex array, for real weights."""
+        """sum_i weights_i M_i as a d x d complex array, for real weights;
+        Hermitian bit for bit, as the M_i are: an entry and its mirror are dot
+        products of the weights with equal (real part) or negated (imaginary
+        part) columns of the real layout."""
         return (weights @ self._flat).view(np.complex128).reshape(self.dim, self.dim)
 
 
@@ -111,7 +114,7 @@ def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
         t = ens.probabilities(rho.matrix)
         if np.any(t <= 0.0):
             raise DomainError("gradient requested where some tr(M_i rho) <= 0")
-        return _hermitian_part(-ens.weighted_sum(1.0 / t))
+        return -ens.weighted_sum(1.0 / t)
 
     def in_domain(rho: DensityState) -> bool:
         return bool(np.all(ens.probabilities(rho.matrix) > 0.0))

@@ -6,7 +6,7 @@ margin is the worst remaining slack after the check's stated tolerance, so
 pass is equivalent to worst_margin >= 0. The probes of each dimension are
 built as one stack, and each check runs once per dimension on that stack,
 with whole alpha grids; under "all", the ratio and self-concordance checks
-read one derivative pass on their common grid.
+read one pass of phi and its derivatives on their common grid.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
     return tuple((4.0 * fine - coarse) / 3.0)
 
 
-# Each check takes the stacked probes of one dimension, and phi_derivatives on
-# _GRID when the suite has them for ratio and self-concordance together (else
-# None), and returns one margin per probe.
+# Each check takes the stacked probes of one dimension, and phi with its
+# three derivatives on _GRID (diagnostics._moments) when the suite has them
+# for ratio and self-concordance together (else None), and returns one margin
+# per probe.
 def _check_sandwich(probe, _):
     res = sandwich_check(probe, np.array([0.1, 1.0, 5.0]))
     margin = np.min([res.gap - res.lower + 1e-9, res.upper - res.gap + 1e-9, res.lower + 1e-12],
@@ -73,8 +74,8 @@ def _check_sandwich(probe, _):
 
 
 def _check_ratio(probe, derivatives):
-    # phi' is the same bits at every order of _moments
-    res = _ratio_check(probe, _GRID, (derivatives or _moments(probe, _GRID, 1))[0])
+    # phi and phi' are the same bits at every order of _moments
+    res = _ratio_check(probe, _GRID, *(derivatives or _moments(probe, _GRID, 1))[:2])
     return np.where(res.degenerate, 0.0, -res.worst_violation)
 
 
@@ -94,7 +95,7 @@ def _check_moments(probe, _):
     lam = np.stack([b.eigenvalues for b in probe.base])[:, None]
     v = np.stack([b.eigenvectors for b in probe.base])[:, None]
     direct = _relative_entropy(np.exp(vals - logsumexp(vals)[..., None]), u, lam, v)
-    gap = _gap(probe, alphas, _moments(probe, alphas, 1, (vals, u))[0])
+    gap = _gap(probe, alphas, *_moments(probe, alphas, 1, (vals, u)))
     rel = np.abs(gap - direct) / np.maximum(np.abs(direct), 1e-12)
     return np.minimum(margin, np.min(1e-8 - rel, axis=-1))
 
@@ -116,7 +117,7 @@ def _check_fixed_point(probe, _):
 
 
 def _check_self_concordance(probe, derivatives):
-    return 1e-10 - _concordance_excess(probe, derivatives or phi_derivatives(probe, _GRID))
+    return 1e-10 - _concordance_excess(probe, *(derivatives or _moments(probe, _GRID, 3))[2:])
 
 
 _CHECKS: dict[str, Callable] = {
@@ -138,10 +139,11 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
     own generator, default_rng([seed, i]). The probes of each dimension are
     built as one stack, from 3 or 4 stacked decompositions, and each check
     runs once per dimension on that stack, at a fixed cost per dimension:
-    sandwich, ratio and kappa 2, self-concordance 1, moments 6, fixed point
-    8. Under "all", ratio and self-concordance share one phi_derivatives pass
-    on their common grid, so "all" costs 20 per dimension, not 21, and its
-    records equal the six single-check suites' bit for bit.
+    sandwich, ratio, kappa and self-concordance 1 (a gap reads phi from the
+    decomposition that gives phi'), moments 5, fixed point 8. Under "all",
+    ratio and self-concordance share one third-order pass on their common
+    grid, which carries phi too, so "all" costs 16 per dimension, not 17,
+    and its records equal the six single-check suites' bit for bit.
     """
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")
@@ -156,7 +158,7 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
             continue
         probe = random_probe([np.random.default_rng([seed, i]) for i in idx], d,
                              ["qst" if i % 2 == 0 else "hermitian" for i in idx])
-        derivatives = phi_derivatives(probe, _GRID) if shared else None
+        derivatives = _moments(probe, _GRID, 3) if shared else None
         for row, check_name in zip(margins, names):
             row[idx] = _CHECKS[check_name](probe, derivatives)
     return [{

@@ -1,6 +1,7 @@
 """Tests for the log-partition diagnostics: derivative formulas, the
 Bregman-gap identity, sandwich/ratio/kappa bounds, and fixed-point checks."""
 
+import decimal
 import math
 import tracemalloc
 from collections import Counter
@@ -37,6 +38,7 @@ from expgrad import (
     self_concordance_check,
     standard_basis_ensemble,
 )
+from expgrad.linalg import logsumexp
 
 
 def constant_direction_probe(d, c):
@@ -418,12 +420,12 @@ class TestWorkPerCheck:
     def test_ratio(self, monkeypatch, probes):
         grid = np.geomspace(1e-3, 10.0, 25)
         assert max(self.per_probe(monkeypatch, probes,
-                                  lambda p: ratio_monotonicity_check(p, grid))) <= 2
+                                  lambda p: ratio_monotonicity_check(p, grid))) <= 1
 
     def test_kappa(self, monkeypatch, probes):
         grid = np.linspace(0.05, 1.0, 20)
         assert max(self.per_probe(monkeypatch, probes,
-                                  lambda p: kappa_bound_check(p, 1.0, grid))) <= 2
+                                  lambda p: kappa_bound_check(p, 1.0, grid))) <= 1
 
     def test_self_concordance(self, monkeypatch, probes):
         grid = np.geomspace(1e-3, 10.0, 25)
@@ -433,7 +435,7 @@ class TestWorkPerCheck:
     def test_sandwich(self, monkeypatch, probes):
         grid = np.array([0.1, 1.0, 5.0])
         assert self.per_probe(monkeypatch, probes,
-                              lambda p: sandwich_check(p, grid)) == [2] * len(probes)
+                              lambda p: sandwich_check(p, grid)) == [1] * len(probes)
 
     def test_fixed_point(self, monkeypatch):
         # the stacked steps' eigh, their movement's eigvalsh, and eigvalsh(g)
@@ -471,16 +473,17 @@ class TestWorkPerCheck:
         assert counts == Counter({"_exp_dd1": len(probes)})
 
     @pytest.mark.parametrize("name, per_dim", [
-        ("sandwich", 2), ("ratio", 2), ("kappa", 2), ("self-concordance", 1),
-        # phi_derivatives 1, three finite-difference stacks, the relative
-        # entropy path's eigh 1, which the Bregman gap shares, and its phi 1
-        ("moments", 6),
+        # a gap reads phi from the eigh that gives phi'
+        ("sandwich", 1), ("ratio", 1), ("kappa", 1), ("self-concordance", 1),
+        # phi_derivatives 1, three finite-difference stacks, and the relative
+        # entropy path's eigh 1, which the Bregman gap shares
+        ("moments", 5),
         # the optimum's state, ensemble and check 1 + 1 + 3; the check of the
         # probes' base states 3
         ("fixed-point", 8),
-        # the six checks, less the one phi_derivatives pass that ratio and
+        # the six checks, less the one third-order pass that ratio and
         # self-concordance share
-        ("all", 20),
+        ("all", 16),
     ])
     def test_suite_cost_does_not_grow_with_samples(self, monkeypatch, name, per_dim):
         # each dimension's probes are one stacked build: the base states'
@@ -496,6 +499,19 @@ class TestWorkPerCheck:
 
         assert cost(8) == cost(100) == 4 * per_dim + builds
         assert cost(100) <= 4 * 25
+
+    def test_matrices_per_pass(self, monkeypatch):
+        # a 100-sample "all" pass: 78 stacked calls over 13,200 matrices
+        # (94 over 18,800 when every gap ran its own eigvalsh of phi)
+        counts = Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                counts["calls"] += 1
+                counts["matrices"] += math.prod(np.shape(a)[:-2])
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_suite("all", 100, 0)
+        assert counts == Counter(calls=78, matrices=13_200)
 
 
 def test_stacked_probe_matches_each_probe():
@@ -588,6 +604,104 @@ def test_third_order_memory_is_bounded_at_d32():
     assert peak < 8e6
 
 
+def test_third_order_memory_at_d64():
+    # the sorted triples: 7.7 MB, was 14.7 MB over all d^3 triples
+    p = random_probe(np.random.default_rng(64), 64, "qst")
+    tracemalloc.start()
+    try:
+        self_concordance_check(p, np.geomspace(1e-3, 10.0, 25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14.7e6
+
+
+def third_derivative_reference(p, alphas):
+    """phi''' with the full d^3 contraction of the third order, and the scale
+    of the terms it is formed from, per step."""
+    mu, u = np.linalg.eigh(p.hamiltonian_exponent(alphas))
+    value, scale = [], []
+    for m, v in zip(mu, u):
+        m = m - m[-1]
+        gt = v.conj().T @ p.direction @ v
+        w = np.exp(m)
+        m1 = gt.diagonal().real @ w / w.sum()
+        m2 = np.sum(np.abs(gt) ** 2 * diagnostics._exp_dd1(m[:, None], m[None, :])) / w.sum()
+        triples = np.broadcast_arrays(m[:, None, None], m[None, :, None], m[None, None, :])
+        lo, mid, hi = np.sort(triples, axis=0)
+        cycles = np.einsum("ij,jk,ki->ijk", gt, gt, gt).real
+        m3 = 2.0 * np.sum(diagnostics._exp_dd2(lo, mid, hi) * cycles) / w.sum()
+        value.append(m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)
+        scale.append(abs(m3) + 3.0 * abs(m2 * m1) + 2.0 * abs(m1) ** 3)
+    return np.array(value), np.array(scale)
+
+
+def near_degenerate_probe(rng, d):
+    # base and direction both within 1e-3 of a multiple of the identity, so
+    # every triple of H_alpha's eigenvalues takes _exp_dd2's clustered branch
+    s = random_hermitian(rng, d)
+    base = DensityState.from_exponent(1e-3 * s / np.linalg.norm(s))
+    return LogPartitionProbe(base, 1e-3 * random_hermitian(rng, d) / d + 0.4 * np.eye(d))
+
+
+def commuting_probe(rng, d):
+    base = DensityState.from_exponent(np.diag(rng.standard_normal(d)))
+    return LogPartitionProbe(base, np.diag(rng.standard_normal(d)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 16])
+def test_sorted_triples_match_full_contraction(d):
+    # the third order sums i <= j <= k only, weighted 1, 3 or 6; against the
+    # sum over all d^3 triples, within 1e-13 of the terms' scale
+    rng = np.random.default_rng(50 + d)
+    alphas = np.array([1e-3, 0.1, 0.7, 3.0])
+    probes = [random_probe(rng, d, kind) for kind in ("qst", "hermitian", "hermitian")]
+    probes += [near_degenerate_probe(rng, d), commuting_probe(rng, d), constant_direction_probe(d, -0.9)]
+    spread = np.ptp(np.linalg.eigvalsh(probes[3].hamiltonian_exponent(alphas)), axis=-1)
+    assert np.all(spread < diagnostics._DD_CLUSTER_TOL)
+    for p in probes:
+        want, scale = third_derivative_reference(p, alphas)
+        third = phi_derivatives(p, alphas)[2]
+        assert np.all(np.abs(third - want) <= 1e-13 * scale), p.delta
+    i, j, k, weight = diagnostics._sorted_triples(d)
+    assert np.all((i <= j) & (j <= k)) and weight.sum() == d ** 3
+    assert len(set(zip(i, j, k))) == len(i) == d * (d + 1) * (d + 2) // 6
+
+
+def test_second_divided_difference_of_ordered_triples():
+    # exp[a, b, c] = sum over the three of e^x / prod (x - y) over the other
+    # two, in 60-digit decimal arithmetic: exact enough for clustered triples
+    rng = np.random.default_rng(53)
+    for spread in (1e-6, 5e-3, 2e-2, 1.0, 8.0):
+        t = np.sort(-spread * rng.random((100, 3)) - 3.0 * rng.random((100, 1)), axis=-1)
+        want = []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for triple in t:
+                x = [decimal.Decimal(float(v)) for v in triple]
+                want.append(float(sum(x[i].exp() / ((x[i] - x[j]) * (x[i] - x[k]))
+                                      for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))))
+        lo, mid, hi = t.T.copy()
+        np.testing.assert_allclose(diagnostics._exp_dd2(lo, mid, hi), want, rtol=1e-13)
+
+
+def test_gap_from_shared_eigh_matches_phi_gap():
+    # phi(alpha) from the eigh that gives phi', phi(0) from the stored
+    # log-eigenvalues: within 1e-12 of phi's separate eigvalsh path
+    grid = np.geomspace(1e-3, 10.0, 25)
+    rng = np.random.default_rng(54)
+    for d in (1, 2, 5, 8, 16):
+        probes = [random_probe(rng, d, kind) for kind in ("qst", "hermitian")]
+        probes += [near_degenerate_probe(rng, d), commuting_probe(rng, d), constant_direction_probe(d, 0.3)]
+        for p in probes + [LogPartitionProbe.stack(probes)]:
+            values = phi(p, np.append(0.0, grid))
+            want = values[..., :1] - values[..., 1:] + grid * phi_derivatives(p, grid)[0]
+            np.testing.assert_allclose(bregman_gap(p, grid), want, rtol=1e-12, atol=1e-12)
+            flat = np.reshape(p.delta == 0.0, np.shape(p.delta) + (1,))
+            np.testing.assert_allclose(sandwich_check(p, grid).gap, np.where(flat, 0.0, want),
+                                       rtol=1e-12, atol=1e-12)
+
+
 @pytest.fixture
 def bit_probes():
     rng = np.random.default_rng(45)
@@ -597,14 +711,19 @@ def bit_probes():
 
 def test_gap_and_sandwich_bits_match_full_derivatives(bit_probes):
     # reference: phi(0) - phi(alpha) + alpha phi'(alpha), and the sandwich
-    # bounds from phi'', with phi' and phi'' from the third-order path
+    # bounds from phi'', with phi' and phi'' from the third-order path, phi(0)
+    # from the base state's stored log-eigenvalues (H_0 = log rho) and
+    # phi(alpha) from the eigh that gives phi'; phi's own eigvalsh path
+    # agrees within round-off
     grid = np.array([1e-3, 0.1, 0.7, 1.0, 5.0])
     for p in bit_probes:
-        values = phi(p, np.append(0.0, grid))
+        value = logsumexp(np.linalg.eigh(p.hamiltonian_exponent(grid))[0])
         d1, var, _ = phi_derivatives(p, grid)
-        gap = values[0] - values[1:] + grid * d1
+        gap = logsumexp(p.base._log_eigenvalues) - value + grid * d1
         x, dd = p.delta * grid, p.delta * p.delta
         assert np.array_equal(bregman_gap(p, grid), gap)
+        values = phi(p, np.append(0.0, grid))
+        np.testing.assert_allclose(gap, values[0] - values[1:] + grid * d1, rtol=1e-12, atol=1e-12)
         res = sandwich_check(p, grid)
         assert np.array_equal(res.lower, (np.expm1(-x) + x) / dd * var)
         assert np.array_equal(res.gap, gap)

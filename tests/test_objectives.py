@@ -120,6 +120,22 @@ class TestQstObjective:
             f = qst_objective(random_ensemble(rng, d, 2 * d))
             matrix_gradient_fd_check(f, random_density(rng, d), rng)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 33])
+    def test_gradient_is_exactly_hermitian(self, d):
+        # the weighted sum of Hermitian operators is Hermitian bit for bit,
+        # with no Hermitian part taken: on random ensembles, on rank-one
+        # projectors that do not span the operators (rank-deficient), and at d = 1
+        rng = np.random.default_rng(33 + d)
+        rank_one = []
+        for _ in range(max(1, d // 2)):
+            v = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+            rank_one.append(v @ v.conj().T)
+        for ens in (random_ensemble(rng, d, 4 * d), random_ensemble(rng, d, 3),
+                    MeasurementEnsemble(rank_one), standard_basis_ensemble(d)):
+            for _ in range(3):
+                g = qst_objective(ens).gradient(random_density(rng, d))
+                assert np.array_equal(g, 0.5 * (g + g.conj().T))
+
     def test_convexity_midpoint(self):
         rng = np.random.default_rng(32)
         f = qst_objective(random_ensemble(rng, 3, 6))
