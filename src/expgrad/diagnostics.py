@@ -362,10 +362,10 @@ def fixed_point_check(rho: DensityState | list, f: ObjectiveSpec,
     density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A list
     of states, such as the base states of a stacked probe, gives one array
     entry per state (margin nan off a fixed point) from the same three
-    decompositions."""
+    decompositions. An empty grid raises InvalidInput."""
     alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
-    if np.any(alphas <= 0.0):
-        raise InvalidInput("step size must be positive")
+    if alphas.size == 0 or np.any(alphas <= 0.0):
+        raise InvalidInput("grid must be nonempty, with positive step sizes")
     states = rho if isinstance(rho, list) else [rho]
     g = np.stack([f.gradient(s) for s in states])
     exponent, matrix = (np.stack([getattr(s, n) for s in states]) for n in ("exponent", "matrix"))
@@ -432,10 +432,13 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     each generator draws what its probe alone draws, and each kind of matrix
     is decomposed once for all probes (eigvalsh and eigh of the base states,
     the ensembles' PSD eigvalsh, the directions' eigvalsh). The checks of the
-    ensembles and directions run on the stacks."""
+    ensembles and directions run on the stacks. Empty lists, or lists of
+    different lengths, raise InvalidInput."""
     if isinstance(rng, np.random.Generator):
         p = random_probe([rng], d, [direction_kind])
         return LogPartitionProbe._of(p.base[0], p.base[0].exponent, p.direction[0], float(p.delta[0]))
+    if not rng or len(rng) != len(direction_kind):
+        raise InvalidInput("need one direction kind per generator, and at least one")
     for kind in direction_kind:
         if kind not in ("qst", "hermitian"):
             raise InvalidInput(f"unknown direction kind {kind!r}")

@@ -18,8 +18,6 @@ __all__ = [
     "logsumexp",
 ]
 
-DEFAULT_EIG_FLOOR = 1e-13
-
 
 def logsumexp(x: np.ndarray):
     """log sum exp(x) over the last axis, for rows with a finite maximum,
@@ -71,20 +69,16 @@ class DensityState:
     log-eigenvalues w of rho = V diag(exp w) V^H, so that tr rho = 1. The
     read-only Hermitian exponent H = log rho and the matrix rho are each
     formed once, on first read: an Armijo candidate that is rejected needs
-    neither. If a materialized eigenvalue falls below the floor the state is
-    flagged, not rejected: the solver observes near-singularity rather than
-    fabricating interiority.
+    neither.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors", "floor_clamped", "_log_eigenvalues",
-                 "_exponent", "_matrix")
+    __slots__ = ("eigenvalues", "eigenvectors", "_log_eigenvalues", "_exponent", "_matrix")
 
     def __init__(self, log_eigenvalues, eigenvectors):
         self._log_eigenvalues = log_eigenvalues
         self.eigenvectors = eigenvectors
         self.eigenvalues = np.exp(log_eigenvalues)
         self.eigenvalues.flags.writeable = False
-        self.floor_clamped = bool(self.eigenvalues[0] < DEFAULT_EIG_FLOOR)
         self._exponent = self._matrix = None
 
     @classmethod

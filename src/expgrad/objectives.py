@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .entropy import ProbabilityVector
 from .linalg import DensityState, HermitianOperator, _hermitian_part
 
 __all__ = [
@@ -40,7 +39,9 @@ class ObjectiveSpec:
     length-d arrays). ``value`` returns +inf outside the effective domain.
     ``barrier`` is set by the constructors of objectives whose value is +inf
     at every state with a zero eigenvalue or entry; the line search then
-    skips candidates that provably have one.
+    skips candidates that provably have one. The tomography, Poisson and
+    Burg objectives are one function, -sum_i log t_i of a linear map t(x),
+    and differ only in that map and its adjoint.
     """
 
     dim: int
@@ -100,26 +101,35 @@ def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
     return MeasurementEnsemble([np.outer(eye[i], eye[i]) for i in range(d)])
 
 
-def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
-    """Log-likelihood objective -sum_i log tr(M_i rho)."""
+def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Callable,
+                    barrier: bool = False) -> ObjectiveSpec:
+    """-sum_i log t_i for a linear map t = probabilities(x), nonnegative on
+    the domain, with gradient -adjoint(t), where adjoint(t) applies the
+    map's adjoint to the weights 1/t_i. A point where some t_i <= 0
+    (negative round-off included) is out of the domain."""
 
-    def value(rho: DensityState) -> float:
-        t = ens.probabilities(rho.matrix)
-        # negative round-off on PSD operators counts as out of domain
+    def value(x) -> float:
+        t = probabilities(x)
         if (t <= 0.0).any():
             return math.inf
         return float(-np.log(t).sum())
 
-    def gradient(rho: DensityState) -> np.ndarray:
-        t = ens.probabilities(rho.matrix)
-        if np.any(t <= 0.0):
-            raise DomainError("gradient requested where some tr(M_i rho) <= 0")
-        return -ens.weighted_sum(1.0 / t)
+    def gradient(x) -> np.ndarray:
+        t = probabilities(x)
+        if (t <= 0.0).any():
+            raise DomainError("gradient requested where some t_i(x) <= 0")
+        return -adjoint(t)
 
-    def in_domain(rho: DensityState) -> bool:
-        return bool(np.all(ens.probabilities(rho.matrix) > 0.0))
+    def in_domain(x) -> bool:
+        return bool((probabilities(x) > 0.0).all())
 
-    return ObjectiveSpec(ens.dim, value, gradient, in_domain, "matrix")
+    return ObjectiveSpec(dim, value, gradient, in_domain, kind, barrier)
+
+
+def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
+    """Log-likelihood objective -sum_i log tr(M_i rho)."""
+    return _log_likelihood(ens.dim, "matrix", lambda rho: ens.probabilities(rho.matrix),
+                           lambda t: ens.weighted_sum(1.0 / t))
 
 
 def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
@@ -135,10 +145,8 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     def value(rho: DensityState) -> float:
         if rho.eigenvalues[0] <= 0.0:  # before base.value forms rho.matrix
             return math.inf
-        v = base.value(rho)
-        if not math.isfinite(v):
-            return math.inf
-        return v - lam * float(np.log(rho.eigenvalues).sum())
+        # +inf stays +inf: the log-det of a positive spectrum is finite
+        return base.value(rho) - lam * float(np.log(rho.eigenvalues).sum())
 
     def gradient(rho: DensityState) -> np.ndarray:
         if rho.eigenvalues[0] <= 0.0:
@@ -155,23 +163,7 @@ def burg_objective(d: int) -> ObjectiveSpec:
     """Burg entropy -sum_i log v_i on the simplex; +inf at the boundary."""
     if d < 1:
         raise InvalidInput("dimension must be at least 1")
-
-    def value(x: ProbabilityVector) -> float:
-        v = x.entries
-        if np.any(v <= 0.0):
-            return math.inf
-        return float(-np.sum(np.log(v)))
-
-    def gradient(x: ProbabilityVector) -> np.ndarray:
-        v = x.entries
-        if np.any(v <= 0.0):
-            raise DomainError("Burg gradient undefined at the simplex boundary")
-        return -1.0 / v
-
-    def in_domain(x: ProbabilityVector) -> bool:
-        return bool(np.all(x.entries > 0.0))
-
-    return ObjectiveSpec(d, value, gradient, in_domain, "vector", barrier=True)
+    return _log_likelihood(d, "vector", lambda x: x.entries, lambda t: 1.0 / t, barrier=True)
 
 
 def poisson_linear_objective(rows) -> ObjectiveSpec:
@@ -184,24 +176,8 @@ def poisson_linear_objective(rows) -> ObjectiveSpec:
         raise InvalidInput("rows must be finite and nonnegative")
     if np.any(np.all(a == 0.0, axis=1)):
         raise InvalidInput("every row must be nonzero")
-    d = a.shape[1]
-
-    def value(x: ProbabilityVector) -> float:
-        t = a @ x.entries
-        if np.any(t <= 0.0):
-            return math.inf
-        return float(-np.sum(np.log(t)))
-
-    def gradient(x: ProbabilityVector) -> np.ndarray:
-        t = a @ x.entries
-        if np.any(t <= 0.0):
-            raise DomainError("gradient requested where some <a_i, x> <= 0")
-        return -(a / t[:, None]).sum(axis=0)
-
-    def in_domain(x: ProbabilityVector) -> bool:
-        return bool(np.all(a @ x.entries > 0.0))
-
-    return ObjectiveSpec(d, value, gradient, in_domain, "vector")
+    return _log_likelihood(a.shape[1], "vector", lambda x: a @ x.entries,
+                           lambda t: (a / t[:, None]).sum(axis=0))
 
 
 def quadratic_objective(target: HermitianOperator, scale: float = 1.0) -> ObjectiveSpec:

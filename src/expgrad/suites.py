@@ -106,14 +106,13 @@ def _check_kappa(probe, _):
 
 
 def _check_fixed_point(probe, _):
-    # the control: the probes' base states, random densities, are no fixed points
+    # one stack: the maximally mixed state, the optimum, must be a fixed
+    # point; the control, the probes' base states (random densities), not
     d = probe.dim
-    f = qst_objective(standard_basis_ensemble(d))
-    grid = (0.1, 1.0, 3.0)
-    at_opt = fixed_point_check(DensityState.maximally_mixed(d), f, grid)
-    at_off = fixed_point_check(list(probe.base), f, grid)
-    margin = at_opt.optimality_margin + 1e-8 if at_opt.is_fixed_point else -1.0
-    return np.where(at_off.is_fixed_point, -1.0, margin)
+    res = fixed_point_check([DensityState.maximally_mixed(d), *probe.base],
+                            qst_objective(standard_basis_ensemble(d)), (0.1, 1.0, 3.0))
+    margin = res.optimality_margin[0] + 1e-8 if res.is_fixed_point[0] else -1.0
+    return np.where(res.is_fixed_point[1:], -1.0, margin)
 
 
 def _check_self_concordance(probe, derivatives):
@@ -140,10 +139,11 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
     built as one stack, from 3 or 4 stacked decompositions, and each check
     runs once per dimension on that stack, at a fixed cost per dimension:
     sandwich, ratio, kappa and self-concordance 1 (a gap reads phi from the
-    decomposition that gives phi'), moments 5, fixed point 8. Under "all",
-    ratio and self-concordance share one third-order pass on their common
-    grid, which carries phi too, so "all" costs 16 per dimension, not 17,
-    and its records equal the six single-check suites' bit for bit.
+    decomposition that gives phi'), moments 5, fixed point 5 (one check of
+    the optimum stacked with the base states). Under "all", ratio and
+    self-concordance share one third-order pass on their common grid, which
+    carries phi too, so "all" costs 13 per dimension, not 14, and its
+    records equal the six single-check suites' bit for bit.
     """
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")

@@ -291,6 +291,18 @@ class TestFixedPoint:
         with pytest.raises(InvalidInput):
             fixed_point_check(DensityState.maximally_mixed(2), f, (0.5, 0.0))
 
+    def test_rejects_empty_grid(self):
+        # with no step, nothing would move, and a state that moves at every
+        # step would pass as a fixed point
+        f = qst_objective(standard_basis_ensemble(3))
+        rho = random_density(np.random.default_rng(5), 3)
+        assert not fixed_point_check(rho, f, (0.1,)).is_fixed_point
+        for grid in ((), []):
+            with pytest.raises(InvalidInput):
+                fixed_point_check(rho, f, grid)
+            with pytest.raises(InvalidInput):
+                fixed_point_check([rho], f, grid)
+
     def test_non_optimum_moves(self):
         f = qst_objective(standard_basis_ensemble(2))
         rho = DensityState.from_matrix(np.diag([0.9, 0.1]))
@@ -478,12 +490,12 @@ class TestWorkPerCheck:
         # phi_derivatives 1, three finite-difference stacks, and the relative
         # entropy path's eigh 1, which the Bregman gap shares
         ("moments", 5),
-        # the optimum's state, ensemble and check 1 + 1 + 3; the check of the
-        # probes' base states 3
-        ("fixed-point", 8),
+        # the optimum's state and ensemble 1 + 1, then one check 3 of the
+        # optimum stacked with the probes' base states
+        ("fixed-point", 5),
         # the six checks, less the one third-order pass that ratio and
         # self-concordance share
-        ("all", 16),
+        ("all", 13),
     ])
     def test_suite_cost_does_not_grow_with_samples(self, monkeypatch, name, per_dim):
         # each dimension's probes are one stacked build: the base states'
@@ -501,8 +513,9 @@ class TestWorkPerCheck:
         assert cost(100) <= 4 * 25
 
     def test_matrices_per_pass(self, monkeypatch):
-        # a 100-sample "all" pass: 78 stacked calls over 13,200 matrices
-        # (94 over 18,800 when every gap ran its own eigvalsh of phi)
+        # a 100-sample "all" pass: 66 stacked calls over 13,200 matrices
+        # (78 when the optimum's fixed-point check ran apart from the
+        # control's, 94 over 18,800 when every gap ran its own eigvalsh of phi)
         counts = Counter()
         for name in ("eigh", "eigvalsh"):
             def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
@@ -511,7 +524,7 @@ class TestWorkPerCheck:
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         run_suite("all", 100, 0)
-        assert counts == Counter(calls=78, matrices=13_200)
+        assert counts == Counter(calls=66, matrices=13_200)
 
 
 def test_stacked_probe_matches_each_probe():
@@ -577,6 +590,17 @@ def test_stacked_build_matches_each_probe():
                 assert np.asarray(getattr(alone[i], n)).tobytes() == np.asarray(getattr(want, n)).tobytes()
     with pytest.raises(InvalidInput):
         random_probe([np.random.default_rng(0)], 3, ["qst-ish"])
+
+
+@pytest.mark.parametrize("generators, kinds", [
+    (2, ["qst"]), (2, ["hermitian"]), (2, ["qst", "hermitian", "qst"]), (1, []), (0, []),
+    (0, ["qst"]),
+], ids=["kind-short-qst", "kind-short-hermitian", "kind-long", "no-kind", "empty",
+        "no-generator"])
+def test_random_probe_needs_one_kind_per_generator(generators, kinds):
+    rngs = [np.random.default_rng([50, i]) for i in range(generators)]
+    with pytest.raises(InvalidInput):
+        random_probe(rngs, 3, kinds)
 
 
 def test_list_of_states_matches_each_state():

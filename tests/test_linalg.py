@@ -103,10 +103,9 @@ class TestDensityState:
         rho = DensityState.maximally_mixed(3)
         assert np.allclose(rho.matrix, np.eye(3) / 3.0, atol=1e-14)
 
-    def test_floor_flag(self):
+    def test_tiny_eigenvalue_is_kept(self):
         rho = DensityState.from_exponent(HermitianOperator(np.diag([-40.0, 0.0])))
-        assert rho.floor_clamped
-        assert rho.min_eig > 0.0  # flagged, not clamped away
+        assert rho.min_eig > 0.0  # not clamped away
 
     # halving a complex inf gives 0 * inf in the imaginary part, which numpy
     # reports on the way to the rejection

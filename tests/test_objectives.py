@@ -234,6 +234,41 @@ class TestPoissonLinearObjective:
             poisson_linear_objective([[0.0, 0.0], [1.0, 1.0]])
 
 
+class TestLogLikelihood:
+    """QST, Poisson and Burg are one -sum_i log t_i(x), each with its own
+    linear map t and adjoint."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    def test_burg_is_poisson_with_identity_rows(self, d):
+        rng = np.random.default_rng(37 + d)
+        burg, poisson = burg_objective(d), poisson_linear_objective(np.eye(d))
+        for _ in range(5):
+            x = ProbabilityVector(rng.dirichlet(np.ones(d)) * 0.9 + 0.1 / d)
+            assert burg.value(x) == poisson.value(x)
+            assert np.array_equal(burg.gradient(x), poisson.gradient(x))
+
+    @pytest.mark.parametrize("f, x", [
+        # a rank-deficient ensemble, and a state orthogonal to its first operator
+        (qst_objective(MeasurementEnsemble([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])),
+         DensityState.from_exponent(np.diag([-800.0, 0.0, 0.0]))),
+        (poisson_linear_objective([[1.0, 0.0], [1.0, 1.0]]), ProbabilityVector([0.0, 1.0])),
+        (burg_objective(3), ProbabilityVector([0.5, 0.0, 0.5])),
+    ], ids=["qst", "poisson", "burg"])
+    def test_zero_rate_is_out_of_domain(self, f, x):
+        assert f.value(x) == math.inf
+        assert f.in_domain(x) is False
+        with pytest.raises(DomainError):
+            f.gradient(x)
+
+    def test_hedged_is_infinite_where_its_base_is(self):
+        # tr(M rho) = 1e-200 * e^-460 underflows to 0 on a positive-definite rho
+        ens = MeasurementEnsemble([np.diag([1e-200, 0.0]), np.eye(2)])
+        rho = DensityState.from_exponent(np.diag([-460.0, 0.0]))
+        assert rho.min_eig > 0.0
+        assert qst_objective(ens).value(rho) == math.inf
+        assert hedged_qst_objective(ens, 0.1).value(rho) == math.inf
+
+
 class TestQuadraticObjective:
     def test_minimizer(self):
         target = HermitianOperator(np.eye(3) / 3.0)
