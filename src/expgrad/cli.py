@@ -5,15 +5,20 @@ emitting a trace CSV and a summary JSON), ``diagnose`` (seeded diagnostic
 suites), ``lambda-sweep`` (barrier-weight sweep of the hedged objective).
 
 Exit codes: 0 success, 1 runtime/domain error, 2 usage error. Runtime errors
-print a machine-readable JSON object on stderr. Flags may also be supplied
-through ``--config FILE`` (JSON, keyed by the long option name, as
-``max-iter`` or ``lambda``); explicit flags override the file, and a key
-that is no such flag of the subcommand is a usage error.
+print a machine-readable JSON object on stderr. ``run`` and ``lambda-sweep``
+may also take flags from ``--config FILE``, a JSON object keyed by the long
+option name; explicit flags override the file. Both take the solver flags
+``alpha-bar``, ``shrink``, ``tau``, ``max-iter``, ``max-backtracks`` and
+``tol``; ``run`` also takes ``seed`` (read by the quadratic objective only)
+and ``lambda`` (hedged-qst only). Any other key, or a flag or key that the
+objective does not read, is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import dataclasses
 import json
 import math
 import sys
@@ -60,42 +65,29 @@ def _number_list(name, value):
     return [_number(name, x) for x in numbers]
 
 
-# the type of every flag that reaches a command as a value, command line or
-# config file alike; argparse's own conversion checks only the command line
-_FLAG_TYPES = {
-    "alpha_bar": _number, "shrink": _number, "tau": _number, "tol": _number,
-    "lam": _number, "max_iter": _integer, "max_backtracks": _integer,
-    "seed": _integer, "lambdas": _number_list,
+_Flag = collections.namedtuple("_Flag", "dest check default objective", defaults=(None,))
+
+# every flag a config file may fill, keyed by its long option name, which is
+# its config key: (argparse dest, value check, default, the one objective that
+# reads it or None for all). The solver flags are SolverConfig's fields.
+_FLAGS = {
+    **{key: _Flag(field.name, _integer if field.type == "int" else _number, field.default)
+       for key, field in zip(("alpha-bar", "shrink", "tau", "max-iter", "max-backtracks", "tol"),
+                             dataclasses.fields(SolverConfig), strict=True)},
+    "seed": _Flag("seed", _integer, 0, "quadratic"),
+    "lambda": _Flag("lam", _number, 0.1, "hedged-qst"),
 }
-
-# solver flag -> SolverConfig field
-_SOLVER_FIELDS = {
-    "alpha_bar": "alpha_bar", "shrink": "shrink", "tau": "tau", "max_iter": "max_iters",
-    "max_backtracks": "max_backtracks", "tol": "stop_tol",
-}
-
-# the default of every flag a config file may fill; such a flag's argparse
-# default is None, and a subcommand takes the entries for the flags it defines
-_CONFIG_DEFAULTS = {
-    **{flag: getattr(SolverConfig(), field) for flag, field in _SOLVER_FIELDS.items()},
-    "seed": 0,
-    "lam": 0.1,
-}
-
-
-def _option(dest: str) -> str:
-    """The long option name of the flag stored at ``dest``, without its
-    leading dashes: the flag's config-file key."""
-    return "lambda" if dest == "lam" else dest.replace("_", "-")
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, then from defaults, and
-    check the type of every value, raising InvalidInput on a mismatch, on a
-    file that is not a JSON object, and on a key that names no flag the
-    subcommand lets a config file fill."""
+    check the type of every value. Raises InvalidInput on a mismatch, on a
+    file that is not a JSON object, on a key that names no flag of _FLAGS
+    the subcommand takes, and on a flag or key that its objective ignores."""
+    if "config" not in args:
+        return args
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             try:
                 config = json.load(fh)
@@ -103,25 +95,23 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise InvalidInput(f"config file is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise InvalidInput("config file must contain a JSON object")
-    dests = {_option(dest): dest for dest in _CONFIG_DEFAULTS if hasattr(args, dest)}
+    flags = {key: flag for key, flag in _FLAGS.items() if flag.dest in args}
     for key in config:
-        if key not in dests:
+        if key not in flags:
             raise InvalidInput(f"unknown config key {key!r}; {args.command} takes "
-                               + ", ".join(sorted(dests)))
-    if getattr(args, "lam", None) is not None or "lambda" in config:
-        if args.command == "run" and args.objective != "hedged-qst":
-            raise InvalidInput(f"'lambda' applies only to the hedged-qst objective, not {args.objective}")
-    for key, dest in dests.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, config.get(key, _CONFIG_DEFAULTS[dest]))
-    for dest, check in _FLAG_TYPES.items():
-        if hasattr(args, dest):
-            setattr(args, dest, check(_option(dest), getattr(args, dest)))
+                               + ", ".join(sorted(flags)))
+    for key, flag in flags.items():
+        if flag.objective is not None and flag.objective != args.objective and (
+                getattr(args, flag.dest) is not None or key in config):
+            raise InvalidInput(f"{key!r} applies only to the {flag.objective} objective, not {args.objective}")
+    for key, flag in flags.items():
+        value = getattr(args, flag.dest)
+        setattr(args, flag.dest, flag.check(key, config.get(key, flag.default) if value is None else value))
     return args
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(**{field: getattr(args, flag) for flag, field in _SOLVER_FIELDS.items()})
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)})
 
 
 def _build_problem(args):
@@ -218,7 +208,7 @@ def _sweep_point(ens, lam, cfg):
 
 
 def cmd_lambda_sweep(args) -> int:
-    lambdas = args.lambdas
+    lambdas = _number_list("lambdas", args.lambdas)
     if not lambdas:
         raise InvalidInput("--lambdas must list at least one value")
     if any(l <= 0.0 for l in lambdas):
@@ -237,14 +227,13 @@ def cmd_lambda_sweep(args) -> int:
     return 0
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha-bar", type=float, default=None)
-    p.add_argument("--shrink", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--max-backtracks", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+def _add_config_flags(p: argparse.ArgumentParser, solver_only: bool = False):
+    """``--config`` and the flags it may fill: all of them, or with
+    solver_only the solver flags, which every objective reads."""
+    for key, flag in _FLAGS.items():
+        if not (solver_only and flag.objective):
+            p.add_argument(f"--{key}", dest=flag.dest, type=int if flag.check is _integer else float,
+                           default=None, metavar=key.upper().replace("-", "_"))
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
@@ -262,11 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one solve, emitting trace and summary")
     p_run.add_argument("--objective", choices=OBJECTIVE_KINDS, required=True)
     p_run.add_argument("--operators", default=None, help="ensemble or rows JSON file")
-    p_run.add_argument("--lambda", dest="lam", type=float, default=None)
     p_run.add_argument("--dim", type=int, default=None)
     p_run.add_argument("--trace", default=None, help="trace CSV output path")
     p_run.add_argument("--summary", default=None, help="summary JSON output path")
-    _add_solver_flags(p_run)
+    _add_config_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_diag = sub.add_parser("diagnose", help="run a diagnostics suite")
@@ -281,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambdas", required=True,
                          help="comma-separated descending positive weights")
     p_sweep.add_argument("--out", default=None, help="table JSON output path")
-    _add_solver_flags(p_sweep)
+    _add_config_flags(p_sweep, solver_only=True)
     p_sweep.set_defaults(func=cmd_lambda_sweep)
 
     return parser

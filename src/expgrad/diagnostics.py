@@ -16,7 +16,7 @@ eigh over all probes and steps, with the bits of one call per matrix. A
 Bregman gap reads phi(alpha) from the eigh that gives phi'(alpha), and
 phi(0) from the base state's stored log-eigenvalues. So a call costs a fixed
 number of decompositions: sandwich, ratio, kappa and self-concordance 1,
-fixed point 3 (one state or a list), each building only the derivative
+fixed point 3 (one state or a sequence), each building only the derivative
 orders it reads. random_probe also takes a list of generators: their probes
 as one stack, from one stacked decomposition of each kind of matrix. The
 fixed-point margin is exact. The arrays formed from a decomposition are
@@ -154,19 +154,18 @@ def _exp_dd1(a, b):
     return ratio
 
 
-def _exp_dd2(lo, mid, hi):
+def _exp_dd2(lo, mid, hi, upper, lower):
     """Second divided difference of exp, elementwise, for ordered triples
-    lo <= mid <= hi (the divided difference is symmetric in its arguments).
+    lo <= mid <= hi (the divided difference is symmetric in its arguments),
+    given the first ones upper = _exp_dd1(mid, hi) and lower = _exp_dd1(lo, mid).
 
     For well-separated triples, one recurrence step through the extreme pair;
     for clustered triples, a centered Taylor expansion (error O(spread^5)).
     """
-    out = _exp_dd1(mid, hi)
-    out -= _exp_dd1(lo, mid)
     spread = hi - lo
     clustered = spread < _DD_CLUSTER_TOL
     spread[clustered] = 1.0
-    out /= spread
+    out = (upper - lower) / spread
     a, b, c = lo[clustered], mid[clustered], hi[clustered]
     m = (a + b + c) / 3.0
     x, y, z = a - m, b - m, c - m
@@ -208,14 +207,15 @@ def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
     for s in range(0, len(mu), slab):
         m, v, at = mu[s:s + slab], u[s:s + slab], slice(s, s + slab)
         gt = v.conj().swapaxes(-1, -2) @ g[owner[at]] @ v
-        z0 = np.sum(np.exp(m), axis=-1)
-        raw[0, at] = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * np.exp(m), axis=-1) / z0
+        w = np.exp(m)
+        z0 = w.sum(axis=-1)
+        raw[0, at] = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * w, axis=-1) / z0
         if order >= 2:
             d1 = _exp_dd1(m[..., :, None], m[..., None, :])
             raw[1, at] = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1)) / z0
         if order >= 3:
             cycle = (gt[:, i, j] * gt[:, j, k] * gt[:, k, i]).real
-            cycle *= _exp_dd2(m[:, i], m[:, j], m[:, k])
+            cycle *= _exp_dd2(m[:, i], m[:, j], m[:, k], d1[:, j, k], d1[:, i, j])
             cycle *= weight
             raw[2, at] = 2.0 * np.sum(cycle, axis=-1) / z0
     m1, m2, m3 = (*raw.reshape((order,) + shape), 0.0, 0.0)[:3]
@@ -355,29 +355,30 @@ class FixedPointResult(NamedTuple):
     optimality_margin: float | np.ndarray | None
 
 
-def fixed_point_check(rho: DensityState | list, f: ObjectiveSpec,
+def fixed_point_check(rho: DensityState | Sequence, f: ObjectiveSpec,
                       alpha_grid: Sequence[float]) -> FixedPointResult:
     """True iff rho is (numerically) invariant under the EG update at every
     grid step (one stack); a fixed point then gets the exact margin over all
-    density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A list
-    of states, such as the base states of a stacked probe, gives one array
-    entry per state (margin nan off a fixed point) from the same three
+    density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A
+    sequence of states, such as the base states of a stacked probe, gives one
+    array entry per state (margin nan off a fixed point) from the same three
     decompositions. An empty grid raises InvalidInput."""
     alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
     if alphas.size == 0 or np.any(alphas <= 0.0):
         raise InvalidInput("grid must be nonempty, with positive step sizes")
-    states = rho if isinstance(rho, list) else [rho]
+    single = isinstance(rho, DensityState)
+    states = [rho] if single else rho
     g = np.stack([f.gradient(s) for s in states])
     exponent, matrix = (np.stack([getattr(s, n) for s in states]) for n in ("exponent", "matrix"))
     vals, v = np.linalg.eigh(exponent[:, None] - alphas * g[:, None])  # exp(H)/tr exp(H) per step
     p = np.exp(vals - logsumexp(vals)[..., None])
     moved = _hermitian_part((v * p[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix[:, None])
-    movement = np.max(np.sum(np.abs(np.linalg.eigvalsh(moved)), axis=-1), axis=-1, initial=0.0)
+    movement = np.max(np.sum(np.abs(np.linalg.eigvalsh(moved)), axis=-1), axis=-1)
     fixed = movement <= 1e-10
     margin = np.linalg.eigvalsh(g)[:, 0] - [np.vdot(gs, ms).real for gs, ms in zip(g, matrix)]
-    if isinstance(rho, list):
-        return FixedPointResult(fixed, movement, np.where(fixed, margin, np.nan))
-    return FixedPointResult(bool(fixed[0]), float(movement[0]), float(margin[0]) if fixed[0] else None)
+    if single:
+        return FixedPointResult(bool(fixed[0]), float(movement[0]), float(margin[0]) if fixed[0] else None)
+    return FixedPointResult(fixed, movement, np.where(fixed, margin, np.nan))
 
 
 def self_concordance_check(probe: LogPartitionProbe,

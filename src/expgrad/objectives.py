@@ -106,22 +106,30 @@ def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Calla
     """-sum_i log t_i for a linear map t = probabilities(x), nonnegative on
     the domain, with gradient -adjoint(t), where adjoint(t) applies the
     map's adjoint to the weights 1/t_i. A point where some t_i <= 0
-    (negative round-off included) is out of the domain."""
+    (negative round-off included) is out of the domain. t is computed once
+    per state: a call at the state object of the last call reuses it, as
+    states are read-only."""
+    last = [None, None]  # the last state and its t
+
+    def t_at(x) -> np.ndarray:
+        if x is not last[0]:
+            last[:] = x, probabilities(x)
+        return last[1]
 
     def value(x) -> float:
-        t = probabilities(x)
+        t = t_at(x)
         if (t <= 0.0).any():
             return math.inf
         return float(-np.log(t).sum())
 
     def gradient(x) -> np.ndarray:
-        t = probabilities(x)
+        t = t_at(x)
         if (t <= 0.0).any():
             raise DomainError("gradient requested where some t_i(x) <= 0")
         return -adjoint(t)
 
     def in_domain(x) -> bool:
-        return bool((probabilities(x) > 0.0).all())
+        return bool((t_at(x) > 0.0).all())
 
     return ObjectiveSpec(dim, value, gradient, in_domain, kind, barrier)
 

@@ -199,6 +199,13 @@ class TestLambdaSweep:
         assert "usage:" in capsys.readouterr().err
         assert exc.value.code == 2
 
+    def test_seed_flag_is_not_accepted(self, basis_file, capsys):
+        # no hedged solve reads a seed
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda-sweep", "--operators", basis_file, "--lambdas", "0.1", "--seed", "3"])
+        assert "usage:" in capsys.readouterr().err
+        assert exc.value.code == 2
+
     def test_rejects_bad_weight_lists(self, basis_file):
         for bad in (",", "0.01,0.1", "0.1,-0.2"):
             assert main(["lambda-sweep", "--operators", basis_file,
@@ -229,8 +236,9 @@ class TestMalformedInput:
         ("run", json.dumps({"lam": 5.0}), "lam"),
         ("lambda-sweep", json.dumps({"lambda": 5.0}), "lambda"),
         ("run", '{"max-iter": 1', None),
+        ("lambda-sweep", json.dumps({"seed": 3}), "seed"),
     ], ids=["config-unknown-key", "config-lam-key", "config-key-of-another-command",
-            "config-not-json"])
+            "config-not-json", "config-seed-of-lambda-sweep"])
     def test_config_error_as_json(self, basis_file, tmp_path, capsys, command, text, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -258,6 +266,32 @@ class TestMalformedInput:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput" and "'lambda'" in err["message"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["--seed", "3"], None),
+        ([], {"seed": 3}),
+    ], ids=["flag", "config"])
+    def test_seed_without_quadratic_objective(self, basis_file, tmp_path, capsys, argv, config):
+        argv = ["run", "--objective", "qst", "--operators", basis_file] + argv
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and "'seed'" in err["message"]
+
+    def test_config_seed_sets_the_quadratic_target(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 4}))
+        argv = ["run", "--objective", "quadratic", "--dim", "3"]
+        finals = []
+        for extra in (["--config", str(cfg_path)], ["--seed", "4"], []):
+            assert main(argv + extra) == 0
+            finals.append(json.loads(capsys.readouterr().out)["final_f"])
+        assert finals[0] == finals[1] != finals[2]
 
     @pytest.mark.parametrize("objective, payload", [
         ("poisson", {"dim": 1, "rows": [["a"]]}),

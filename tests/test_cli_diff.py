@@ -1,6 +1,7 @@
 """tools/cli_diff.py: the CLI outputs of two trees, compared file by file."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,13 +20,18 @@ def test_repo_against_itself_is_identical():
     for family in ("qst", "hedged-qst", "poisson", "burg", "quadratic"):
         assert {f"{family}.csv", f"{family}.json", f"run-{family}.stdout"} <= set(names)
     assert {"ens.json", "sweep.json", "diagnose.json", "lambda-sweep.stdout"} <= set(names)
+    assert {"config.csv", "sweep-config.json", "run-unknown-key.stderr"} <= set(names)
 
 
 def test_every_command_succeeds(tmp_path):
+    # but the config with an unknown key, a usage error by design
     cli_diff.run_script(REPO, tmp_path, cli_diff.SMALL)
     for name, _ in cli_diff.script(cli_diff.SMALL):
-        assert (tmp_path / f"{name}.exit").read_text() == "0\n", name
-        assert (tmp_path / f"{name}.stderr").read_text() == "", name
+        exit_code, stderr = ((tmp_path / f"{name}.{ext}").read_text() for ext in ("exit", "stderr"))
+        if name == "run-unknown-key":
+            assert exit_code == "2\n" and json.loads(stderr)["error"] == "InvalidInput", name
+        else:
+            assert exit_code == "0\n" and stderr == "", name
 
 
 def test_compare_ignores_wall_time_only(tmp_path):

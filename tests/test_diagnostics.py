@@ -615,6 +615,21 @@ def test_list_of_states_matches_each_state():
         assert alone.optimality_margin == (together.optimality_margin[i] if alone.is_fixed_point else None)
 
 
+def test_tuple_of_states_matches_list_and_each_state():
+    # the base states of a stacked probe are a tuple
+    probe = random_probe([np.random.default_rng([49, i]) for i in range(3)], 3, ["qst"] * 3)
+    f = qst_objective(standard_basis_ensemble(3))
+    grid = (0.1, 1.0)
+    states = probe.base + (DensityState.maximally_mixed(3),)
+    assert isinstance(states, tuple)
+    together, listed = fixed_point_check(states, f, grid), fixed_point_check(list(states), f, grid)
+    alone = [fixed_point_check(s, f, grid) for s in states]
+    assert together.is_fixed_point.tolist() == [False, False, False, True]
+    for field in range(3):
+        np.testing.assert_array_equal(together[field], listed[field])
+        np.testing.assert_array_equal(together[field], [np.nan if a[field] is None else a[field] for a in alone])
+
+
 def test_third_order_memory_is_bounded_at_d32():
     # one (probe, step) pair per slab: O(d^3), not O(n d^3) (54.6 MB unslabbed)
     p = random_probe(np.random.default_rng(32), 32, "qst")
@@ -654,7 +669,8 @@ def third_derivative_reference(p, alphas):
         triples = np.broadcast_arrays(m[:, None, None], m[None, :, None], m[None, None, :])
         lo, mid, hi = np.sort(triples, axis=0)
         cycles = np.einsum("ij,jk,ki->ijk", gt, gt, gt).real
-        m3 = 2.0 * np.sum(diagnostics._exp_dd2(lo, mid, hi) * cycles) / w.sum()
+        dd2 = diagnostics._exp_dd2(lo, mid, hi, diagnostics._exp_dd1(mid, hi), diagnostics._exp_dd1(lo, mid))
+        m3 = 2.0 * np.sum(dd2 * cycles) / w.sum()
         value.append(m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)
         scale.append(abs(m3) + 3.0 * abs(m2 * m1) + 2.0 * abs(m1) ** 3)
     return np.array(value), np.array(scale)
@@ -706,7 +722,8 @@ def test_second_divided_difference_of_ordered_triples():
                 want.append(float(sum(x[i].exp() / ((x[i] - x[j]) * (x[i] - x[k]))
                                       for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))))
         lo, mid, hi = t.T.copy()
-        np.testing.assert_allclose(diagnostics._exp_dd2(lo, mid, hi), want, rtol=1e-13)
+        dd2 = diagnostics._exp_dd2(lo, mid, hi, diagnostics._exp_dd1(mid, hi), diagnostics._exp_dd1(lo, mid))
+        np.testing.assert_allclose(dd2, want, rtol=1e-13)
 
 
 def test_gap_from_shared_eigh_matches_phi_gap():

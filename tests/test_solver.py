@@ -353,7 +353,9 @@ class TestWorkPerSolve:
     On a barrier objective, a candidate whose step passes the spectral
     underflow bound of its search is excluded, never formed, so a solve
     costs candidates - excluded + 2 eigendecompositions (with the start's)
-    and candidates - excluded + 1 values of f."""
+    and candidates - excluded + 1 values of f. On a tomography objective,
+    each state evaluated costs one tr(M_i rho) pass, which its domain test,
+    value and gradient share."""
 
     @staticmethod
     def count_work(monkeypatch, f):
@@ -366,6 +368,8 @@ class TestWorkPerSolve:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(MeasurementEnsemble, "probabilities",
+                            counted("probabilities", MeasurementEnsemble.probabilities))
         return counts, dataclasses.replace(f, value=counted("value", f.value),
                                            gradient=counted("gradient", f.gradient))
 
@@ -418,6 +422,7 @@ class TestWorkPerSolve:
         assert work["eigh"] == 1 + candidates - excluded + 1
         assert work["gradient"] == iters + 1
         assert work["value"] == candidates - excluded + 1
+        assert work["probabilities"] == (0 if family == "quadratic" else candidates - excluded + 1)
 
     def test_rejected_candidates_form_no_exponent(self, monkeypatch):
         # log rho is formed for the start, each accepted iterate and each

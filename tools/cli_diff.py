@@ -8,8 +8,11 @@ commands in its own subprocess and its own temporary directory: ``gen`` of
 two ensembles; ``run --trace --summary`` for each of the five objective
 families (tomography d = 6 with 24 operators, hedged at lambda = 1e-3,
 Poisson on 12 x 5 rows, Burg d = 7, quadratic d = 4); an 8-weight
-``lambda-sweep`` at d = 16 with 64 operators; and a 40-sample
-``diagnose --suite all --report``. Every file the script leaves, each
+``lambda-sweep`` at d = 16 with 64 operators; a 40-sample
+``diagnose --suite all --report``; and three runs through ``--config``: a
+tomography ``run`` filled from a file, a 3-weight ``lambda-sweep`` whose
+``--max-iter`` overrides its file, and a ``run`` whose file has an unknown
+key (exit 2, JSON error on stderr). Every file the script leaves, each
 command's stdout, stderr and exit code among them, is compared byte for
 byte, with the ``wall_time_ms`` field of ``run``'s summary (a timing) left
 out. Prints the files that differ and exits 1 if any does, or if a file is
@@ -52,10 +55,19 @@ for name, argv in json.loads(sys.argv[2]):
 
 _WALL_TIME = re.compile(rb', "wall_time_ms": [^,}]*')
 
+# the config files the script reads; every key but the unknown one is a
+# solver flag, which both run and lambda-sweep take
+CONFIGS = {
+    "run_config.json": {"alpha-bar": 2.0, "tau": 0.25, "max-iter": 40},
+    "sweep_config.json": {"max-iter": 5, "shrink": 0.25, "tol": 1e-8},
+    "unknown_config.json": {"max_iter": 3},
+}
+
 
 def script(sizes: dict) -> list[tuple[str, list[str]]]:
     """The (name, argv) commands of one run, at the given instance sizes."""
     lambdas = ",".join(repr(float(x)) for x in np.geomspace(1e-1, 1e-4, sizes["lambdas"]))
+    lambdas_3 = ",".join(repr(float(x)) for x in np.geomspace(1e-1, 1e-3, 3))
     commands = [
         ("gen", ["gen", "--dim", str(sizes["dim"]), "--num-ops", str(sizes["ops"]),
                  "--seed", "3", "--out", "ens.json"]),
@@ -75,16 +87,26 @@ def script(sizes: dict) -> list[tuple[str, list[str]]]:
                           "--lambdas", lambdas, "--out", "sweep.json"]),
         ("diagnose", ["diagnose", "--suite", "all", "--samples", str(sizes["samples"]),
                       "--seed", "0", "--report", "diagnose.json"]),
+        ("run-config", ["run", "--objective", "qst", "--operators", "ens.json",
+                        "--config", "run_config.json", "--trace", "config.csv",
+                        "--summary", "config.json"]),
+        ("lambda-sweep-config", ["lambda-sweep", "--operators", "sweep_ens.json",
+                                 "--lambdas", lambdas_3, "--config", "sweep_config.json",
+                                 "--max-iter", "30", "--out", "sweep-config.json"]),
+        ("run-unknown-key", ["run", "--objective", "qst", "--operators", "ens.json",
+                             "--config", "unknown_config.json"]),
     ]
     return commands
 
 
 def run_script(tree: Path, workdir: Path, sizes: dict) -> None:
     """Run the script with the tree's own package, leaving its files in
-    workdir; the Poisson rows are written there first."""
+    workdir; the Poisson rows and the config files are written there first."""
     m, d = sizes["rows"]
     rows = np.random.default_rng(5).random((m, d)) + 0.01
     (workdir / "rows.json").write_text(json.dumps({"dim": d, "rows": rows.tolist()}))
+    for name, config in CONFIGS.items():
+        (workdir / name).write_text(json.dumps(config))
     subprocess.run([sys.executable, "-c", _RUN, str(Path(tree).resolve() / "src"),
                     json.dumps(script(sizes))], cwd=workdir, check=True)
 
