@@ -12,16 +12,16 @@ assumed to commute: H_alpha is formed as a matrix sum and decomposed.
 
 Every function of a probe also takes an array of alpha and a stacked probe
 (LogPartitionProbe.stack; results per probe), for one stacked eigvalsh or
-eigh over all probes and steps, with the bits of one call per matrix. A
-Bregman gap reads phi(alpha) from the eigh that gives phi'(alpha), and
-phi(0) from the base state's stored log-eigenvalues. So a call costs a fixed
-number of decompositions: sandwich, ratio, kappa and self-concordance 1,
-fixed point 3 (one state or a sequence), each building only the derivative
-orders it reads. random_probe also takes a list of generators: their probes
-as one stack, from one stacked decomposition of each kind of matrix. The
-fixed-point margin is exact. The arrays formed from a decomposition are
-built in slabs of at most _SLAB_ELEMENTS elements or one (probe, step) pair:
-memory O(n d^2 + d^3) for n steps.
+eigh over all probes and distinct steps, with the bits of one call per
+matrix; a gap reads phi(alpha) from the eigh that gives phi'(alpha), and
+phi(0) from the base state's log-eigenvalues. So sandwich, ratio, kappa and
+self-concordance cost 1 decomposition, of the orders they read, and fixed
+point at most 3 (the exact margin of fixed states only). _sandwich,
+_ratio_check, _kappa_check and _concordance_excess take phi and its
+derivatives instead, as the suites' table gives them. random_probe takes a
+list of generators too, for one stack. Arrays formed from a decomposition
+are built in slabs of (probe, step) pairs, each at most _SLAB_ELEMENTS (a
+pair forms d^2, or d(d+1)(d+2)/6 sorted triples) or one pair.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ __all__ = [
     "random_probe",
 ]
 
-# The third-order term of one probe on a 25-point grid at d = 8.
-_SLAB_ELEMENTS = 25 * 8 ** 3
+# The third-order term (sorted triples) of one probe on a 25-point grid at d = 8.
+_SLAB_ELEMENTS = 25 * 120
 
 
 def chi(x):
@@ -201,9 +201,9 @@ def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
     g = probe.direction.reshape(-1, d, d)
     owner = np.arange(len(mu)) // (len(mu) // len(g))  # the probe of each pair
     raw = np.empty((order, len(mu)))  # Z'/Z, Z''/Z, Z'''/Z per pair
-    slab = max(1, _SLAB_ELEMENTS // d ** 3)
     if order >= 3:
         i, j, k, weight = _sorted_triples(d)
+    slab = max(1, _SLAB_ELEMENTS // (len(i) if order >= 3 else d * d))  # by a pair's largest array
     for s in range(0, len(mu), slab):
         m, v, at = mu[s:s + slab], u[s:s + slab], slice(s, s + slab)
         gt = v.conj().swapaxes(-1, -2) @ g[owner[at]] @ v
@@ -274,9 +274,13 @@ def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
     the steps are checked.
     """
     a = np.asarray(alpha, dtype=np.float64)
+    return _sandwich(probe, a, *_moments(probe, a, 2))
+
+
+def _sandwich(probe: LogPartitionProbe, a, value, d1, var) -> SandwichResult:
+    """sandwich_check at the steps a, given phi, phi' and phi'' there."""
     d = np.reshape(probe.delta, np.shape(probe.delta) + (1,) * a.ndim)
     flat = d == 0.0
-    value, d1, var = _moments(probe, a, 2)
     x, dd = d * a, np.where(flat, 1.0, d * d)
     parts = ((np.expm1(-x) + x) / dd * var, _gap(probe, a, value, d1), (np.expm1(x) - x) / dd * var)
     return SandwichResult(*map(_scalar, np.where(flat, 0.0, parts)),
@@ -328,10 +332,15 @@ def kappa_bound_check(probe: LogPartitionProbe, alpha_bar: float,
     grid = np.asarray(alpha_grid, dtype=np.float64)
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid > alpha_bar * (1 + 1e-12)):
         raise InvalidInput("grid must lie in (0, alpha_bar]")
+    steps, at = np.unique(np.append(grid, alpha_bar), return_inverse=True)
+    return _kappa_check(probe, alpha_bar, grid, bregman_gap(probe, steps)[..., at])
+
+
+def _kappa_check(probe: LogPartitionProbe, alpha_bar, grid, gaps) -> KappaResult:
+    """kappa_bound_check on a valid grid, given the gaps on it and, last, at alpha_bar."""
     d = np.asarray(probe.delta)
     flat = d == 0.0
     kappa = np.divide(d * d, 2.0 * chi(d * alpha_bar), out=np.zeros(d.shape), where=~flat)
-    gaps = bregman_gap(probe, np.append(grid, alpha_bar))
     rhs = kappa * gaps[..., -1]
     worst = np.where(flat, 0.0, np.min(gaps[..., :-1] / (grid * grid) - rhs[..., None], axis=-1))
     holds = worst >= -1e-9 * np.maximum(1.0, np.abs(rhs))
@@ -361,24 +370,29 @@ def fixed_point_check(rho: DensityState | Sequence, f: ObjectiveSpec,
     grid step (one stack); a fixed point then gets the exact margin over all
     density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A
     sequence of states, such as the base states of a stacked probe, gives one
-    array entry per state (margin nan off a fixed point) from the same three
-    decompositions. An empty grid raises InvalidInput."""
+    array entry per state (margin nan off a fixed point) from the same (at
+    most three) decompositions. No state or no step raises InvalidInput."""
     alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
-    if alphas.size == 0 or np.any(alphas <= 0.0):
-        raise InvalidInput("grid must be nonempty, with positive step sizes")
     single = isinstance(rho, DensityState)
     states = [rho] if single else rho
+    if alphas.size == 0 or np.any(alphas <= 0.0) or not len(states):
+        raise InvalidInput("need one or more states, and a nonempty grid of positive step sizes")
     g = np.stack([f.gradient(s) for s in states])
     exponent, matrix = (np.stack([getattr(s, n) for s in states]) for n in ("exponent", "matrix"))
     vals, v = np.linalg.eigh(exponent[:, None] - alphas * g[:, None])  # exp(H)/tr exp(H) per step
     p = np.exp(vals - logsumexp(vals)[..., None])
     moved = _hermitian_part((v * p[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix[:, None])
-    movement = np.max(np.sum(np.abs(np.linalg.eigvalsh(moved)), axis=-1), axis=-1)
+    rows = moved.reshape(-1, g[0].size)  # each distinct matrix decomposed once, told apart by its bytes
+    _, first, at = np.unique(rows.view(f"V{rows[0].nbytes}")[:, 0], return_index=True, return_inverse=True)
+    spectra = np.linalg.eigvalsh(rows[first].reshape((-1,) + g.shape[1:]))[at]
+    movement = np.max(np.sum(np.abs(spectra), axis=-1).reshape(len(g), -1), axis=-1)
     fixed = movement <= 1e-10
-    margin = np.linalg.eigvalsh(g)[:, 0] - [np.vdot(gs, ms).real for gs, ms in zip(g, matrix)]
+    margin = np.full(len(g), np.nan)
+    if np.any(fixed):  # the margin is read at fixed states only
+        margin[fixed] = np.linalg.eigvalsh(g[fixed])[:, 0] - [np.vdot(*gm).real for gm in zip(g[fixed], matrix[fixed])]
     if single:
         return FixedPointResult(bool(fixed[0]), float(movement[0]), float(margin[0]) if fixed[0] else None)
-    return FixedPointResult(fixed, movement, np.where(fixed, margin, np.nan))
+    return FixedPointResult(fixed, movement, margin)
 
 
 def self_concordance_check(probe: LogPartitionProbe,
@@ -386,8 +400,7 @@ def self_concordance_check(probe: LogPartitionProbe,
     """Worst normalized excess of |phi'''| over Delta * phi'' on the grid;
     nonpositive (within slack) when the self-concordant-likeness bound holds.
     """
-    _, var, third = phi_derivatives(probe, np.asarray(alpha_grid, dtype=np.float64))
-    return _concordance_excess(probe, var, third)
+    return _concordance_excess(probe, *phi_derivatives(probe, alpha_grid)[1:])
 
 
 def _concordance_excess(probe: LogPartitionProbe, var, third) -> float:

@@ -4,9 +4,9 @@ Each suite evaluates one family of checks on a reproducible probe population
 and emits one record per probe: {check, seed, dim, pass, worst_margin}. A
 margin is the worst remaining slack after the check's stated tolerance, so
 pass is equivalent to worst_margin >= 0. The probes of each dimension are
-built as one stack, and each check runs once per dimension on that stack,
-with whole alpha grids; under "all", the ratio and self-concordance checks
-read one pass of phi and its derivatives on their common grid.
+built as one stack, and each check runs once per dimension on that stack. It
+reads phi and its derivatives by step from one table per dimension, which
+decomposes every step some selected check reads once, in one stacked eigh.
 """
 
 from __future__ import annotations
@@ -20,16 +20,16 @@ from .diagnostics import (
     LogPartitionProbe,
     _concordance_excess,
     _gap,
+    _kappa_check,
     _moments,
     _ratio_check,
+    _sandwich,
     fixed_point_check,
-    kappa_bound_check,
     phi,
-    phi_derivatives,
+    phi_derivatives,  # noqa: F401
     random_probe,
-    sandwich_check,
 )
-# quantum_relative_entropy is not called here, but perfbench's tracer wraps it under this name
+# phi_derivatives and quantum_relative_entropy are not called here; perfbench's tracer wraps them
 from .entropy import _relative_entropy, quantum_relative_entropy  # noqa: F401
 from .errors import InvalidInput
 from .linalg import DensityState, logsumexp
@@ -43,6 +43,10 @@ SUITE_NAMES = ("sandwich", "ratio", "moments", "kappa", "fixed-point",
 _PROBE_DIMS = (2, 3, 5, 8)
 _FD_STEPS = (1e-4, 1e-3, 1e-2)
 _GRID = np.geomspace(1e-3, 10.0, 25)  # the ratio and self-concordance grid
+_SANDWICH = np.array([0.1, 1.0, 5.0])
+_MOMENTS = np.array([0.1, 0.3, 0.7])  # exact derivatives against finite differences
+_PATH = np.array([0.1, 0.5, 1.0])  # the Bregman gap against the relative-entropy path
+_KAPPA_STEPS = np.append(np.linspace(0.05, 1.0, 20), 1.0)  # a grid in (0, alpha_bar], then alpha_bar = 1.0
 
 
 def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
@@ -62,46 +66,63 @@ def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
     return tuple((4.0 * fine - coarse) / 3.0)
 
 
-# Each check takes the stacked probes of one dimension, and phi with its
-# three derivatives on _GRID (diagnostics._moments) when the suite has them
-# for ratio and self-concordance together (else None), and returns one margin
-# per probe.
-def _check_sandwich(probe, _):
-    res = sandwich_check(probe, np.array([0.1, 1.0, 5.0]))
+class _Table:
+    """phi and its derivatives for the stacked probes of one dimension where the named checks read
+    them (_CHECKS), from one stacked eigh of those steps and one _moments per highest order read (the
+    same bits at any order), and per check in _PAIRS the eigenpairs of H_alpha at its steps."""
+
+    def __init__(self, probe: LogPartitionProbe, names):
+        order = {}  # each step, with the highest derivative order read there
+        for k, steps in (read for n in names for read in _CHECKS[n][1]):
+            order.update({a: max(order.get(a, 0), k) for a in steps.tolist()})
+        self.column = {a: i for i, a in enumerate(sorted(order, key=lambda a: (order[a], a)))}
+        self.moments = np.full((4, len(probe.base), len(order)), np.nan)
+        steps, per_order = np.array(list(self.column)), np.bincount(list(order.values()), minlength=4)
+        eig = np.linalg.eigh(probe.hamiltonian_exponent(steps)) if order else None
+        for k in np.flatnonzero(per_order):  # the columns of one order are a slice
+            at = slice(per_order[:k].sum(), per_order[:k + 1].sum())
+            self.moments[:k + 1, :, at] = _moments(probe, steps[at], k, tuple(x[:, at] for x in eig))
+        self.pairs = {n: tuple(x[:, [self.column[a] for a in _PAIRS[n].tolist()]] for x in eig)
+                      for n in names if n in _PAIRS}  # copies: the table keeps no other eigenvectors
+
+    def read(self, steps, order: int):  # phi and its first `order` derivatives, (probe, step) each
+        return tuple(self.moments[:order + 1, :, [self.column[a] for a in steps.tolist()]])
+
+
+# Each check maps the stacked probes of one dimension, and their table, to one margin per probe.
+def _check_sandwich(probe, table):
+    res = _sandwich(probe, _SANDWICH, *table.read(_SANDWICH, 2))
     margin = np.min([res.gap - res.lower + 1e-9, res.upper - res.gap + 1e-9, res.lower + 1e-12],
                     axis=(0, -1))
     return np.where(res.degenerate, math.inf, margin)
 
 
-def _check_ratio(probe, derivatives):
-    # phi and phi' are the same bits at every order of _moments
-    res = _ratio_check(probe, _GRID, *(derivatives or _moments(probe, _GRID, 1))[:2])
+def _check_ratio(probe, table):
+    res = _ratio_check(probe, _GRID, *table.read(_GRID, 1))
     return np.where(res.degenerate, 0.0, -res.worst_violation)
 
 
-def _check_moments(probe, _):
-    alphas = np.array([0.1, 0.3, 0.7])
-    analytic = np.array(phi_derivatives(probe, alphas))  # (derivative, probe, alpha)
-    fd = np.array([phi_fd_derivatives(probe, alphas, h) for h in _FD_STEPS])  # one stack per h
+def _check_moments(probe, table):
+    analytic = np.array(table.read(_MOMENTS, 3)[1:])  # (derivative, probe, alpha)
+    # every finite-difference step h in one call: (h, derivative, probe, alpha)
+    fd = np.moveaxis(phi_fd_derivatives(probe, _MOMENTS, np.array(_FD_STEPS)[:, None]), -2, 0)
     best = np.min(np.abs(fd - analytic) / np.maximum(1.0, np.abs(analytic)), axis=0)
     margin = np.min(1e-5 - best, axis=(0, -1))
     # variance bound: phi'' <= Delta^2 / 4
     margin = np.minimum(margin, np.min(probe.delta[:, None] ** 2 / 4.0 + 1e-10 - analytic[1], axis=-1))
     # Bregman-gap identity against the relative-entropy path, with
-    # rho(alpha) = eg_step(rho, -G, alpha) from the same H_alpha; the gap is
-    # bregman_gap(probe, alphas), reading that one decomposition
-    alphas = np.array([0.1, 0.5, 1.0])
-    vals, u = np.linalg.eigh(probe.hamiltonian_exponent(alphas))
+    # rho(alpha) = eg_step(rho, -G, alpha) from the table's H_alpha
+    vals, u = table.pairs["moments"]
     lam = np.stack([b.eigenvalues for b in probe.base])[:, None]
     v = np.stack([b.eigenvectors for b in probe.base])[:, None]
     direct = _relative_entropy(np.exp(vals - logsumexp(vals)[..., None]), u, lam, v)
-    gap = _gap(probe, alphas, *_moments(probe, alphas, 1, (vals, u)))
+    gap = _gap(probe, _PATH, *table.read(_PATH, 1))
     rel = np.abs(gap - direct) / np.maximum(np.abs(direct), 1e-12)
     return np.minimum(margin, np.min(1e-8 - rel, axis=-1))
 
 
-def _check_kappa(probe, _):
-    res = kappa_bound_check(probe, 1.0, np.linspace(0.05, 1.0, 20))
+def _check_kappa(probe, table):
+    res = _kappa_check(probe, 1.0, _KAPPA_STEPS[:-1], _gap(probe, _KAPPA_STEPS, *table.read(_KAPPA_STEPS, 1)))
     return np.where(res.degenerate, 0.0, res.worst_margin + 1e-9 * np.maximum(1.0, np.abs(res.rhs)))
 
 
@@ -115,18 +136,21 @@ def _check_fixed_point(probe, _):
     return np.where(res.is_fixed_point[1:], -1.0, margin)
 
 
-def _check_self_concordance(probe, derivatives):
-    return 1e-10 - _concordance_excess(probe, *(derivatives or _moments(probe, _GRID, 3))[2:])
+def _check_self_concordance(probe, table):
+    return 1e-10 - _concordance_excess(probe, *table.read(_GRID, 3)[2:])
 
 
-_CHECKS: dict[str, Callable] = {
-    "sandwich": _check_sandwich,
-    "ratio": _check_ratio,
-    "moments": _check_moments,
-    "kappa": _check_kappa,
-    "fixed-point": _check_fixed_point,
-    "self-concordance": _check_self_concordance,
+# Each check, with the (order, steps) it reads from the table: the highest
+# derivative order read at those steps.
+_CHECKS: dict[str, tuple[Callable, tuple]] = {
+    "sandwich": (_check_sandwich, ((2, _SANDWICH),)),
+    "ratio": (_check_ratio, ((1, _GRID),)),
+    "moments": (_check_moments, ((3, _MOMENTS), (1, _PATH))),
+    "kappa": (_check_kappa, ((1, _KAPPA_STEPS),)),
+    "fixed-point": (_check_fixed_point, ()),
+    "self-concordance": (_check_self_concordance, ((3, _GRID),)),
 }
+_PAIRS = {"moments": _PATH}  # the steps at which a check reads the eigenpairs of H_alpha
 
 
 def run_suite(name: str, samples: int, seed: int) -> list[dict]:
@@ -137,20 +161,16 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
     commuting and non-commuting (state, direction) pairs; it draws from its
     own generator, default_rng([seed, i]). The probes of each dimension are
     built as one stack, from 3 or 4 stacked decompositions, and each check
-    runs once per dimension on that stack, at a fixed cost per dimension:
-    sandwich, ratio, kappa and self-concordance 1 (a gap reads phi from the
-    decomposition that gives phi'), moments 5, fixed point 5 (one check of
-    the optimum stacked with the base states). Under "all", ratio and
-    self-concordance share one third-order pass on their common grid, which
-    carries phi too, so "all" costs 13 per dimension, not 14, and its
-    records equal the six single-check suites' bit for bit.
+    runs once on that stack, at a fixed cost per dimension: sandwich, ratio,
+    kappa and self-concordance 1 (the _Table eigh), moments 2 (that, and its
+    finite differences' eigvalsh), fixed point 5 (the optimum stacked with the
+    base states), "all" 7; the records equal the single-check suites' bits.
     """
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")
     if samples < 1:
         raise InvalidInput("samples must be at least 1")
     names = [n for n in SUITE_NAMES if n != "all"] if name == "all" else [name]
-    shared = "ratio" in names and "self-concordance" in names
     margins = np.empty((len(names), samples))
     for k, d in enumerate(_PROBE_DIMS):
         idx = range(k, samples, len(_PROBE_DIMS))
@@ -158,9 +178,9 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
             continue
         probe = random_probe([np.random.default_rng([seed, i]) for i in idx], d,
                              ["qst" if i % 2 == 0 else "hermitian" for i in idx])
-        derivatives = _moments(probe, _GRID, 3) if shared else None
+        table = _Table(probe, names)
         for row, check_name in zip(margins, names):
-            row[idx] = _CHECKS[check_name](probe, derivatives)
+            row[idx] = _CHECKS[check_name][0](probe, table)
     return [{
         "check": check_name,
         "seed": seed,

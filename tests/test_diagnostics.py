@@ -2,6 +2,7 @@
 Bregman-gap identity, sandwich/ratio/kappa bounds, and fixed-point checks."""
 
 import decimal
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -303,6 +304,12 @@ class TestFixedPoint:
             with pytest.raises(InvalidInput):
                 fixed_point_check([rho], f, grid)
 
+    def test_rejects_empty_sequence_of_states(self):
+        f = qst_objective(standard_basis_ensemble(3))
+        for states in ((), []):
+            with pytest.raises(InvalidInput):
+                fixed_point_check(states, f, (0.1,))
+
     def test_non_optimum_moves(self):
         f = qst_objective(standard_basis_ensemble(2))
         rho = DensityState.from_matrix(np.diag([0.9, 0.1]))
@@ -429,15 +436,35 @@ class TestWorkPerCheck:
             totals.append(sum(counts.values()))
         return totals
 
+    @staticmethod
+    def count_matrices(monkeypatch):
+        """Stacked calls, and the matrices they decompose, of eigh and eigvalsh."""
+        counts = Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                counts["calls"] += 1
+                counts["matrices"] += math.prod(np.shape(a)[:-2])
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
     def test_ratio(self, monkeypatch, probes):
         grid = np.geomspace(1e-3, 10.0, 25)
         assert max(self.per_probe(monkeypatch, probes,
                                   lambda p: ratio_monotonicity_check(p, grid))) <= 1
 
     def test_kappa(self, monkeypatch, probes):
+        # a grid that ends at alpha_bar decomposes H(alpha_bar) once: 20
+        # matrices, not 21
         grid = np.linspace(0.05, 1.0, 20)
-        assert max(self.per_probe(monkeypatch, probes,
-                                  lambda p: kappa_bound_check(p, 1.0, grid))) <= 1
+        counts = self.count_matrices(monkeypatch)
+        for p in probes:
+            counts.clear()
+            kappa_bound_check(p, 1.0, grid)
+            assert counts == Counter(calls=1, matrices=20)
+            counts.clear()
+            kappa_bound_check(p, 2.0, grid)
+            assert counts == Counter(calls=1, matrices=21)
 
     def test_self_concordance(self, monkeypatch, probes):
         grid = np.geomspace(1e-3, 10.0, 25)
@@ -458,6 +485,24 @@ class TestWorkPerCheck:
             counts.clear()
             assert fixed_point_check(rho, f, (0.1, 1.0, 3.0)).is_fixed_point
             assert sum(counts.values()) == 3
+
+    def test_fixed_point_margins_of_fixed_states_only(self, monkeypatch):
+        # eigvalsh(g) takes the fixed states alone, and no state moving
+        # leaves it out; a moved matrix met twice is decomposed once
+        d = 3
+        f = qst_objective(standard_basis_ensemble(d))
+        rng = np.random.default_rng(11)
+        moving = [random_density(rng, d) for _ in range(4)]
+        states = [DensityState.maximally_mixed(d), *moving]
+        counts = self.count_matrices(monkeypatch)
+        res = fixed_point_check(states, f, (0.1, 1.0, 3.0))
+        assert res.is_fixed_point.tolist() == [True] + [False] * 4
+        # the optimum moves by the same (zero) matrix at steps 0.1 and 1
+        assert counts == Counter(calls=3, matrices=15 + 14 + 1)
+        counts.clear()
+        res = fixed_point_check(moving, f, (0.1, 1.0, 3.0))
+        assert not np.any(res.is_fixed_point) and np.all(np.isnan(res.optimality_margin))
+        assert counts == Counter(calls=2, matrices=12 + 12)
 
     @staticmethod
     def count_divided_differences(monkeypatch):
@@ -487,15 +532,17 @@ class TestWorkPerCheck:
     @pytest.mark.parametrize("name, per_dim", [
         # a gap reads phi from the eigh that gives phi'
         ("sandwich", 1), ("ratio", 1), ("kappa", 1), ("self-concordance", 1),
-        # phi_derivatives 1, three finite-difference stacks, and the relative
-        # entropy path's eigh 1, which the Bregman gap shares
-        ("moments", 5),
+        # the table's eigh over the derivative and relative-entropy path
+        # steps 1, and one finite-difference stack for all three h 1 (was 5:
+        # phi_derivatives, one stack per h, and the path's eigh)
+        ("moments", 2),
         # the optimum's state and ensemble 1 + 1, then one check 3 of the
         # optimum stacked with the probes' base states
         ("fixed-point", 5),
-        # the six checks, less the one third-order pass that ratio and
-        # self-concordance share
-        ("all", 13),
+        # the table 1, the finite differences 1 and fixed point 5 (was 13:
+        # sandwich, kappa, the moments check's derivatives and path, and the
+        # ratio and self-concordance grid each decomposed their own steps)
+        ("all", 7),
     ])
     def test_suite_cost_does_not_grow_with_samples(self, monkeypatch, name, per_dim):
         # each dimension's probes are one stacked build: the base states'
@@ -513,18 +560,31 @@ class TestWorkPerCheck:
         assert cost(100) <= 4 * 25
 
     def test_matrices_per_pass(self, monkeypatch):
-        # a 100-sample "all" pass: 66 stacked calls over 13,200 matrices
-        # (78 when the optimum's fixed-point check ran apart from the
-        # control's, 94 over 18,800 when every gap ran its own eigvalsh of phi)
-        counts = Counter()
-        for name in ("eigh", "eigvalsh"):
-            def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
-                counts["calls"] += 1
-                counts["matrices"] += math.prod(np.shape(a)[:-2])
+        # a 100-sample "all" pass: 42 stacked calls over 11,498 matrices
+        # (66 over 13,200 when each check decomposed its own steps, every
+        # finite-difference step h its own stencil centres, and the
+        # fixed-point check took eigvalsh(g) of every state; 78 when the
+        # optimum's fixed-point check ran apart from the control's, 94 over
+        # 18,800 when every gap ran its own eigvalsh of phi)
+        counts = self.count_matrices(monkeypatch)
+        run_suite("all", 100, 0)
+        assert counts == Counter(calls=42, matrices=11_498)
+
+    def test_no_matrix_is_decomposed_twice_per_pass(self, monkeypatch):
+        # in a 100-sample "all" pass, each distinct matrix goes through eigh
+        # at most once, and through eigvalsh at most once
+        seen = {"eigh": Counter(), "eigvalsh": Counter()}
+        for name in seen:
+            def counted(a, *args, _fn=getattr(np.linalg, name), _seen=seen[name], **kwargs):
+                a = np.asarray(a)
+                for m in a.reshape((-1,) + a.shape[-2:]):
+                    _seen[hashlib.sha256(repr(m.shape).encode() + np.ascontiguousarray(m).tobytes()).digest()] += 1
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         run_suite("all", 100, 0)
-        assert counts == Counter(calls=66, matrices=13_200)
+        assert sum(seen["eigh"].values()) == 4_916 and sum(seen["eigvalsh"].values()) == 6_582
+        for name, hashes in seen.items():
+            assert max(hashes.values()) == 1, name
 
 
 def test_stacked_probe_matches_each_probe():
@@ -558,9 +618,12 @@ def test_stacked_probe_matches_each_probe():
         with pytest.raises(InvalidInput):
             LogPartitionProbe.stack(mixed)
 
-    for name, check in suites._CHECKS.items():
-        alone = [check(LogPartitionProbe.stack([p]), None)[0] for p in probes]
-        np.testing.assert_array_equal(check(stacked, None), alone, err_msg=name)
+    def margins(name, p):
+        return suites._CHECKS[name][0](p, suites._Table(p, [name]))
+
+    for name in suites._CHECKS:
+        alone = [margins(name, LogPartitionProbe.stack([p]))[0] for p in probes]
+        np.testing.assert_array_equal(margins(name, stacked), alone, err_msg=name)
 
 
 def test_stacked_build_matches_each_probe():

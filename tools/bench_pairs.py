@@ -10,7 +10,10 @@ in even pairs and the change first in odd ones, so drift in the host's speed
 falls on both sides alike. For each end-to-end metric the file holds each
 side's runs, median and quartiles, and the change's wins (pairs in which it
 reads lower; ties count for neither). A traced ``sweep`` run of each tree at
-seed 0 gives the per-layer work counts. Runs go one at a time.
+seed 0 gives the per-layer work counts, and each tree's stacked ``eigh`` and
+``eigvalsh`` calls, with the matrices they decompose, are counted over one
+``run_suite("all", 100, 0)`` in a subprocess that imports ``TREE/src``. Runs
+go one at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +29,22 @@ METRICS = ("wall_s", "ms_per_iter", "setup_s", "peak_rss_mb")
 COUNTS = ("linalg.eigh_calls", "objectives.value_calls", "solver.iters",
           "solver.backtracks", "linalg.eigh_per_candidate")
 
+_COUNT_DECOMPOSITIONS = """
+import json, math, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from expgrad.suites import run_suite
+counts = {}
+for name in ("eigh", "eigvalsh"):
+    def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+        calls, matrices = counts.get(_name, (0, 0))
+        counts[_name] = (calls + 1, matrices + math.prod(np.shape(a)[:-2]))
+        return _fn(a, *args, **kwargs)
+    setattr(np.linalg, name, counted)
+run_suite("all", 100, 0)
+print(json.dumps({f"{n}_{k}": c[i] for n, c in counts.items() for i, k in enumerate(("calls", "matrices"))}))
+"""
+
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The last stdout line of one ``perfbench/run.py`` run, parsed."""
@@ -37,6 +56,17 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{tree}: {workload} seed {seed} failed its correctness gate")
     return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def decompositions(tree: Path) -> dict:
+    """Stacked eigh and eigvalsh calls, and their matrices, in one 100-sample
+    ``run_suite("all", ...)`` of the tree's own package."""
+    out = subprocess.run([sys.executable, "-c", _COUNT_DECOMPOSITIONS, str(tree.resolve() / "src")],
+                         check=True, capture_output=True, text=True).stdout
+    counts = json.loads(out)
+    counts["calls"] = counts["eigh_calls"] + counts["eigvalsh_calls"]
+    counts["matrices"] = counts["eigh_matrices"] + counts["eigvalsh_matrices"]
+    return counts
 
 
 def summary(values: list[float]) -> dict:
@@ -74,7 +104,7 @@ def main(argv=None) -> int:
     p.add_argument("--trace-seconds", type=float, default=30.0)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
-    report = {"end_to_end": {}, "traced_sweep_seed0": {}}
+    report = {"end_to_end": {}, "traced_sweep_seed0": {}, "diagnose_decompositions": {}}
     for spec in args.pairs:
         workload, count = spec.split("=")
         report["end_to_end"][workload] = pairs(args.parent, args.change, workload,
@@ -82,6 +112,7 @@ def main(argv=None) -> int:
     for side, tree in (("parent", args.parent), ("change", args.change)):
         layers = run(tree, "sweep", 0, args.trace_seconds, 1)
         report["traced_sweep_seed0"][side] = {name: layers[name] for name in COUNTS}
+        report["diagnose_decompositions"][side] = decompositions(tree)
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
