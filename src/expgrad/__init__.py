@@ -2,10 +2,9 @@
 matrices, the spectrahedron, and the probability simplex, plus a numerical
 diagnostics suite for the surrounding convex-analysis machinery."""
 
-from .entropy import (
-    ProbabilityVector,
-    quantum_relative_entropy,
-)
+from types import ModuleType as _ModuleType
+
+from .entropy import ProbabilityVector, quantum_relative_entropy
 from .diagnostics import (
     FixedPointResult,
     KappaResult,
@@ -49,5 +48,6 @@ from .solver import (
     write_trace_csv,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that the imports above bind
+__all__ = [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -33,8 +33,8 @@ import numpy as np
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
-from .linalg import DensityState, HermitianOperator, _hermitian_part, logsumexp
-from .objectives import ObjectiveSpec
+from .linalg import DensityState, HermitianOperator, _hermitian, _hermitian_part, logsumexp
+from .objectives import ObjectiveSpec, _check_psd
 from .solver import eg_step
 
 __all__ = [
@@ -445,9 +445,9 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     stack, bit for bit LogPartitionProbe.stack of one call per generator:
     each generator draws what its probe alone draws, and each kind of matrix
     is decomposed once for all probes (eigvalsh and eigh of the base states,
-    the ensembles' PSD eigvalsh, the directions' eigvalsh). The checks of the
-    ensembles and directions run on the stacks. Empty lists, or lists of
-    different lengths, raise InvalidInput."""
+    the ensembles' PSD eigvalsh, the directions' eigvalsh). The operator and
+    direction stacks pass the input checks of HermitianOperator and
+    MeasurementEnsemble. Empty lists, or lists of unequal lengths, raise InvalidInput."""
     if isinstance(rng, np.random.Generator):
         p = random_probe([rng], d, [direction_kind])
         return LogPartitionProbe._of(p.base[0], p.base[0].exponent, p.direction[0], float(p.delta[0]))
@@ -463,19 +463,12 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     if qst:  # -grad f for the qst_objective of a MeasurementEnsemble of 2d random PSD operators
         z = np.stack([rng[i].standard_normal((2 * d, 2, d, d)) for i in qst])  # 2d random_psd draws
         a = z[:, :, 0] + 1j * z[:, :, 1]
-        ops = a.conj().swapaxes(-1, -2) @ a
-        if not np.all(np.isfinite(ops)):
-            raise InvalidInput("operator has non-finite entries")
-        ops = _hermitian_part(ops)
-        if np.any(np.linalg.eigvalsh(ops)[..., 0] < -1e-10):
-            raise InvalidInput("operator is not PSD")
+        ops = _hermitian((a.conj().swapaxes(-1, -2) @ a).reshape(-1, d, d), 3)
+        _check_psd(ops)
         flat = ops.view(np.float64).reshape(len(qst), 2 * d, -1)  # the ensemble's real layout
         rho = np.stack([base[i].matrix for i in qst]).view(np.float64).reshape(len(qst), -1, 1)
         weights = 1.0 / (flat @ rho).swapaxes(-1, -2)  # 1 / tr(M_i rho)
         g[qst] = (weights @ flat).view(np.complex128).reshape(-1, d, d)
-    if not np.all(np.isfinite(g)):
-        raise InvalidInput("direction has non-finite entries")
-    g = _hermitian_part(g)
-    g.flags.writeable = False
+    g = _hermitian(g, 3)
     vals = np.linalg.eigvalsh(g)
     return LogPartitionProbe._of(base, np.array([b.exponent for b in base]), g, vals[:, -1] - vals[:, 0])

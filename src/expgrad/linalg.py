@@ -32,34 +32,36 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-class HermitianOperator:
-    """A validated d x d complex Hermitian matrix: the type that untrusted
-    input passes through at the API boundary; past it the package works on
-    the plain array ``mat``.
+def _hermitian(entries, ndim: int = 2) -> np.ndarray:
+    """The Hermitian part (A + A^H)/2 of a square matrix (ndim 2) or a stack
+    of them (ndim 3), formed in place on a fresh copy with the bits of
+    _hermitian_part, and returned read-only; other shapes, and a non-finite
+    part (non-finite input, or overflow), raise InvalidInput."""
+    a = np.array(entries, dtype=np.complex128)
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a += a.conj().swapaxes(-1, -2)
+        np.multiply(0.5, a, out=a)  # not a *= 0.5, whose loop rounds signed zeros differently
+    if not np.isfinite(a).all():
+        raise InvalidInput("matrix has non-finite entries")
+    a.flags.writeable = False
+    return a
 
-    The constructor rejects non-square and non-finite input and keeps the
-    Hermitian part (A + A^H)/2, so that round-off from upstream arithmetic
-    never produces a non-Hermitian operator. ``mat`` is read-only.
-    """
+
+class HermitianOperator:
+    """A validated d x d complex Hermitian matrix, the read-only ``mat`` that
+    _hermitian gives: the type that untrusted input passes through at the
+    API boundary; past it the package works on the plain array."""
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("matrix has non-finite entries")
-        a = _hermitian_part(a)
-        a.flags.writeable = False
-        self.mat = a
+        self.mat = _hermitian(entries)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
 
 
 class DensityState:
@@ -103,9 +105,7 @@ class DensityState:
     @classmethod
     def from_matrix(cls, rho) -> "DensityState":
         """Build from a positive-definite unit-trace matrix."""
-        if not isinstance(rho, HermitianOperator):
-            rho = HermitianOperator(rho)
-        vals, vecs = np.linalg.eigh(rho.mat)
+        vals, vecs = np.linalg.eigh(rho.mat if isinstance(rho, HermitianOperator) else _hermitian(rho))
         tr = float(np.sum(vals))
         if abs(tr - 1.0) > 1e-8:
             raise InvalidInput(f"trace {tr} is not 1")

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator, _hermitian_part
+from .linalg import DensityState, HermitianOperator, _hermitian, _hermitian_part
 
 __all__ = [
     "ObjectiveSpec",
@@ -53,33 +53,27 @@ class ObjectiveSpec:
 
 
 class MeasurementEnsemble:
-    """A collection of Hermitian PSD measurement operators.
-
-    The operators are also stacked into one read-only (m, d, d) array, kept
-    as its real (m, 2 d^2) view, so that tr(M_i rho) over the whole ensemble
-    is one matrix-vector product and sum_i w_i M_i one vector-matrix product.
-    """
+    """Hermitian PSD measurement operators M_i, from a list of arrays or of
+    HermitianOperator, or one (m, d, d) array. ``operators`` is their
+    validated read-only (m, d, d) complex stack, the one copy kept; ``_flat``
+    is its real (m, 2 d^2) view, row i M_i's real and imaginary parts
+    interleaved, so that tr(M_i rho) over the whole ensemble is one
+    matrix-vector product and sum_i w_i M_i one vector-matrix product."""
 
     __slots__ = ("dim", "operators", "_flat")
 
     def __init__(self, operators):
-        ops = [op if isinstance(op, HermitianOperator) else HermitianOperator(op) for op in operators]
+        ops = [op.mat if isinstance(op, HermitianOperator) else op for op in operators]
         if not ops:
             raise InvalidInput("ensemble needs at least one operator")
-        d = ops[0].dim
-        if any(op.dim != d for op in ops):
+        if len({np.shape(op) for op in ops}) > 1:
             raise InvalidInput("ensemble operators have mixed dimensions")
-        stack = np.stack([op.mat for op in ops])
-        lows = np.linalg.eigvalsh(stack)[:, 0]
-        if np.any(lows < -1e-10):
-            raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
+        stack = _hermitian(ops, 3)
+        _check_psd(stack)
         if not np.any(stack):
             raise InvalidInput("ensemble is all zeros")
-        self.dim = d
-        self.operators = tuple(ops)
-        # row i holds the real and imaginary parts of M_i, interleaved
+        self.dim, self.operators = stack.shape[-1], stack
         self._flat = stack.view(np.float64).reshape(len(ops), -1)
-        self._flat.flags.writeable = False
 
     def probabilities(self, rho_mat: np.ndarray) -> np.ndarray:
         """tr(M_i rho) for every operator: Re vdot(M_i, rho), with rho a
@@ -94,11 +88,17 @@ class MeasurementEnsemble:
         return (weights @ self._flat).view(np.complex128).reshape(self.dim, self.dim)
 
 
+def _check_psd(stack: np.ndarray) -> None:
+    """InvalidInput unless each matrix of a Hermitian stack is PSD, up to 1e-10."""
+    lows = np.linalg.eigvalsh(stack)[..., 0]
+    if np.any(lows < -1e-10):
+        raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
+
+
 def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
     """Projectors onto the standard basis, e_i (x) e_i. For d=2 this is the
     instance whose objective reduces to -log x - log y on the diagonal."""
-    eye = np.eye(d)
-    return MeasurementEnsemble([np.outer(eye[i], eye[i]) for i in range(d)])
+    return MeasurementEnsemble([np.diag(e) for e in np.eye(d)])
 
 
 def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Callable,

@@ -12,7 +12,6 @@ import json
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import HermitianOperator
 from .objectives import MeasurementEnsemble
 
 __all__ = [
@@ -48,25 +47,26 @@ def save_ensemble(ens: MeasurementEnsemble, path) -> None:
         fh.write("]}\n")
 
 
-def load_ensemble(path) -> MeasurementEnsemble:
+def _load(path, key: str, what: str) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or "dim" not in payload or "operators" not in payload:
-        raise InvalidInput("ensemble file must contain 'dim' and 'operators'")
+    if not isinstance(payload, dict) or type(payload.get("dim")) is not int or key not in payload:
+        raise InvalidInput(f"{what} file must contain an integer 'dim' and '{key}'")
+    return payload
+
+
+def load_ensemble(path) -> MeasurementEnsemble:
+    payload = _load(path, "operators", "ensemble")
     if not isinstance(payload["operators"], list):
         raise InvalidInput("'operators' must be a list of matrices")
-    ops = [HermitianOperator(matrix_from_json(m)) for m in payload["operators"]]
-    ens = MeasurementEnsemble(ops)
+    ens = MeasurementEnsemble([matrix_from_json(m) for m in payload["operators"]])
     if ens.dim != payload["dim"]:
         raise InvalidInput("ensemble dimension does not match its operators")
     return ens
 
 
 def load_rows(path) -> np.ndarray:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or "dim" not in payload or "rows" not in payload:
-        raise InvalidInput("vector objective file must contain 'dim' and 'rows'")
+    payload = _load(path, "rows", "vector objective")
     try:
         rows = np.asarray(payload["rows"], dtype=np.float64)
     except (TypeError, ValueError) as exc:

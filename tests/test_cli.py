@@ -8,9 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from expgrad import MeasurementEnsemble, standard_basis_ensemble
+from expgrad import InvalidInput, MeasurementEnsemble, standard_basis_ensemble
 from expgrad.cli import main
-from expgrad.serialize import load_ensemble, save_ensemble
+from expgrad.serialize import load_ensemble, load_rows, save_ensemble
 
 LOG2 = math.log(2.0)
 
@@ -34,9 +34,8 @@ class TestGen:
                      "--out", str(out)]) == 0
         ens = load_ensemble(out)
         assert isinstance(ens, MeasurementEnsemble)
-        assert ens.dim == 3 and len(ens.operators) == 5
-        for op in ens.operators:
-            assert np.min(np.linalg.eigvalsh(op.mat)) >= -1e-10
+        assert ens.operators.shape == (5, 3, 3)
+        assert np.min(np.linalg.eigvalsh(ens.operators)) >= -1e-10
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -212,9 +211,36 @@ class TestLambdaSweep:
                          "--lambdas", bad]) == 2
 
 
+def matrix_payload(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def ensemble_payload(*mats, dim=2):
+    return {"dim": dim, "operators": [matrix_payload(m) for m in mats]}
+
+
+MALFORMED_ENSEMBLES = {
+    "empty": {"dim": 2, "operators": []},
+    "non-square": ensemble_payload(np.ones((2, 3))),
+    "mixed-dimensions": ensemble_payload(np.eye(2), np.eye(3)),
+    "nan-entry": ensemble_payload(np.eye(2), np.diag([np.nan, 1.0])),
+    "infinity-entry": ensemble_payload(np.eye(2), np.diag([np.inf, 1.0])),
+    "indefinite": ensemble_payload(np.diag([1.0, -1.0])),
+    "all-zero": ensemble_payload(np.zeros((2, 2)), np.zeros((2, 2))),
+    "dim-mismatch": ensemble_payload(np.eye(2), dim=3),
+    "scalar-operator": {"dim": 2, "operators": [5.0]},
+    "string-entry": {"dim": 2, "operators": [[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+    "top-level-not-an-object": [matrix_payload(np.eye(2))],
+    # finite entries whose Hermitian part overflows
+    "overflow": ensemble_payload(np.eye(2), np.diag([1.5e308, 1.0])),
+    "dim-true": ensemble_payload(np.eye(1), dim=True),
+    "dim-float": ensemble_payload(np.eye(2), dim=2.0),
+}
+
+
 class TestMalformedInput:
-    """Every malformed flag or config value ends in exit 2 with a JSON
-    InvalidInput object on stderr, never in a traceback or a silent cast."""
+    """Every malformed flag, config value or input file ends in exit 2 with a
+    JSON InvalidInput object on stderr, never in a traceback or a silent cast."""
 
     @pytest.mark.parametrize("config, flags", [
         ({"max-iter": "abc"}, []),
@@ -305,6 +331,46 @@ class TestMalformedInput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput"
 
+    @pytest.mark.parametrize("command", ["run", "lambda-sweep"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_ENSEMBLES))
+    def test_malformed_ensemble_file_is_a_usage_error(self, tmp_path, capsys, command, name):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(MALFORMED_ENSEMBLES[name]))
+        argv = {"run": ["run", "--objective", "qst"], "lambda-sweep": ["lambda-sweep", "--lambdas", "0.1"]}
+        assert main(argv[command] + ["--operators", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert json.loads(captured.err)["error"] == "InvalidInput"
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("dim", [True, 2.0, "2", None])
+    def test_ensemble_dim_must_be_an_integer(self, tmp_path, dim):
+        path = tmp_path / "ens.json"
+        path.write_text(json.dumps(ensemble_payload(np.eye(1 if dim is True else 2), dim=dim)))
+        with pytest.raises(InvalidInput, match="integer 'dim'"):
+            load_ensemble(path)
+
+    @pytest.mark.parametrize("dim, rows", [(True, [[1.0]]), (2.0, [[1.0, 2.0]]), ("2", [[1.0, 2.0]])])
+    def test_rows_dim_must_be_an_integer(self, tmp_path, capsys, dim, rows):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"dim": dim, "rows": rows}))
+        with pytest.raises(InvalidInput, match="integer 'dim'"):
+            load_rows(path)
+        assert main(["run", "--objective", "poisson", "--operators", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
+    def test_ensemble_round_trip_keeps_the_stack(self, tmp_path):
+        rng = np.random.default_rng(24)
+        mats = []
+        for _ in range(4):
+            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            mats.append(a.conj().T @ a)
+        ens = MeasurementEnsemble(mats)
+        path = tmp_path / "ens.json"
+        save_ensemble(ens, path)
+        assert load_ensemble(path).operators.tobytes() == ens.operators.tobytes()
+
 
 class TestSaveEnsemble:
     @pytest.mark.parametrize("d", [2, 16])
@@ -318,7 +384,7 @@ class TestSaveEnsemble:
             ops.append(a.conj().T @ a)
         ens = MeasurementEnsemble(ops)
         payload = {"dim": d, "operators": [[[[float(z.real), float(z.imag)] for z in row]
-                                            for row in op.mat] for op in ens.operators]}
+                                            for row in op] for op in ens.operators]}
         want = tmp_path / "want.json"
         with open(want, "w") as fh:
             json.dump(payload, fh)

@@ -666,6 +666,18 @@ def test_random_probe_needs_one_kind_per_generator(generators, kinds):
         random_probe(rngs, 3, kinds)
 
 
+def test_random_probe_checks_its_stacks_as_the_ensemble_does(monkeypatch):
+    # the operators of both qst probes (2d each) and the three directions
+    # pass HermitianOperator's validator as one stack each, and the
+    # operators MeasurementEnsemble's PSD check
+    seen = []
+    for name in ("_hermitian", "_check_psd"):
+        monkeypatch.setattr(diagnostics, name, lambda a, *rest, _f=getattr(diagnostics, name), _n=name:
+                            seen.append((_n, np.shape(a))) or _f(a, *rest))
+    random_probe([np.random.default_rng([51, i]) for i in range(3)], 4, ["qst", "hermitian", "qst"])
+    assert seen == [("_hermitian", (16, 4, 4)), ("_check_psd", (16, 4, 4)), ("_hermitian", (3, 4, 4))]
+
+
 def test_list_of_states_matches_each_state():
     states = [random_density(np.random.default_rng([48, i]), 4) for i in range(3)]
     states.append(DensityState.maximally_mixed(4))

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package exports no module through ``__all__``.
 
 A stand-in for a linter's unused-import rule, which catches the imports that
 deleting code leaves behind. ``__init__.py`` is left out, as it imports to
@@ -8,6 +9,7 @@ kept only so that callers can reach it through the module.
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -38,3 +40,13 @@ def test_every_import_is_used(path):
 def test_detects_an_unused_import():
     source = "import math\nimport numpy as np\nfrom x import a, b  # noqa: F401\nnp.zeros(1)\n"
     assert unused_imports(source) == ["line 1: math"]
+
+
+def test_no_exported_name_is_a_module():
+    import expgrad
+
+    namespace = {}
+    exec("from expgrad import *", namespace)
+    assert [name for name in expgrad.__all__ if isinstance(getattr(expgrad, name), ModuleType)] == []
+    assert not any(isinstance(value, ModuleType) for value in namespace.values())
+    assert {"MeasurementEnsemble", "HermitianOperator", "solve", "run_suite"} <= set(expgrad.__all__)

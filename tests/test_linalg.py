@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from expgrad.errors import DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator, logsumexp
+from expgrad.linalg import DensityState, HermitianOperator, _hermitian, _hermitian_part, logsumexp
 from helpers import schatten_norm
 
 
@@ -34,6 +34,44 @@ class TestHermitianOperator:
         h = HermitianOperator(np.eye(2))
         with pytest.raises(ValueError):
             h.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("entries", [
+        np.diag([1.5e308, 1.0]),  # finite, but 2 * 1.5e308 is not
+        [[1.0, 1e308 + 1e308j], [1e308 - 1e308j, 1.0]],
+    ], ids=["diagonal", "off-diagonal"])
+    def test_rejects_overflow_of_the_hermitian_part(self, entries):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            HermitianOperator(entries)
+
+
+class TestHermitianValidator:
+    def test_stack_has_the_bits_of_each_matrix(self):
+        # signed zeros and the smallest subnormals included, whose halves
+        # numpy's in-place and out-of-place loops may round to zeros of
+        # different sign
+        rng = np.random.default_rng(14)
+        vals = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, 3.0, -7.5, 1e300])
+        for d in (1, 2, 5):
+            a = rng.choice(vals, (6, d, d)) + 1j * rng.choice(vals, (6, d, d))
+            a[:3] += rng.standard_normal((3, d, d))
+            stack = _hermitian(a, 3)
+            assert stack.tobytes() == _hermitian_part(a).tobytes()
+            for op, got in zip(a, stack):
+                assert HermitianOperator(op).mat.tobytes() == got.tobytes()
+
+    def test_copies_and_is_read_only(self):
+        a = np.eye(3, dtype=complex)
+        out = _hermitian(a)
+        assert not np.shares_memory(a, out) and not out.flags.writeable
+        assert a.flags.writeable
+
+    @pytest.mark.parametrize("entries, ndim", [
+        (np.ones((2, 3)), 2), (np.ones((3, 3)), 3), (np.ones((2, 3, 3)), 2), (np.ones(3), 2),
+        (np.ones((4, 2, 3)), 3),
+    ], ids=["non-square", "matrix-for-stack", "stack-for-matrix", "vector", "non-square-stack"])
+    def test_rejects_wrong_shapes(self, entries, ndim):
+        with pytest.raises(InvalidInput, match="square"):
+            _hermitian(entries, ndim)
 
 
 class TestSchattenNorm:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,15 @@ def random_density(rng, d):
     return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
 
 
+def random_psd(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a.conj().T @ a
+
+
 def random_ensemble(rng, d, n):
     ops = []
     for _ in range(n):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        ops.append(HermitianOperator(a.conj().T @ a))
+        ops.append(HermitianOperator(random_psd(rng, d)))
     return MeasurementEnsemble(ops)
 
 
@@ -79,16 +84,60 @@ class TestMeasurementEnsemble:
         with pytest.raises(InvalidInput):
             MeasurementEnsemble([HermitianOperator(np.zeros((2, 2)))])
 
+    def test_mixed_dimensions(self):
+        with pytest.raises(InvalidInput, match="mixed dimensions"):
+            MeasurementEnsemble([np.eye(2), np.eye(3)])
+        with pytest.raises(InvalidInput, match="mixed dimensions"):
+            MeasurementEnsemble([HermitianOperator(np.eye(2)), np.eye(3)])
+
+    def test_rejects_overflow_of_the_hermitian_part(self):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            MeasurementEnsemble([np.eye(2), np.diag([1.5e308, 1.0])])
+
+    def test_operators_is_the_read_only_stack(self):
+        rng = np.random.default_rng(31)
+        mats = [random_psd(rng, 4) for _ in range(6)]
+        ens = MeasurementEnsemble(mats)
+        assert ens.operators.shape == (6, 4, 4) and ens.operators.dtype == np.complex128
+        assert not ens.operators.flags.writeable and not ens._flat.flags.writeable
+        assert np.shares_memory(ens.operators, ens._flat)
+        assert not any(np.shares_memory(ens.operators, m) for m in mats)
+        for i, m in enumerate(mats):
+            assert ens.operators[i].tobytes() == HermitianOperator(m).mat.tobytes()
+
+    def test_same_stack_from_every_input_form(self):
+        rng = np.random.default_rng(32)
+        mats = [random_psd(rng, 3) for _ in range(5)]
+        want = MeasurementEnsemble(mats).operators.tobytes()
+        for given in (np.stack(mats), [HermitianOperator(m) for m in mats], tuple(mats)):
+            assert MeasurementEnsemble(given).operators.tobytes() == want
+
+    def test_holds_one_stack(self):
+        # d = 64, m = 256: the complex stack is 16.8 MB. Keeping a second copy
+        # of every operator held 33.6 MB; forming the Hermitian part needs one
+        # more stack-sized temporary at most (peak 33.7 MB before this layout)
+        rng = np.random.default_rng(33)
+        mats = [random_psd(rng, 64) for _ in range(256)]
+        tracemalloc.start()
+        try:
+            ens = MeasurementEnsemble(mats)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 17e6
+        assert peak <= 33.7e6
+        assert ens.operators.nbytes == 256 * 64 * 64 * 16
+
     def test_stacked_products_match_operator_loops(self):
         # reference: one vdot and one scaled add per operator
         rng = np.random.default_rng(30)
         ens = random_ensemble(rng, 5, 12)
         rho = random_density(rng, 5)
         t = ens.probabilities(rho.matrix)
-        want = np.array([np.vdot(op.mat, rho.matrix).real for op in ens.operators])
+        want = np.array([np.vdot(ens.operators[i], rho.matrix).real for i in range(12)])
         assert np.allclose(t, want, rtol=1e-13, atol=0.0)
         w = rng.standard_normal(12)
-        total = sum(wi * op.mat for wi, op in zip(w, ens.operators))
+        total = sum(w[i] * ens.operators[i] for i in range(12))
         assert np.allclose(ens.weighted_sum(w), total, rtol=0.0, atol=1e-12 * np.abs(total).max())
 
 
