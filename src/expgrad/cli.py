@@ -28,8 +28,9 @@ import numpy as np
 
 from .entropy import ProbabilityVector
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator
+from .linalg import DensityState
 from .objectives import (
+    MeasurementEnsemble,
     burg_objective,
     hedged_qst_objective,
     poisson_linear_objective,
@@ -40,7 +41,6 @@ from .serialize import load_ensemble, load_rows, save_ensemble
 from .solver import SolverConfig, solve, write_trace_csv
 from .suites import SUITE_NAMES, run_suite
 from . import diagnostics
-from .objectives import MeasurementEnsemble
 
 OBJECTIVE_KINDS = ("qst", "hedged-qst", "burg", "poisson", "quadratic")
 
@@ -139,7 +139,7 @@ def _build_problem(args):
         if d < 1:
             raise InvalidInput("--dim must be at least 1")
         rng = np.random.default_rng(args.seed)
-        target = HermitianOperator(diagnostics.random_density(rng, d).matrix)
+        target = diagnostics.random_density(rng, d).matrix
         return quadratic_objective(target), DensityState.maximally_mixed(d)
     raise InvalidInput(f"unknown objective {kind!r}")
 

@@ -33,30 +33,10 @@ import numpy as np
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
-from .linalg import DensityState, HermitianOperator, _hermitian, _hermitian_part, logsumexp
+from .linalg import DensityState, _hermitian, _hermitian_part, logsumexp
 from .objectives import ObjectiveSpec, _check_psd
 from .solver import eg_step
 
-__all__ = [
-    "LogPartitionProbe",
-    "phi",
-    "phi_derivatives",
-    "bregman_gap",
-    "SandwichResult",
-    "sandwich_check",
-    "RatioResult",
-    "ratio_monotonicity_check",
-    "KappaResult",
-    "kappa_bound_check",
-    "inner_product_check",
-    "FixedPointResult",
-    "fixed_point_check",
-    "self_concordance_check",
-    "chi",
-    "random_hermitian",
-    "random_density",
-    "random_probe",
-]
 
 # The third-order term (sorted triples) of one probe on a 25-point grid at d = 8.
 _SLAB_ELEMENTS = 25 * 120
@@ -77,19 +57,17 @@ class LogPartitionProbe:
     """A base state and descent direction with the direction's spectral
     width delta; everything the log-partition diagnostics need.
 
-    The direction is validated once, as a HermitianOperator, and stored as
-    its read-only array."""
+    The direction is validated once, by the checks of HermitianOperator,
+    and stored as its read-only array."""
 
     __slots__ = ("base", "exponent", "direction", "delta")
 
     def __init__(self, base: DensityState, direction):
-        if not isinstance(direction, HermitianOperator):
-            direction = HermitianOperator(direction)
-        if base.dim != direction.dim:
+        self.direction = _hermitian(direction)
+        if base.dim != self.dim:
             raise InvalidInput("state and direction dimensions differ")
         self.base = base
         self.exponent = base.exponent
-        self.direction = direction.mat
         vals = np.linalg.eigvalsh(self.direction)
         self.delta = float(vals[-1] - vals[0])
 
@@ -108,10 +86,6 @@ class LogPartitionProbe:
         out = cls.__new__(cls)
         out.base, out.exponent, out.direction, out.delta = base, exponent, direction, delta
         return out
-
-    @classmethod
-    def from_objective(cls, rho: DensityState, f: ObjectiveSpec) -> "LogPartitionProbe":
-        return cls(rho, -f.gradient(rho))
 
     @property
     def dim(self) -> int:

@@ -12,12 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, logsumexp
-
-__all__ = [
-    "ProbabilityVector",
-    "quantum_relative_entropy",
-]
+from .linalg import DensityState, _array, logsumexp
 
 
 class ProbabilityVector:
@@ -28,7 +23,7 @@ class ProbabilityVector:
     __slots__ = ("entries", "exponent")
 
     def __init__(self, entries):
-        x = np.array(entries, dtype=np.float64)  # a copy: it is frozen below
+        x = _array(entries, np.float64)  # a copy: it is frozen below
         if x.ndim != 1 or x.size == 0:
             raise InvalidInput(f"expected a nonempty vector, got shape {x.shape}")
         if not np.all(np.isfinite(x)):

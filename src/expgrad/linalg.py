@@ -12,12 +12,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidInput
 
-__all__ = [
-    "HermitianOperator",
-    "DensityState",
-    "logsumexp",
-]
-
 
 def logsumexp(x: np.ndarray):
     """log sum exp(x) over the last axis, for rows with a finite maximum,
@@ -32,12 +26,21 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+def _array(entries, dtype=None, copy=True, what: str = "input") -> np.ndarray:
+    """numpy.array of caller input, the one conversion of it, with numpy's
+    errors (string entries, a mapping, ragged nesting) as InvalidInput."""
+    try:
+        return np.array(entries, dtype=dtype, copy=copy)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed {what}: {exc}") from None
+
+
 def _hermitian(entries, ndim: int = 2) -> np.ndarray:
     """The Hermitian part (A + A^H)/2 of a square matrix (ndim 2) or a stack
     of them (ndim 3), formed in place on a fresh copy with the bits of
     _hermitian_part, and returned read-only; other shapes, and a non-finite
     part (non-finite input, or overflow), raise InvalidInput."""
-    a = np.array(entries, dtype=np.complex128)
+    a = _array(entries, np.complex128)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -51,17 +54,16 @@ def _hermitian(entries, ndim: int = 2) -> np.ndarray:
 
 class HermitianOperator:
     """A validated d x d complex Hermitian matrix, the read-only ``mat`` that
-    _hermitian gives: the type that untrusted input passes through at the
-    API boundary; past it the package works on the plain array."""
+    _hermitian gives. It is an array-like, accepted wherever a matrix is;
+    past the API boundary the package works on the plain array."""
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
         self.mat = _hermitian(entries)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.mat, dtype=dtype, copy=copy)
 
 
 class DensityState:
@@ -85,12 +87,12 @@ class DensityState:
 
     @classmethod
     def from_exponent(cls, h) -> "DensityState":
-        """Build exp(H)/tr exp(H) from a Hermitian exponent H: a
-        HermitianOperator, or a square array read as numpy.linalg.eigh reads
-        it (lower triangle, no symmetrizing copy), so one that is Hermitian
-        already. One eigendecomposition; a non-finite H raises InvalidInput,
-        detected on the eigenvalues it yields."""
-        a = h.mat if isinstance(h, HermitianOperator) else np.asarray(h, dtype=np.complex128)
+        """Build exp(H)/tr exp(H) from a Hermitian exponent H, a square
+        array read as numpy.linalg.eigh reads it (lower triangle, no
+        symmetrizing copy), so one that is Hermitian already. One
+        eigendecomposition; a non-finite H raises InvalidInput, detected on
+        the eigenvalues it yields."""
+        a = np.asarray(h, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         try:
@@ -104,14 +106,17 @@ class DensityState:
 
     @classmethod
     def from_matrix(cls, rho) -> "DensityState":
-        """Build from a positive-definite unit-trace matrix."""
-        vals, vecs = np.linalg.eigh(rho.mat if isinstance(rho, HermitianOperator) else _hermitian(rho))
+        """Build from a positive-definite unit-trace matrix, from its own
+        eigenpairs: one eigendecomposition."""
+        vals, vecs = np.linalg.eigh(_hermitian(rho))
         tr = float(np.sum(vals))
         if abs(tr - 1.0) > 1e-8:
             raise InvalidInput(f"trace {tr} is not 1")
         if vals[0] <= 0.0:
             raise DomainError("matrix is singular or indefinite; cannot take log")
-        return cls.from_exponent(_hermitian_part((vecs * np.log(vals)) @ vecs.conj().T))
+        w = np.log(vals)
+        vecs.flags.writeable = False
+        return cls(w - logsumexp(w), vecs)
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityState":

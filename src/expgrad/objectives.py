@@ -16,18 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, HermitianOperator, _hermitian, _hermitian_part
-
-__all__ = [
-    "ObjectiveSpec",
-    "MeasurementEnsemble",
-    "qst_objective",
-    "hedged_qst_objective",
-    "burg_objective",
-    "poisson_linear_objective",
-    "quadratic_objective",
-    "standard_basis_ensemble",
-]
+from .linalg import DensityState, _array, _hermitian, _hermitian_part
 
 
 @dataclass(frozen=True)
@@ -53,8 +42,8 @@ class ObjectiveSpec:
 
 
 class MeasurementEnsemble:
-    """Hermitian PSD measurement operators M_i, from a list of arrays or of
-    HermitianOperator, or one (m, d, d) array. ``operators`` is their
+    """Hermitian PSD measurement operators M_i, from a list of matrices (arrays
+    or HermitianOperator), or one (m, d, d) array. ``operators`` is their
     validated read-only (m, d, d) complex stack, the one copy kept; ``_flat``
     is its real (m, 2 d^2) view, row i M_i's real and imaginary parts
     interleaved, so that tr(M_i rho) over the whole ensemble is one
@@ -63,10 +52,10 @@ class MeasurementEnsemble:
     __slots__ = ("dim", "operators", "_flat")
 
     def __init__(self, operators):
-        ops = [op.mat if isinstance(op, HermitianOperator) else op for op in operators]
+        ops = list(operators)
         if not ops:
             raise InvalidInput("ensemble needs at least one operator")
-        if len({np.shape(op) for op in ops}) > 1:
+        if len({_array(op, copy=None).shape for op in ops}) > 1:  # no copy of an array
             raise InvalidInput("ensemble operators have mixed dimensions")
         stack = _hermitian(ops, 3)
         _check_psd(stack)
@@ -177,7 +166,7 @@ def burg_objective(d: int) -> ObjectiveSpec:
 def poisson_linear_objective(rows) -> ObjectiveSpec:
     """-sum_i log <a_i, x> for nonnegative rows a_i; the diagonal
     specialization of the tomography objective."""
-    a = np.asarray(rows, dtype=np.float64)
+    a = _array(rows, np.float64)
     if a.ndim != 2 or a.shape[0] == 0:
         raise InvalidInput(f"expected a nonempty 2-D row array, got shape {a.shape}")
     if np.any(a < 0.0) or not np.all(np.isfinite(a)):
@@ -188,18 +177,20 @@ def poisson_linear_objective(rows) -> ObjectiveSpec:
                            lambda t: (a / t[:, None]).sum(axis=0))
 
 
-def quadratic_objective(target: HermitianOperator, scale: float = 1.0) -> ObjectiveSpec:
-    """Smooth test objective (scale/2) * ||rho - target||_F^2 with gradient
-    scale * (rho - target); its gradient is scale-Lipschitz, so the first
-    Armijo candidate is accepted for small enough initial steps."""
+def quadratic_objective(target, scale: float = 1.0) -> ObjectiveSpec:
+    """Smooth test objective (scale/2) * ||rho - T||_F^2, T the Hermitian part
+    of the square target, with gradient scale * (rho - T); its gradient is
+    scale-Lipschitz, so the first Armijo candidate is accepted for small
+    enough initial steps."""
     if scale <= 0.0:
         raise InvalidInput("scale must be positive")
+    target = _hermitian(target)
 
     def value(rho: DensityState) -> float:
-        diff = rho.matrix - target.mat
+        diff = rho.matrix - target
         return 0.5 * scale * float(np.vdot(diff, diff).real)
 
     def gradient(rho: DensityState) -> np.ndarray:
-        return _hermitian_part(scale * (rho.matrix - target.mat))
+        return _hermitian_part(scale * (rho.matrix - target))
 
-    return ObjectiveSpec(target.dim, value, gradient, lambda rho: True, "matrix")
+    return ObjectiveSpec(target.shape[0], value, gradient, lambda rho: True, "matrix")

@@ -12,21 +12,12 @@ import json
 import numpy as np
 
 from .errors import InvalidInput
+from .linalg import _array
 from .objectives import MeasurementEnsemble
-
-__all__ = [
-    "matrix_from_json",
-    "save_ensemble",
-    "load_ensemble",
-    "load_rows",
-]
 
 
 def matrix_from_json(data) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed matrix payload: {exc}") from None
+    arr = _array(data, np.float64, what="matrix payload")
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise InvalidInput(f"expected a d x d x 2 matrix payload, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -35,15 +26,15 @@ def matrix_from_json(data) -> np.ndarray:
 def save_ensemble(ens: MeasurementEnsemble, path) -> None:
     """Write the bytes that json.dump gives for {"dim": d, "operators":
     [matrix, ...]}, encoding one operator at a time with the C encoder so
-    that the whole text is never held at once. An operator is its row of the
-    ensemble's interleaved real stack, listed as (d, d, 2) [re, im] pairs."""
+    that the whole text is never held at once. An operator is listed as the
+    (d, d, 2) [re, im] pairs of its float64 view."""
     d = ens.dim
     with open(path, "w") as fh:
         fh.write(f'{{"dim": {d}, "operators": [')
-        for i, row in enumerate(ens._flat):
+        for i, op in enumerate(ens.operators):
             if i:
                 fh.write(", ")
-            fh.write(json.dumps(row.reshape(d, d, 2).tolist()))
+            fh.write(json.dumps(op.view(np.float64).reshape(d, d, 2).tolist()))
         fh.write("]}\n")
 
 
@@ -67,10 +58,7 @@ def load_ensemble(path) -> MeasurementEnsemble:
 
 def load_rows(path) -> np.ndarray:
     payload = _load(path, "rows", "vector objective")
-    try:
-        rows = np.asarray(payload["rows"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed rows: {exc}") from None
+    rows = _array(payload["rows"], np.float64, what="rows")
     if rows.ndim != 2 or rows.shape[1] != payload["dim"]:
         raise InvalidInput("row shapes do not match the declared dimension")
     return rows

@@ -29,7 +29,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,16 +40,6 @@ from .errors import DomainError, InvalidInput
 from .linalg import DensityState
 from .objectives import ObjectiveSpec
 
-__all__ = [
-    "SolverConfig",
-    "IterationRecord",
-    "SolveResult",
-    "SolveStatus",
-    "eg_step",
-    "solve",
-    "write_trace_csv",
-    "TRACE_COLUMNS",
-]
 
 TRACE_COLUMNS = ("k", "f", "alpha", "backtracks", "delta", "bregman_gap_bar", "min_eig")
 
@@ -85,8 +76,12 @@ class SolverConfig:
     stop_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (self.alpha_bar > 0.0):
-            raise InvalidInput("alpha_bar must be positive")
+        for f in fields(self):  # a bool is neither a count nor a step size
+            value, count = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
+                raise InvalidInput(f"{f.name} must be {'an integer' if count else 'a real number'}, got {value!r}")
+        if not (0.0 < self.alpha_bar < math.inf):
+            raise InvalidInput("alpha_bar must be positive and finite")
         if not (0.0 < self.shrink < 1.0):
             raise InvalidInput("shrink must lie in (0, 1)")
         if not (0.0 < self.tau < 1.0):
@@ -95,8 +90,8 @@ class SolverConfig:
             raise InvalidInput("max_iters must be nonnegative")
         if self.max_backtracks < 1:
             raise InvalidInput("max_backtracks must be positive")
-        if not (self.stop_tol > 0.0):
-            raise InvalidInput("stop_tol must be positive")
+        if not (0.0 < self.stop_tol < math.inf):
+            raise InvalidInput("stop_tol must be positive and finite")
 
 
 @dataclass(frozen=True)

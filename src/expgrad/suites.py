@@ -35,7 +35,6 @@ from .errors import InvalidInput
 from .linalg import DensityState, logsumexp
 from .objectives import qst_objective, standard_basis_ensemble
 
-__all__ = ["SUITE_NAMES", "run_suite", "phi_fd_derivatives"]
 
 SUITE_NAMES = ("sandwich", "ratio", "moments", "kappa", "fixed-point",
                "self-concordance", "all")

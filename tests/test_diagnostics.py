@@ -646,7 +646,7 @@ def test_stacked_build_matches_each_probe():
             rho = random_density(rng, d)
             if kind == "qst":
                 ens = MeasurementEnsemble([diagnostics.random_psd(rng, d) for _ in range(2 * d)])
-                want = LogPartitionProbe.from_objective(rho, qst_objective(ens))
+                want = LogPartitionProbe(rho, -qst_objective(ens).gradient(rho))
             else:
                 want = LogPartitionProbe(rho, random_hermitian(rng, d))
             for n in ("exponent", "direction", "delta"):

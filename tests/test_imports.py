@@ -1,10 +1,13 @@
-"""Every name a package module imports is used in that module, and the
-package exports no module through ``__all__``.
+"""Every name a package module imports is used in that module, only
+``__init__.py`` declares ``__all__``, and the package exports no module
+through it.
 
 A stand-in for a linter's unused-import rule, which catches the imports that
-deleting code leaves behind. ``__init__.py`` is left out, as it imports to
-re-export. An import on a line marked ``# noqa: F401`` is exempt, for a name
-kept only so that callers can reach it through the module.
+deleting code leaves behind, and for a rule that keeps the list of public
+names single: the import block of ``__init__.py``. ``__init__.py`` is left
+out of both checks, as it imports to re-export. An import on a line marked
+``# noqa: F401`` is exempt, for a name kept only so that callers can reach it
+through the module.
 """
 
 import ast
@@ -32,14 +35,30 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def all_assignments(source: str) -> list[int]:
+    """The lines that assign, augment or annotate a name ``__all__``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_declares_no_public_names(path):
+    assert all_assignments(path.read_text()) == []
+
+
 def test_detects_an_unused_import():
     source = "import math\nimport numpy as np\nfrom x import a, b  # noqa: F401\nnp.zeros(1)\n"
     assert unused_imports(source) == ["line 1: math"]
+
+
+def test_detects_an_all_assignment():
+    source = "__all__ = ['a']\n__all__ += ['b']\n__all__: list = []\nx = __all__\n"
+    assert all_assignments(source) == [1, 2, 3]
 
 
 def test_no_exported_name_is_a_module():

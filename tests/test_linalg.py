@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from expgrad import (
+    LogPartitionProbe,
+    MeasurementEnsemble,
+    ProbabilityVector,
+    poisson_linear_objective,
+    quadratic_objective,
+)
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator, _hermitian, _hermitian_part, logsumexp
 from helpers import schatten_norm
@@ -42,6 +49,39 @@ class TestHermitianOperator:
     def test_rejects_overflow_of_the_hermitian_part(self, entries):
         with pytest.raises(InvalidInput, match="non-finite"):
             HermitianOperator(entries)
+
+    def test_is_an_array_like_without_a_copy(self):
+        h = HermitianOperator(np.diag([1.0, 2.0]))
+        assert np.asarray(h) is h.mat
+        assert np.asarray(h, dtype=np.complex128) is h.mat
+        copy = np.array(h)
+        assert copy.flags.writeable and not np.shares_memory(copy, h.mat)
+
+
+BOUNDARY_CALLS = {
+    "HermitianOperator": HermitianOperator,
+    "MeasurementEnsemble": lambda x: MeasurementEnsemble([x]),
+    "DensityState.from_matrix": DensityState.from_matrix,
+    "ProbabilityVector": ProbabilityVector,
+    "LogPartitionProbe": lambda x: LogPartitionProbe(DensityState.maximally_mixed(2), x),
+    "poisson_linear_objective": poisson_linear_objective,
+    "quadratic_objective": quadratic_objective,
+}
+
+
+@pytest.mark.parametrize("entries", [
+    [["a", "b"], ["c", "d"]], {"x": 1.0}, [[1.0, 0.0], [0.0]],
+], ids=["strings", "mapping", "ragged"])
+@pytest.mark.parametrize("call", BOUNDARY_CALLS.values(), ids=BOUNDARY_CALLS.keys())
+def test_boundary_rejects_input_numpy_cannot_convert(call, entries):
+    with pytest.raises(InvalidInput):
+        call(entries)
+
+
+def test_quadratic_target_may_be_an_array_or_a_hermitian_operator():
+    for target in (np.eye(2) / 2, HermitianOperator(np.eye(2) / 2)):
+        f = quadratic_objective(target)
+        assert f.dim == 2 and f.value(DensityState.maximally_mixed(2)) == 0.0
 
 
 class TestHermitianValidator:
@@ -128,6 +168,17 @@ class TestDensityState:
     def test_from_matrix_round_trip(self):
         rho = DensityState.from_matrix(np.diag([0.3, 0.7]))
         assert np.allclose(rho.matrix, np.diag([0.3, 0.7]), atol=1e-12)
+
+    def test_from_matrix_decomposes_once(self, monkeypatch):
+        rho = DensityState.from_exponent(random_hermitian(np.random.default_rng(15), 4))
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        again = DensityState.from_matrix(rho.matrix)
+        assert len(calls) == 1
+        assert not again.eigenvectors.flags.writeable
+        assert abs(float(np.sum(again.eigenvalues)) - 1.0) <= 1e-12
+        assert np.allclose(again.matrix, rho.matrix, atol=1e-12)
+        assert np.allclose(again.exponent, rho.exponent, atol=1e-10)
 
     def test_from_matrix_rejects_singular(self):
         with pytest.raises(DomainError):

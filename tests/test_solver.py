@@ -65,10 +65,23 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha_bar": 0.0}, {"shrink": 1.0}, {"shrink": 0.0}, {"tau": 1.5},
         {"max_iters": -1}, {"max_backtracks": 0}, {"stop_tol": 0.0},
+        {"alpha_bar": math.inf}, {"stop_tol": math.inf}, {"alpha_bar": math.nan},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(InvalidInput):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iters": 1.5}, {"max_backtracks": 2.5}, {"max_iters": True}, {"max_backtracks": None},
+        {"alpha_bar": "x"}, {"stop_tol": None}, {"tau": False}, {"shrink": 0.5j},
+    ])
+    def test_rejects_values_of_the_wrong_type(self, kwargs):
+        with pytest.raises(InvalidInput, match=next(iter(kwargs))):
+            SolverConfig(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = SolverConfig(alpha_bar=np.float64(0.5), max_iters=np.int64(3))
+        assert cfg.max_iters == 3 and cfg.alpha_bar == 0.5
 
 
 class TestEgStep:
