@@ -51,6 +51,12 @@ def _integer(name, value):
     return value
 
 
+def _seed(name, value):
+    if _integer(name, value) < 0:
+        raise InvalidInput(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _number(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise InvalidInput(f"{name} must be a finite number, got {value!r}")
@@ -74,7 +80,7 @@ _FLAGS = {
     **{key: _Flag(field.name, _integer if field.type == "int" else _number, field.default)
        for key, field in zip(("alpha-bar", "shrink", "tau", "max-iter", "max-backtracks", "tol"),
                              dataclasses.fields(SolverConfig), strict=True)},
-    "seed": _Flag("seed", _integer, 0, "quadratic"),
+    "seed": _Flag("seed", _seed, 0, "quadratic"),
     "lambda": _Flag("lam", _number, 0.1, "hedged-qst"),
 }
 
@@ -150,7 +156,7 @@ def cmd_gen(args) -> int:
         raise InvalidInput("--dim must be at least 2")
     if num_ops < 1:
         raise InvalidInput("--num-ops must be at least 1")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_seed("seed", args.seed))
     ops = [diagnostics.random_psd(rng, dim) for _ in range(num_ops)]
     save_ensemble(MeasurementEnsemble(ops), args.out)
     return 0
@@ -232,7 +238,7 @@ def _add_config_flags(p: argparse.ArgumentParser, solver_only: bool = False):
     solver_only the solver flags, which every objective reads."""
     for key, flag in _FLAGS.items():
         if not (solver_only and flag.objective):
-            p.add_argument(f"--{key}", dest=flag.dest, type=int if flag.check is _integer else float,
+            p.add_argument(f"--{key}", dest=flag.dest, type=float if flag.check is _number else int,
                            default=None, metavar=key.upper().replace("-", "_"))
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
 

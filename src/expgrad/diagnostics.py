@@ -12,20 +12,24 @@ assumed to commute: H_alpha is formed as a matrix sum and decomposed.
 
 Every function of a probe also takes an array of alpha and a stacked probe
 (LogPartitionProbe.stack; results per probe), for one stacked eigvalsh or
-eigh over all probes and distinct steps, with the bits of one call per
-matrix; a gap reads phi(alpha) from the eigh that gives phi'(alpha), and
-phi(0) from the base state's log-eigenvalues. So sandwich, ratio, kappa and
-self-concordance cost 1 decomposition, of the orders they read, and fixed
-point at most 3 (the exact margin of fixed states only). _sandwich,
-_ratio_check, _kappa_check and _concordance_excess take phi and its
-derivatives instead, as the suites' table gives them. random_probe takes a
-list of generators too, for one stack. Arrays formed from a decomposition
-are built in slabs of (probe, step) pairs, each at most _SLAB_ELEMENTS (a
-pair forms d^2, or d(d+1)(d+2)/6 sorted triples) or one pair.
+eigh over its distinct steps per chunk of probes, with the bits of one call
+per matrix: a chunk's H_alpha holds at most linalg._STACK_ELEMENTS matrix
+entries, or one probe's (LogPartitionProbe._parts), and is read before the
+next is formed. A gap reads phi(alpha) from the eigh that gives phi'(alpha),
+and phi(0) from the base state's log-eigenvalues. So sandwich, ratio, kappa
+and self-concordance cost 1 decomposition per chunk, of the orders they
+read, and fixed point at most 3 per chunk of states (the exact margin of
+fixed states only). _sandwich, _ratio_check, _kappa_check and
+_concordance_excess take phi and its derivatives instead, as the suites'
+table gives them. random_probe takes a list of generators too, for one stack
+(its decompositions chunked by the same budget). Arrays formed from a
+decomposition are built in slabs of (probe, step) pairs, each at most
+_SLAB_ELEMENTS (a pair forms d^2, or d(d+1)(d+2)/6 sorted triples) or one pair.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -33,12 +37,13 @@ import numpy as np
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
-from .linalg import DensityState, _hermitian, _hermitian_part, logsumexp
+from .linalg import DensityState, _chunks, _hermitian, _hermitian_part, _joined, _stacked, logsumexp
 from .objectives import ObjectiveSpec, _check_psd
 from .solver import eg_step
 
 
 # The third-order term (sorted triples) of one probe on a 25-point grid at d = 8.
+# (A stacked decomposition takes at most linalg._STACK_ELEMENTS matrix entries.)
 _SLAB_ELEMENTS = 25 * 120
 
 
@@ -87,6 +92,15 @@ class LogPartitionProbe:
         out.base, out.exponent, out.direction, out.delta = base, exponent, direction, delta
         return out
 
+    def _parts(self, steps: int) -> list:
+        """(slice, probe) pairs that cover the probe: a stacked probe in
+        slices of its probes, each slice's H_alpha at `steps` steps a stack
+        of at most _STACK_ELEMENTS entries or one probe's; a single probe whole."""
+        if np.ndim(self.delta) == 0:
+            return [(slice(None), self)]
+        return [(at, self._of(self.base[at], self.exponent[at], self.direction[at], self.delta[at]))
+                for at in _chunks(len(self.delta), steps * self.dim ** 2)]
+
     @property
     def dim(self) -> int:
         return self.direction.shape[-1]
@@ -103,8 +117,10 @@ class LogPartitionProbe:
 
 def phi(probe: LogPartitionProbe, alpha):
     """Log-partition value log tr exp(log rho + alpha G); a float, or an
-    array of the shape of an array alpha, from one stacked eigvalsh."""
-    return logsumexp(np.linalg.eigvalsh(probe.hamiltonian_exponent(alpha)))
+    array of the shape of an array alpha, from one stacked eigvalsh per part
+    of the probe (LogPartitionProbe._parts)."""
+    return _joined([logsumexp(np.linalg.eigvalsh(p.hamiltonian_exponent(alpha)))
+                    for _, p in probe._parts(np.size(alpha))])
 
 
 _DD_CLUSTER_TOL = 1e-2
@@ -148,26 +164,33 @@ def _exp_dd2(lo, mid, hi, upper, lower):
     return out
 
 
+@functools.lru_cache(maxsize=8)  # built once per dimension, however many chunks read it
 def _sorted_triples(d: int):
     """The index triples i <= j <= k below d, each with its multiplicity among
-    all d^3 triples (1, 3 or 6); built in O(d^3 / 6) memory."""
+    all d^3 triples (1, 3 or 6); built in O(d^3 / 6) memory, read-only."""
     j, k = np.triu_indices(d)
     n = j + 1  # i = 0, ..., j for each pair j <= k
     i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     j, k = np.repeat(j, n), np.repeat(k, n)
     weight = np.where(i == k, 1.0, np.where((i == j) | (j == k), 3.0, 6.0))
+    for a in (i, j, k, weight):
+        a.flags.writeable = False
     return i, j, k, weight
 
 
 def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
     """phi and the first ``order`` of (phi', phi'', phi''') as phi_derivatives
-    computes them, from one stacked eigh (``eig``, when the caller has it
-    already); skips the divided differences not read and forms the rest one
+    computes them, from one stacked eigh per part of the probe
+    (LogPartitionProbe._parts), or from ``eig`` when the caller has it
+    already; skips the divided differences not read and forms the rest one
     slab of (probe, step) pairs at a time. eigh gives the eigenvalues
     ascending, so the third order sums the triples i <= j <= k only, each
     weighted by its multiplicity: both of its factors are symmetric in
     (i, j, k)."""
-    mu, u = np.linalg.eigh(probe.hamiltonian_exponent(alpha)) if eig is None else eig
+    if eig is None:
+        return _joined([_moments(p, alpha, order, np.linalg.eigh(p.hamiltonian_exponent(alpha)))
+                        for _, p in probe._parts(np.size(alpha))])
+    mu, u = eig
     shape, d = mu.shape[:-1], mu.shape[-1]
     value = logsumexp(mu)
     mu = (mu - mu[..., -1:]).reshape(-1, d)  # common shift cancels in every ratio below
@@ -208,7 +231,7 @@ def phi_derivatives(probe: LogPartitionProbe, alpha):
     commute these reduce to the central moments of eta_alpha (mean, variance,
     third moment); off the commuting case the moment formulas acquire a
     Duhamel correction that this path accounts for. An array alpha gives
-    three arrays, from one stacked eigh.
+    three arrays, from one stacked eigh per part of the probe.
     """
     return _moments(probe, alpha, 3)[1:]
 
@@ -345,25 +368,30 @@ def fixed_point_check(rho: DensityState | Sequence, f: ObjectiveSpec,
     density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A
     sequence of states, such as the base states of a stacked probe, gives one
     array entry per state (margin nan off a fixed point) from the same (at
-    most three) decompositions. No state or no step raises InvalidInput."""
+    most three) decompositions per chunk of states, whose steps hold at most
+    _STACK_ELEMENTS matrix entries (or one state's). No state or no step
+    raises InvalidInput."""
     alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
     single = isinstance(rho, DensityState)
     states = [rho] if single else rho
     if alphas.size == 0 or np.any(alphas <= 0.0) or not len(states):
         raise InvalidInput("need one or more states, and a nonempty grid of positive step sizes")
-    g = np.stack([f.gradient(s) for s in states])
-    exponent, matrix = (np.stack([getattr(s, n) for s in states]) for n in ("exponent", "matrix"))
-    vals, v = np.linalg.eigh(exponent[:, None] - alphas * g[:, None])  # exp(H)/tr exp(H) per step
-    p = np.exp(vals - logsumexp(vals)[..., None])
-    moved = _hermitian_part((v * p[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix[:, None])
-    rows = moved.reshape(-1, g[0].size)  # each distinct matrix decomposed once, told apart by its bytes
-    _, first, at = np.unique(rows.view(f"V{rows[0].nbytes}")[:, 0], return_index=True, return_inverse=True)
-    spectra = np.linalg.eigvalsh(rows[first].reshape((-1,) + g.shape[1:]))[at]
-    movement = np.max(np.sum(np.abs(spectra), axis=-1).reshape(len(g), -1), axis=-1)
+    movement, margin = np.empty(len(states)), np.full(len(states), np.nan)
+    for at in _chunks(len(states), alphas.size * states[0].dim ** 2):
+        g = np.stack([f.gradient(s) for s in states[at]])
+        exponent, matrix = (np.stack([getattr(s, n) for s in states[at]]) for n in ("exponent", "matrix"))
+        vals, v = np.linalg.eigh(exponent[:, None] - alphas * g[:, None])  # exp(H)/tr exp(H) per step
+        p = np.exp(vals - logsumexp(vals)[..., None])
+        moved = _hermitian_part((v * p[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix[:, None])
+        rows = moved.reshape(-1, g[0].size)  # each distinct matrix decomposed once, told apart by its bytes
+        _, first, back = np.unique(rows.view(f"V{rows[0].nbytes}")[:, 0], return_index=True, return_inverse=True)
+        spectra = np.linalg.eigvalsh(rows[first].reshape((-1,) + g.shape[1:]))[back]
+        movement[at] = np.max(np.sum(np.abs(spectra), axis=-1).reshape(len(g), -1), axis=-1)
+        fixed = movement[at] <= 1e-10
+        if np.any(fixed):  # the margin is read at fixed states only
+            margin[at][fixed] = np.linalg.eigvalsh(g[fixed])[:, 0] - [
+                np.vdot(*gm).real for gm in zip(g[fixed], matrix[fixed])]
     fixed = movement <= 1e-10
-    margin = np.full(len(g), np.nan)
-    if np.any(fixed):  # the margin is read at fixed states only
-        margin[fixed] = np.linalg.eigvalsh(g[fixed])[:, 0] - [np.vdot(*gm).real for gm in zip(g[fixed], matrix[fixed])]
     if single:
         return FixedPointResult(bool(fixed[0]), float(movement[0]), float(margin[0]) if fixed[0] else None)
     return FixedPointResult(fixed, movement, margin)
@@ -395,11 +423,12 @@ def random_density(rng: np.random.Generator, d: int) -> DensityState:
 
 
 def _random_densities(rngs, d: int) -> tuple:
-    """random_density of each generator, from one stacked eigvalsh and eigh."""
+    """random_density of each generator, from one stacked eigvalsh and eigh
+    (per chunk, linalg._stacked)."""
     s = np.stack([random_hermitian(rng, d) for rng in rngs])
-    vals = np.linalg.eigvalsh(s)
+    vals = _stacked(np.linalg.eigvalsh, s)
     s *= (1.0 / np.sqrt(np.sum(vals * vals, axis=-1)))[:, None, None]
-    vals, v = np.linalg.eigh(s)
+    vals, v = _stacked(np.linalg.eigh, s)
     v.flags.writeable = False
     return tuple(map(DensityState, vals - logsumexp(vals)[:, None], v))
 
@@ -419,7 +448,8 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     stack, bit for bit LogPartitionProbe.stack of one call per generator:
     each generator draws what its probe alone draws, and each kind of matrix
     is decomposed once for all probes (eigvalsh and eigh of the base states,
-    the ensembles' PSD eigvalsh, the directions' eigvalsh). The operator and
+    the ensembles' PSD eigvalsh, the directions' eigvalsh), one stacked call
+    per chunk of at most linalg._STACK_ELEMENTS entries. The operator and
     direction stacks pass the input checks of HermitianOperator and
     MeasurementEnsemble. Empty lists, or lists of unequal lengths, raise InvalidInput."""
     if isinstance(rng, np.random.Generator):
@@ -434,15 +464,17 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     g = np.stack([random_hermitian(r, d) if kind == "hermitian" else np.zeros((d, d), complex)
                   for r, kind in zip(rng, direction_kind)])
     qst = [i for i, kind in enumerate(direction_kind) if kind == "qst"]
-    if qst:  # -grad f for the qst_objective of a MeasurementEnsemble of 2d random PSD operators
-        z = np.stack([rng[i].standard_normal((2 * d, 2, d, d)) for i in qst])  # 2d random_psd draws
+    # -grad f for the qst_objective of a MeasurementEnsemble of 2d random PSD
+    # operators, in chunks of probes whose operators hold at most _STACK_ELEMENTS entries
+    for part in (qst[at] for at in _chunks(len(qst), 2 * d ** 3)):
+        z = np.stack([rng[i].standard_normal((2 * d, 2, d, d)) for i in part])  # 2d random_psd draws
         a = z[:, :, 0] + 1j * z[:, :, 1]
         ops = _hermitian((a.conj().swapaxes(-1, -2) @ a).reshape(-1, d, d), 3)
         _check_psd(ops)
-        flat = ops.view(np.float64).reshape(len(qst), 2 * d, -1)  # the ensemble's real layout
-        rho = np.stack([base[i].matrix for i in qst]).view(np.float64).reshape(len(qst), -1, 1)
+        flat = ops.view(np.float64).reshape(len(part), 2 * d, -1)  # the ensemble's real layout
+        rho = np.stack([base[i].matrix for i in part]).view(np.float64).reshape(len(part), -1, 1)
         weights = 1.0 / (flat @ rho).swapaxes(-1, -2)  # 1 / tr(M_i rho)
-        g[qst] = (weights @ flat).view(np.complex128).reshape(-1, d, d)
+        g[part] = (weights @ flat).view(np.complex128).reshape(-1, d, d)
     g = _hermitian(g, 3)
-    vals = np.linalg.eigvalsh(g)
+    vals = _stacked(np.linalg.eigvalsh, g)
     return LogPartitionProbe._of(base, np.array([b.exponent for b in base]), g, vals[:, -1] - vals[:, 0])

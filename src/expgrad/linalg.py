@@ -22,6 +22,32 @@ def logsumexp(x: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+# The matrix entries that one stacked eigh or eigvalsh takes: a larger stack is
+# decomposed in chunks along its first axis (_chunks), the same bits per matrix.
+_STACK_ELEMENTS = 20_000
+
+
+def _chunks(count: int, row: int) -> list[slice]:
+    """Slices of a stack of `count` rows of `row` matrix entries each: each
+    slice holds at most _STACK_ELEMENTS entries, or one row."""
+    size = max(1, _STACK_ELEMENTS // max(row, 1))
+    return [slice(s, s + size) for s in range(0, count, size)]
+
+
+def _joined(parts: list):
+    """The results of one call per chunk, an array or a tuple of arrays each,
+    joined on their first axis; one chunk's as they are."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
+
+
+def _stacked(decompose, stack: np.ndarray):
+    """decompose (numpy.linalg.eigh or eigvalsh) of a stack of matrices, one
+    call per chunk (_chunks) of its first axis."""
+    return _joined([decompose(stack[at]) for at in _chunks(len(stack), stack[0].size)])
+
+
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
@@ -92,7 +118,7 @@ class DensityState:
         symmetrizing copy), so one that is Hermitian already. One
         eigendecomposition; a non-finite H raises InvalidInput, detected on
         the eigenvalues it yields."""
-        a = np.asarray(h, dtype=np.complex128)
+        a = _array(h, np.complex128, copy=None)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         try:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _array, _hermitian, _hermitian_part
+from .linalg import DensityState, _array, _hermitian, _hermitian_part, _stacked
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,10 @@ class MeasurementEnsemble:
     __slots__ = ("dim", "operators", "_flat")
 
     def __init__(self, operators):
-        ops = list(operators)
+        try:
+            ops = list(operators)
+        except TypeError:
+            raise InvalidInput(f"ensemble needs a sequence of operators, got {operators!r}") from None
         if not ops:
             raise InvalidInput("ensemble needs at least one operator")
         if len({_array(op, copy=None).shape for op in ops}) > 1:  # no copy of an array
@@ -78,8 +81,9 @@ class MeasurementEnsemble:
 
 
 def _check_psd(stack: np.ndarray) -> None:
-    """InvalidInput unless each matrix of a Hermitian stack is PSD, up to 1e-10."""
-    lows = np.linalg.eigvalsh(stack)[..., 0]
+    """InvalidInput unless each matrix of a Hermitian stack is PSD, up to 1e-10;
+    decomposed in chunks (linalg._stacked)."""
+    lows = _stacked(np.linalg.eigvalsh, stack)[:, 0]
     if np.any(lows < -1e-10):
         raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
 

@@ -309,6 +309,21 @@ class TestMalformedInput:
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput" and "'seed'" in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "--suite", "ratio", "--seed", "-1"],
+        ["gen", "--dim", "2", "--num-ops", "2", "--seed", "-1", "--out", "OUT"],
+        ["run", "--objective", "quadratic", "--dim", "2", "--seed", "-1"],
+        ["run", "--objective", "quadratic", "--dim", "2", "--config", "CONFIG"],
+    ], ids=["diagnose", "gen", "run", "run-config"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv):
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1}))
+        paths = {"OUT": str(tmp_path / "ens.json"), "CONFIG": str(tmp_path / "cfg.json")}
+        assert main([paths.get(a, a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "ens.json").exists()
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and "seed" in err["message"]
+
     def test_config_seed_sets_the_quadratic_target(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 4}))

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from expgrad import diagnostics, suites
+from expgrad import diagnostics, linalg, suites
 from expgrad import (
     DensityState,
     FixedPointResult,
@@ -361,6 +361,10 @@ class TestSuites:
         with pytest.raises(InvalidInput):
             run_suite("ratio", 0, 0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidInput, match="seed"):
+            run_suite("ratio", 4, -1)
+
 
 class TestArrayAlpha:
     """An array of alpha gives, elementwise, what one call per alpha gives."""
@@ -410,7 +414,8 @@ class TestArrayAlpha:
 
 class TestWorkPerCheck:
     """Each check costs a fixed number of stacked decompositions per probe,
-    whatever the size of its grid or of its sample population."""
+    whatever the size of its grid; a sample population adds calls only where
+    a stack passes the entry budget (linalg._STACK_ELEMENTS)."""
 
     @staticmethod
     def count_decompositions(monkeypatch):
@@ -549,6 +554,11 @@ class TestWorkPerCheck:
         # eigvalsh and eigh and the directions' eigvalsh, and for the
         # tomography directions of dimensions 2 and 5 the ensembles' eigvalsh
         builds = 4 * 3 + 2
+        # at 100 samples the 25 probes of d = 8 pass the entry budget in the
+        # table's eigh (ratio and self-concordance 3 chunks, kappa 2, all 5)
+        # and the stencils' eigvalsh (5 chunks), and d = 5 in the stencils'
+        # (2) and under all in the table's (2): one call per extra chunk
+        past_budget = {"ratio": 2, "kappa": 1, "self-concordance": 2, "moments": 4 + 1, "all": 4 + 1 + 4 + 1}
         counts = self.count_decompositions(monkeypatch)
 
         def cost(samples):
@@ -556,19 +566,35 @@ class TestWorkPerCheck:
             run_suite(name, samples, 0)
             return sum(counts.values())
 
-        assert cost(8) == cost(100) == 4 * per_dim + builds
+        assert cost(8) == 4 * per_dim + builds
+        assert cost(100) == 4 * per_dim + builds + past_budget.get(name, 0)
         assert cost(100) <= 4 * 25
 
     def test_matrices_per_pass(self, monkeypatch):
-        # a 100-sample "all" pass: 42 stacked calls over 11,498 matrices
-        # (66 over 13,200 when each check decomposed its own steps, every
+        # a 100-sample "all" pass: 52 stacked calls over 11,498 matrices (42
+        # when each dimension's table and stencils were one stack whatever
+        # their size; 66 over 13,200 when each check decomposed its own steps, every
         # finite-difference step h its own stencil centres, and the
         # fixed-point check took eigvalsh(g) of every state; 78 when the
         # optimum's fixed-point check ran apart from the control's, 94 over
         # 18,800 when every gap ran its own eigvalsh of phi)
         counts = self.count_matrices(monkeypatch)
         run_suite("all", 100, 0)
-        assert counts == Counter(calls=42, matrices=11_498)
+        assert counts == Counter(calls=52, matrices=11_498)
+
+    @pytest.mark.parametrize("samples", [100, 1000])
+    def test_no_stack_passes_the_entry_budget(self, monkeypatch, samples):
+        # at d <= 8 no probe's row passes the budget, so no call does; the
+        # chunks decompose the matrices that one stack per kind did
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+                sizes.append((np.size(a), math.prod(np.shape(a)[:-2])))
+                return _fn(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_suite("all", samples, 0)
+        assert max(entries for entries, _ in sizes) <= linalg._STACK_ELEMENTS
+        assert sum(matrices for _, matrices in sizes) == {100: 11_498, 1000: 114_548}[samples]
 
     def test_no_matrix_is_decomposed_twice_per_pass(self, monkeypatch):
         # in a 100-sample "all" pass, each distinct matrix goes through eigh
@@ -624,6 +650,52 @@ def test_stacked_probe_matches_each_probe():
     for name in suites._CHECKS:
         alone = [margins(name, LogPartitionProbe.stack([p]))[0] for p in probes]
         np.testing.assert_array_equal(margins(name, stacked), alone, err_msg=name)
+
+
+@pytest.mark.parametrize("budget", [1, 500])
+def test_chunked_decompositions_keep_every_bit(monkeypatch, budget):
+    # a budget of one entry decomposes each probe, state and operator alone,
+    # 500 a few at a time: the records, and every stacked public function,
+    # keep the bits of the default budget
+    rng = np.random.default_rng(56)
+    stacked = LogPartitionProbe.stack([random_probe(rng, 3, kind) for kind in ("qst", "hermitian") * 3])
+    grid = np.geomspace(1e-3, 2.0, 9)
+    checks = (phi, phi_derivatives, bregman_gap, lambda p, a: phi_fd_derivatives(p, a, 1e-3))
+    want = [run_suite("all", 24, 3)] + [check(stacked, grid) for check in checks]
+    monkeypatch.setattr(linalg, "_STACK_ELEMENTS", budget)
+    assert run_suite("all", 24, 3) == want[0]
+    for check, expected in zip(checks, want[1:]):
+        np.testing.assert_equal(check(stacked, grid), expected)
+
+
+@pytest.mark.parametrize("d, kinds", [(32, ["qst", "hermitian"]), (64, ["qst"])])
+def test_larger_probes_run_every_check_within_the_entry_budget(monkeypatch, d, kinds):
+    # the table and all six checks: each margin that of the probe checked
+    # alone, no stacked call past the budget or one probe's row (the 57
+    # stencil points of the moments check, the widest), and a peak under 50 MB
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.size(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    names = list(suites._CHECKS)
+    tracemalloc.start()
+    try:
+        probe = random_probe([np.random.default_rng([55, i]) for i in range(len(kinds))], d, kinds)
+        table = suites._Table(probe, names)
+        margins = [suites._CHECKS[n][0](probe, table) for n in names]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) <= max(linalg._STACK_ELEMENTS, 57 * d * d)
+    assert peak < 50e6
+    assert np.all(np.array(margins) >= 0.0)
+    for i, kind in enumerate(kinds):
+        alone = random_probe([np.random.default_rng([55, i])], d, [kind])
+        alone_table = suites._Table(alone, names)
+        for n, m in zip(names, margins):
+            assert suites._CHECKS[n][0](alone, alone_table)[0] == m[i], n
 
 
 def test_stacked_build_matches_each_probe():

@@ -62,6 +62,7 @@ BOUNDARY_CALLS = {
     "HermitianOperator": HermitianOperator,
     "MeasurementEnsemble": lambda x: MeasurementEnsemble([x]),
     "DensityState.from_matrix": DensityState.from_matrix,
+    "DensityState.from_exponent": DensityState.from_exponent,
     "ProbabilityVector": ProbabilityVector,
     "LogPartitionProbe": lambda x: LogPartitionProbe(DensityState.maximally_mixed(2), x),
     "poisson_linear_objective": poisson_linear_objective,

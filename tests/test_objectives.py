@@ -84,6 +84,11 @@ class TestMeasurementEnsemble:
         with pytest.raises(InvalidInput):
             MeasurementEnsemble([HermitianOperator(np.zeros((2, 2)))])
 
+    @pytest.mark.parametrize("operators", [5, 2.5, None, np.float64(1.0)], ids=["int", "float", "none", "numpy-scalar"])
+    def test_rejects_a_non_iterable(self, operators):
+        with pytest.raises(InvalidInput, match="sequence of operators"):
+            MeasurementEnsemble(operators)
+
     def test_mixed_dimensions(self):
         with pytest.raises(InvalidInput, match="mixed dimensions"):
             MeasurementEnsemble([np.eye(2), np.eye(3)])

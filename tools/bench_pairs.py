@@ -10,10 +10,12 @@ in even pairs and the change first in odd ones, so drift in the host's speed
 falls on both sides alike. For each end-to-end metric the file holds each
 side's runs, median and quartiles, and the change's wins (pairs in which it
 reads lower; ties count for neither). A traced ``sweep`` run of each tree at
-seed 0 gives the per-layer work counts, and each tree's stacked ``eigh`` and
-``eigvalsh`` calls, with the matrices they decompose, are counted over one
-``run_suite("all", 100, 0)`` in a subprocess that imports ``TREE/src``. Runs
-go one at a time.
+seed 0 gives the per-layer work counts. In a subprocess that imports
+``TREE/src``, each tree's stacked ``eigh`` and ``eigvalsh`` calls, the
+matrices they decompose and the entries of the largest stack are counted over
+one ``run_suite("all", 100, 0)``, next to the tracemalloc peak of one
+``run_suite("all", 100, 0)`` and of one ``run_suite("all", 1000, 0)`` after a
+warm-up pass. Runs go one at a time.
 """
 
 from __future__ import annotations
@@ -30,19 +32,28 @@ COUNTS = ("linalg.eigh_calls", "objectives.value_calls", "solver.iters",
           "solver.backtracks", "linalg.eigh_per_candidate")
 
 _COUNT_DECOMPOSITIONS = """
-import json, math, sys
+import json, math, sys, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from expgrad.suites import run_suite
-counts = {}
+out = {}
+run_suite("all", 8, 0)
+for samples in (100, 1000):
+    tracemalloc.start()
+    run_suite("all", samples, 0)
+    out[f"tracemalloc_peak_mb_{samples}"] = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+counts, largest = {}, [0]
 for name in ("eigh", "eigvalsh"):
     def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
         calls, matrices = counts.get(_name, (0, 0))
         counts[_name] = (calls + 1, matrices + math.prod(np.shape(a)[:-2]))
+        largest[0] = max(largest[0], np.size(a))
         return _fn(a, *args, **kwargs)
     setattr(np.linalg, name, counted)
 run_suite("all", 100, 0)
-print(json.dumps({f"{n}_{k}": c[i] for n, c in counts.items() for i, k in enumerate(("calls", "matrices"))}))
+out.update({f"{n}_{k}": c[i] for n, c in counts.items() for i, k in enumerate(("calls", "matrices"))})
+print(json.dumps({**out, "largest_stack_entries": largest[0]}))
 """
 
 
@@ -59,8 +70,9 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 
 
 def decompositions(tree: Path) -> dict:
-    """Stacked eigh and eigvalsh calls, and their matrices, in one 100-sample
-    ``run_suite("all", ...)`` of the tree's own package."""
+    """Stacked eigh and eigvalsh calls, their matrices and the largest stack's
+    entries in one 100-sample ``run_suite("all", ...)`` of the tree's own
+    package, and the tracemalloc peaks of a 100- and a 1000-sample pass."""
     out = subprocess.run([sys.executable, "-c", _COUNT_DECOMPOSITIONS, str(tree.resolve() / "src")],
                          check=True, capture_output=True, text=True).stdout
     counts = json.loads(out)
