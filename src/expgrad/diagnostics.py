@@ -15,16 +15,19 @@ Every function of a probe also takes an array of alpha and a stacked probe
 eigh over its distinct steps per chunk of probes, with the bits of one call
 per matrix: a chunk's H_alpha holds at most linalg._STACK_ELEMENTS matrix
 entries, or one probe's (LogPartitionProbe._parts), and is read before the
-next is formed. A gap reads phi(alpha) from the eigh that gives phi'(alpha),
+next is formed. Steps are converted once (_steps), and every exponent is
+formed by LogPartitionProbe.hamiltonian_exponent, which rejects a step that
+is not finite. A gap reads phi(alpha) from the eigh that gives phi'(alpha),
 and phi(0) from the base state's log-eigenvalues. So sandwich, ratio, kappa
 and self-concordance cost 1 decomposition per chunk, of the orders they
 read, and fixed point at most 3 per chunk of states (the exact margin of
 fixed states only). _sandwich, _ratio_check, _kappa_check and
 _concordance_excess take phi and its derivatives instead, as the suites'
 table gives them. random_probe takes a list of generators too, for one stack
-(its decompositions chunked by the same budget). Arrays formed from a
-decomposition are built in slabs of (probe, step) pairs, each at most
-_SLAB_ELEMENTS (a pair forms d^2, or d(d+1)(d+2)/6 sorted triples) or one pair.
+(its decompositions chunked by the same budget); a tomography direction is
+qst_objective's negative gradient. Arrays formed from a decomposition are
+built in slabs of (probe, step) pairs, each at most _SLAB_ELEMENTS (a pair
+forms d^2, or d(d+1)(d+2)/6 sorted triples) or one pair.
 """
 
 from __future__ import annotations
@@ -37,14 +40,18 @@ import numpy as np
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
-from .linalg import DensityState, _chunks, _hermitian, _hermitian_part, _joined, _stacked, logsumexp
-from .objectives import ObjectiveSpec, _check_psd
-from .solver import eg_step
+from .linalg import (DensityState, _array, _chunks, _count, _hermitian, _hermitian_part, _joined, _stacked,
+                     logsumexp)
+from .objectives import MeasurementEnsemble, ObjectiveSpec, _check_psd, qst_objective
+from .solver import _check_fit, eg_step
 
 
 # The third-order term (sorted triples) of one probe on a 25-point grid at d = 8.
 # (A stacked decomposition takes at most linalg._STACK_ELEMENTS matrix entries.)
 _SLAB_ELEMENTS = 25 * 120
+
+# Step sizes from the caller, as one float array (finite where an exponent is formed).
+_steps = functools.partial(_array, dtype=np.float64, copy=None, what="step sizes")
 
 
 def chi(x):
@@ -68,6 +75,8 @@ class LogPartitionProbe:
     __slots__ = ("base", "exponent", "direction", "delta")
 
     def __init__(self, base: DensityState, direction):
+        if not isinstance(base, DensityState):
+            raise InvalidInput(f"a probe's base must be a DensityState, got {type(base).__name__}")
         self.direction = _hermitian(direction)
         if base.dim != self.dim:
             raise InvalidInput("state and direction dimensions differ")
@@ -107,8 +116,11 @@ class LogPartitionProbe:
 
     def hamiltonian_exponent(self, alpha) -> np.ndarray:
         """H_alpha = log rho + alpha G; an array of alpha gives a stack, after
-        the probe axis of a stacked probe."""
-        a = np.asarray(alpha, dtype=np.float64)
+        the probe axis of a stacked probe. A step that is not finite raises
+        InvalidInput: every function of a probe forms its exponents here."""
+        a = _steps(alpha)
+        if not np.isfinite(a).all():
+            raise InvalidInput("step sizes must be finite")
         at = (Ellipsis,) + (None,) * a.ndim + (slice(None), slice(None))
         h = a[..., None, None] * self.direction[at]
         h += self.exponent[at]
@@ -119,29 +131,20 @@ def phi(probe: LogPartitionProbe, alpha):
     """Log-partition value log tr exp(log rho + alpha G); a float, or an
     array of the shape of an array alpha, from one stacked eigvalsh per part
     of the probe (LogPartitionProbe._parts)."""
-    return _joined([logsumexp(np.linalg.eigvalsh(p.hamiltonian_exponent(alpha)))
-                    for _, p in probe._parts(np.size(alpha))])
+    a = _steps(alpha)
+    return _joined([logsumexp(np.linalg.eigvalsh(p.hamiltonian_exponent(a))) for _, p in probe._parts(a.size)])
 
 
 _DD_CLUSTER_TOL = 1e-2
 
 
-# The divided differences work in place, to bound the memory of a slab, and
-# take each series branch only where it applies.
 def _exp_dd1(a, b):
     """First divided difference of exp, elementwise and cancellation-safe:
     e^{(a+b)/2} sinh(delta)/delta with a series branch for small delta."""
     delta = 0.5 * (a - b)
     small = np.abs(delta) < 1e-4
     safe = np.where(small, 1.0, delta)
-    delta = delta[small]
-    ratio = np.sinh(safe)
-    ratio /= safe
-    ratio[small] = 1.0 + delta * delta / 6.0
-    np.add(a, b, out=safe)
-    safe *= 0.5
-    ratio *= np.exp(safe, out=safe)
-    return ratio
+    return np.exp(0.5 * (a + b)) * np.where(small, 1.0 + delta * delta / 6.0, np.sinh(safe) / safe)
 
 
 def _exp_dd2(lo, mid, hi, upper, lower):
@@ -188,8 +191,9 @@ def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
     weighted by its multiplicity: both of its factors are symmetric in
     (i, j, k)."""
     if eig is None:
-        return _joined([_moments(p, alpha, order, np.linalg.eigh(p.hamiltonian_exponent(alpha)))
-                        for _, p in probe._parts(np.size(alpha))])
+        a = _steps(alpha)
+        return _joined([_moments(p, a, order, np.linalg.eigh(p.hamiltonian_exponent(a)))
+                        for _, p in probe._parts(a.size)])
     mu, u = eig
     shape, d = mu.shape[:-1], mu.shape[-1]
     value = logsumexp(mu)
@@ -240,7 +244,7 @@ def _gap(probe: LogPartitionProbe, alpha, value, d1):
     """phi(0) - phi(alpha) + alpha phi'(alpha) at positive steps, given phi
     and phi' there (from one decomposition, by _moments). phi(0) is the
     logsumexp of the base states' stored log-eigenvalues, since H_0 = log rho."""
-    a = np.asarray(alpha, dtype=np.float64)
+    a = _steps(alpha)
     if np.any(a <= 0.0):
         raise InvalidInput("step size must be positive")
     base = probe.base if isinstance(probe.base, tuple) else (probe.base,)
@@ -270,7 +274,7 @@ def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
     quantities vanish in the limit and are reported as exact zeros, after
     the steps are checked.
     """
-    a = np.asarray(alpha, dtype=np.float64)
+    a = _steps(alpha)
     return _sandwich(probe, a, *_moments(probe, a, 2))
 
 
@@ -296,8 +300,8 @@ def ratio_monotonicity_check(probe: LogPartitionProbe,
     """Check that alpha -> D(rho(alpha), rho) / (e^{da}(da - 1) + 1) is
     non-increasing on the given ascending positive grid (zero ratios at a
     zero width)."""
-    grid = np.asarray(alpha_grid, dtype=np.float64)
-    if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
+    grid = _steps(alpha_grid)
+    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
         raise InvalidInput("grid must be strictly ascending and positive")
     return _ratio_check(probe, grid, *_moments(probe, grid, 1))
 
@@ -326,7 +330,9 @@ def kappa_bound_check(probe: LogPartitionProbe, alpha_bar: float,
     """Check D(rho(a), rho)/a^2 >= kappa * D(rho(abar), rho) on a grid in
     (0, abar], with kappa = Delta^2 / (2 [e^{D abar}(D abar - 1) + 1]); at a
     zero width, kappa and the margin are zero."""
-    grid = np.asarray(alpha_grid, dtype=np.float64)
+    grid, alpha_bar = _steps(alpha_grid), _steps(alpha_bar)
+    if alpha_bar.ndim or not 0.0 < alpha_bar < math.inf:
+        raise InvalidInput("alpha_bar must be a positive and finite step size")
     if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid > alpha_bar * (1 + 1e-12)):
         raise InvalidInput("grid must lie in (0, alpha_bar]")
     steps, at = np.unique(np.append(grid, alpha_bar), return_inverse=True)
@@ -347,12 +353,22 @@ def _kappa_check(probe: LogPartitionProbe, alpha_bar, grid, gaps) -> KappaResult
 def inner_product_check(rho: DensityState, f: ObjectiveSpec, alpha: float) -> float:
     """Margin of <grad f(rho), rho(alpha) - rho> <= -D(rho(alpha), rho)/alpha;
     nonnegative (up to round-off) by the mirror-descent subproblem optimality.
+    A state that does not fit the matrix objective f raises InvalidInput.
     """
+    _check_matrix_fit([rho], f)
     g = f.gradient(rho)
     nxt = eg_step(rho, g, alpha)
     div = quantum_relative_entropy(nxt, rho)
     inner = float(np.vdot(g, _hermitian_part(nxt.matrix - rho.matrix)).real)
     return -div / alpha - inner
+
+
+def _check_matrix_fit(states, f: ObjectiveSpec) -> None:
+    """InvalidInput unless f is a matrix objective that every state fits (solver._check_fit)."""
+    if f.kind != "matrix":
+        raise InvalidInput(f"the check needs a matrix objective, got a {f.kind} one")
+    for state in states:
+        _check_fit(state, f)
 
 
 class FixedPointResult(NamedTuple):
@@ -369,13 +385,16 @@ def fixed_point_check(rho: DensityState | Sequence, f: ObjectiveSpec,
     sequence of states, such as the base states of a stacked probe, gives one
     array entry per state (margin nan off a fixed point) from the same (at
     most three) decompositions per chunk of states, whose steps hold at most
-    _STACK_ELEMENTS matrix entries (or one state's). No state or no step
-    raises InvalidInput."""
-    alphas = np.asarray(alpha_grid, dtype=np.float64)[:, None, None]
-    single = isinstance(rho, DensityState)
+    _STACK_ELEMENTS matrix entries (or one state's). No state, no step, a
+    step that is not positive and finite, or a state that does not fit the
+    matrix objective f raises InvalidInput."""
+    alphas = _steps(alpha_grid)
+    single = not isinstance(rho, Sequence)
     states = [rho] if single else rho
-    if alphas.size == 0 or np.any(alphas <= 0.0) or not len(states):
-        raise InvalidInput("need one or more states, and a nonempty grid of positive step sizes")
+    if alphas.ndim != 1 or not alphas.size or not np.all((0.0 < alphas) & (alphas < math.inf)) or not states:
+        raise InvalidInput("need one or more states, and a nonempty grid of positive finite step sizes")
+    _check_matrix_fit(states, f)
+    alphas = alphas[:, None, None]
     movement, margin = np.empty(len(states)), np.full(len(states), np.nan)
     for at in _chunks(len(states), alphas.size * states[0].dim ** 2):
         g = np.stack([f.gradient(s) for s in states[at]])
@@ -401,8 +420,12 @@ def self_concordance_check(probe: LogPartitionProbe,
                            alpha_grid: Sequence[float]) -> float:
     """Worst normalized excess of |phi'''| over Delta * phi'' on the grid;
     nonpositive (within slack) when the self-concordant-likeness bound holds.
+    An empty grid raises InvalidInput.
     """
-    return _concordance_excess(probe, *phi_derivatives(probe, alpha_grid)[1:])
+    grid = _steps(alpha_grid)
+    if grid.size == 0:
+        raise InvalidInput("grid must hold one or more step sizes")
+    return _concordance_excess(probe, *phi_derivatives(probe, grid)[1:])
 
 
 def _concordance_excess(probe: LogPartitionProbe, var, third) -> float:
@@ -424,7 +447,8 @@ def random_density(rng: np.random.Generator, d: int) -> DensityState:
 
 def _random_densities(rngs, d: int) -> tuple:
     """random_density of each generator, from one stacked eigvalsh and eigh
-    (per chunk, linalg._stacked)."""
+    (per chunk, linalg._stacked); a dimension below 1 raises InvalidInput."""
+    _count(d, "dimension", 1)
     s = np.stack([random_hermitian(rng, d) for rng in rngs])
     vals = _stacked(np.linalg.eigvalsh, s)
     s *= (1.0 / np.sqrt(np.sum(vals * vals, axis=-1)))[:, None, None]
@@ -441,8 +465,10 @@ def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
 
 def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     """Seeded probe with a random base state; the direction is either a
-    tomography gradient (generically non-commuting with the base) or a plain
-    random Hermitian. Both populations exercise the moment formulas.
+    tomography gradient, -grad f of qst_objective for an ensemble of 2d
+    random PSD operators at the base state (generically non-commuting with
+    it), or a plain random Hermitian. Both populations exercise the moment
+    formulas.
 
     A list of generators, with a list of kinds, gives their probes as one
     stack, bit for bit LogPartitionProbe.stack of one call per generator:
@@ -451,7 +477,8 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     the ensembles' PSD eigvalsh, the directions' eigvalsh), one stacked call
     per chunk of at most linalg._STACK_ELEMENTS entries. The operator and
     direction stacks pass the input checks of HermitianOperator and
-    MeasurementEnsemble. Empty lists, or lists of unequal lengths, raise InvalidInput."""
+    MeasurementEnsemble once per chunk. Empty lists, lists of unequal
+    lengths, or a dimension below 1 raise InvalidInput."""
     if isinstance(rng, np.random.Generator):
         p = random_probe([rng], d, [direction_kind])
         return LogPartitionProbe._of(p.base[0], p.base[0].exponent, p.direction[0], float(p.delta[0]))
@@ -471,10 +498,8 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
         a = z[:, :, 0] + 1j * z[:, :, 1]
         ops = _hermitian((a.conj().swapaxes(-1, -2) @ a).reshape(-1, d, d), 3)
         _check_psd(ops)
-        flat = ops.view(np.float64).reshape(len(part), 2 * d, -1)  # the ensemble's real layout
-        rho = np.stack([base[i].matrix for i in part]).view(np.float64).reshape(len(part), -1, 1)
-        weights = 1.0 / (flat @ rho).swapaxes(-1, -2)  # 1 / tr(M_i rho)
-        g[part] = (weights @ flat).view(np.complex128).reshape(-1, d, d)
+        for i, own in zip(part, ops.reshape(len(part), 2 * d, d, d)):
+            g[i] = -qst_objective(MeasurementEnsemble._of(own)).gradient(base[i])
     g = _hermitian(g, 3)
     vals = _stacked(np.linalg.eigvalsh, g)
     return LogPartitionProbe._of(base, np.array([b.exponent for b in base]), g, vals[:, -1] - vals[:, 0])

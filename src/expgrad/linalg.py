@@ -8,6 +8,8 @@ the target sizes (d <= 64).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DomainError, InvalidInput
@@ -59,6 +61,13 @@ def _array(entries, dtype=None, copy=True, what: str = "input") -> np.ndarray:
         return np.array(entries, dtype=dtype, copy=copy)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed {what}: {exc}") from None
+
+
+def _count(value, what: str, least: int) -> None:
+    """InvalidInput unless caller input that counts is an integer, not a
+    bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInput(f"{what} must be an integer of at least {least}, got {value!r}")
 
 
 def _hermitian(entries, ndim: int = 2) -> np.ndarray:

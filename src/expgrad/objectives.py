@@ -64,8 +64,18 @@ class MeasurementEnsemble:
         _check_psd(stack)
         if not np.any(stack):
             raise InvalidInput("ensemble is all zeros")
+        self._keep(stack)
+
+    @classmethod
+    def _of(cls, stack: np.ndarray) -> "MeasurementEnsemble":
+        """An ensemble of a Hermitian PSD (m, d, d) stack, unchecked."""
+        out = cls.__new__(cls)
+        out._keep(stack)
+        return out
+
+    def _keep(self, stack: np.ndarray) -> None:
         self.dim, self.operators = stack.shape[-1], stack
-        self._flat = stack.view(np.float64).reshape(len(ops), -1)
+        self._flat = stack.view(np.float64).reshape(len(stack), -1)
 
     def probabilities(self, rho_mat: np.ndarray) -> np.ndarray:
         """tr(M_i rho) for every operator: Re vdot(M_i, rho), with rho a

@@ -193,16 +193,21 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
 _KINDS = {DensityState: "matrix", ProbabilityVector: "vector"}
 
 
+def _check_fit(x, f: ObjectiveSpec) -> None:
+    """InvalidInput unless the state x has the type of f's kind and f's dimension."""
+    if _KINDS.get(type(x)) != f.kind:
+        raise InvalidInput(f"a {type(x).__name__} start does not fit a {f.kind} objective")
+    if x.dim != f.dim:
+        raise InvalidInput(f"initial point has dimension {x.dim}, objective {f.dim}")
+
+
 def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
           sink: Optional[Callable[[IterationRecord], None]] = None) -> SolveResult:
     """Run the exponentiated gradient method with Armijo line search from a
     strictly positive DensityState or ProbabilityVector until stationarity
     (the Bregman gap at the full step drops below stop_tol), relative
     f-stagnation, or max_iters."""
-    if _KINDS.get(type(x0)) != f.kind:
-        raise InvalidInput(f"a {type(x0).__name__} start does not fit a {f.kind} objective")
-    if x0.dim != f.dim:
-        raise InvalidInput(f"initial point has dimension {x0.dim}, objective {f.dim}")
+    _check_fit(x0, f)
     if not np.all(np.isfinite(x0.exponent)):
         raise DomainError("initial point must be strictly positive")
     if not f.in_domain(x0):

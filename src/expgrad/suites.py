@@ -5,10 +5,11 @@ and emits one record per probe: {check, seed, dim, pass, worst_margin}. A
 margin is the worst remaining slack after the check's stated tolerance, so
 pass is equivalent to worst_margin >= 0. The probes of each dimension are
 built as one stack, and each check runs once per dimension on that stack. It
-reads phi and its derivatives by step from one table per dimension, which
-decomposes every step some selected check reads once, in one stacked eigh per
-chunk of probes: no stacked decomposition takes more than
-linalg._STACK_ELEMENTS matrix entries, or one probe's row.
+reads numbers by step from one table per dimension (phi, its derivatives,
+and the moments check's relative entropies), which decomposes every step
+some selected check reads once, in one stacked eigh per chunk of probes: no
+stacked decomposition takes more than linalg._STACK_ELEMENTS matrix entries,
+or one probe's row.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .diagnostics import (
     _moments,
     _ratio_check,
     _sandwich,
+    _steps,
     fixed_point_check,
     phi,
     phi_derivatives,  # noqa: F401
@@ -34,7 +36,7 @@ from .diagnostics import (
 # phi_derivatives and quantum_relative_entropy are not called here; perfbench's tracer wraps them
 from .entropy import _relative_entropy, quantum_relative_entropy  # noqa: F401
 from .errors import InvalidInput
-from .linalg import DensityState, _joined, logsumexp
+from .linalg import DensityState, _count, logsumexp
 from .objectives import qst_objective, standard_basis_ensemble
 
 
@@ -53,8 +55,11 @@ _KAPPA_STEPS = np.append(np.linspace(0.05, 1.0, 20), 1.0)  # a grid in (0, alpha
 def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
     """Central-difference oracle for the first three derivatives of phi,
     Richardson-extrapolated from steps h and h/2. alpha and h broadcast; the
-    distinct stencil points take one stacked phi call."""
-    a, h = np.broadcast_arrays(np.asarray(alpha, dtype=np.float64), np.asarray(h, dtype=np.float64))
+    distinct stencil points take one stacked phi call. A step h that is not
+    positive raises InvalidInput."""
+    a, h = np.broadcast_arrays(_steps(alpha), _steps(h))
+    if not np.all(h > 0.0):
+        raise InvalidInput("finite-difference steps must be positive")
     step = np.stack([h, h / 2])[..., None]  # (coarse, fine), then the stencil axis
     stencil = a[..., None] + np.arange(-2.0, 3.0) * step
     points, at = np.unique(stencil, return_inverse=True)
@@ -69,10 +74,11 @@ def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
 
 class _Table:
     """phi and its derivatives for the stacked probes of one dimension where the named checks read
-    them (_CHECKS), and per check in _PAIRS the eigenpairs of H_alpha at its steps. Each part of the
-    probe (LogPartitionProbe._parts: at most _STACK_ELEMENTS entries of H_alpha, or one probe's)
-    takes one stacked eigh of those steps and one _moments per highest order read (the same bits
-    at any order) straight away; the table keeps no other eigenvectors. No step, no eigh."""
+    them (_CHECKS), and, for the moments check, D(rho(alpha), rho) on its relative-entropy path
+    (_PATH), with rho(alpha) = exp(H_alpha) / tr exp(H_alpha): numbers only. Each part of the probe
+    (LogPartitionProbe._parts) takes one stacked eigh of those steps, read straight away by one
+    _moments per highest order read (the same bits at any order) and by the path's relative
+    entropies. No step, no eigh."""
 
     def __init__(self, probe: LogPartitionProbe, names):
         order = {}  # each step, with the highest derivative order read there
@@ -80,16 +86,18 @@ class _Table:
             order.update({a: max(order.get(a, 0), k) for a in steps.tolist()})
         self.column = {a: i for i, a in enumerate(sorted(order, key=lambda a: (order[a], a)))}
         self.moments = np.full((4, len(probe.base), len(order)), np.nan)
+        self.divergence = np.full((len(probe.base), len(_PATH)), np.nan)
         steps, per_order = np.array(list(self.column)), np.bincount(list(order.values()), minlength=4)
-        pairs = {n: [] for n in names if n in _PAIRS}  # per chunk, copies
         for chunk, p in probe._parts(len(steps)) if order else ():
             eig = np.linalg.eigh(p.hamiltonian_exponent(steps))
             for k in np.flatnonzero(per_order):  # the columns of one order are a slice
                 at = slice(per_order[:k].sum(), per_order[:k + 1].sum())
                 self.moments[:k + 1, chunk, at] = _moments(p, steps[at], k, tuple(x[:, at] for x in eig))
-            for n, kept in pairs.items():
-                kept.append(tuple(x[:, [self.column[a] for a in _PAIRS[n].tolist()]] for x in eig))
-        self.pairs = {n: _joined(kept) for n, kept in pairs.items()}
+            if "moments" in names:
+                vals, u = (x[:, [self.column[a] for a in _PATH.tolist()]] for x in eig)
+                lam = np.stack([b.eigenvalues for b in p.base])[:, None]
+                v = np.stack([b.eigenvectors for b in p.base])[:, None]
+                self.divergence[chunk] = _relative_entropy(np.exp(vals - logsumexp(vals)[..., None]), u, lam, v)
 
     def read(self, steps, order: int):  # phi and its first `order` derivatives, (probe, step) each
         return tuple(self.moments[:order + 1, :, [self.column[a] for a in steps.tolist()]])
@@ -118,10 +126,7 @@ def _check_moments(probe, table):
     margin = np.minimum(margin, np.min(probe.delta[:, None] ** 2 / 4.0 + 1e-10 - analytic[1], axis=-1))
     # Bregman-gap identity against the relative-entropy path, with
     # rho(alpha) = eg_step(rho, -G, alpha) from the table's H_alpha
-    vals, u = table.pairs["moments"]
-    lam = np.stack([b.eigenvalues for b in probe.base])[:, None]
-    v = np.stack([b.eigenvectors for b in probe.base])[:, None]
-    direct = _relative_entropy(np.exp(vals - logsumexp(vals)[..., None]), u, lam, v)
+    direct = table.divergence
     gap = _gap(probe, _PATH, *table.read(_PATH, 1))
     rel = np.abs(gap - direct) / np.maximum(np.abs(direct), 1e-12)
     return np.minimum(margin, np.min(1e-8 - rel, axis=-1))
@@ -156,7 +161,6 @@ _CHECKS: dict[str, tuple[Callable, tuple]] = {
     "fixed-point": (_check_fixed_point, ()),
     "self-concordance": (_check_self_concordance, ((3, _GRID),)),
 }
-_PAIRS = {"moments": _PATH}  # the steps at which a check reads the eigenpairs of H_alpha
 
 
 def run_suite(name: str, samples: int, seed: int) -> list[dict]:
@@ -165,24 +169,20 @@ def run_suite(name: str, samples: int, seed: int) -> list[dict]:
     Probe i has dimension (2, 3, 5, 8)[i % 4] and a tomography-gradient
     direction for even i, a plain Hermitian one for odd i, covering both
     commuting and non-commuting (state, direction) pairs; it draws from its
-    own generator, default_rng([seed, i]); a negative seed raises InvalidInput.
-    The probes of each dimension are built as one stack, from 3 or 4 stacked
-    decompositions, and each check runs once on that stack. Each stacked
-    decomposition takes at most linalg._STACK_ELEMENTS matrix entries, or one
-    probe's row (its steps times d^2), so the cost per dimension is fixed while
-    every stack is within that budget, and a larger stack adds one call per
-    extra chunk: sandwich, ratio, kappa and self-concordance 1 (the _Table
-    eigh), moments 2 (that, and its finite differences' eigvalsh), fixed point
-    5 (the optimum stacked with the base states), "all" 7; 52 calls over
-    11,498 matrices for a 100-sample "all" pass, none decomposed twice. The
-    records equal the single-check suites' bits.
+    own generator, default_rng([seed, i]). samples and seed are integers (not
+    bools), samples at least 1 and seed at least 0, else InvalidInput.
+    The probes of each dimension are built as one stack, and each check runs
+    once on that stack. Each stacked decomposition takes at most
+    linalg._STACK_ELEMENTS matrix entries, or one probe's row (its steps
+    times d^2), so the cost per dimension is fixed while every stack is
+    within that budget, and a larger stack adds one call per extra chunk; no
+    matrix of a pass is decomposed twice. The records equal the
+    single-check suites' bits.
     """
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")
-    if samples < 1:
-        raise InvalidInput("samples must be at least 1")
-    if seed < 0:
-        raise InvalidInput("seed must be nonnegative")
+    _count(samples, "samples", 1)
+    _count(seed, "seed", 0)
     names = [n for n in SUITE_NAMES if n != "all"] if name == "all" else [name]
     margins = np.empty((len(names), samples))
     for k, d in enumerate(_PROBE_DIMS):

@@ -19,6 +19,7 @@ from expgrad import (
     LogPartitionProbe,
     MeasurementEnsemble,
     bregman_gap,
+    burg_objective,
     chi,
     eg_step,
     fixed_point_check,
@@ -27,6 +28,7 @@ from expgrad import (
     phi,
     phi_derivatives,
     phi_fd_derivatives,
+    ProbabilityVector,
     qst_objective,
     quadratic_objective,
     quantum_relative_entropy,
@@ -945,3 +947,73 @@ def test_suite_records_do_not_depend_on_other_checks():
     for seed, samples in [(3, 6)] + [(s, n) for s in (0, 1, 2, 7) for n in (7, 24, 100)]:
         assert run_suite("all", samples, seed) == [
             r for c in checks for r in run_suite(c, samples, seed)], (seed, samples)
+
+
+_P3 = random_probe(np.random.default_rng(57), 3, "qst")
+
+
+@pytest.mark.parametrize("call", [
+    # a step that is not finite, where a probe function forms its exponents
+    lambda: phi(_P3, np.nan),
+    lambda: phi(_P3, [0.1, np.inf]),
+    lambda: phi_derivatives(_P3, np.nan),
+    lambda: bregman_gap(_P3, np.inf),
+    lambda: sandwich_check(_P3, [0.1, np.nan]),
+    lambda: ratio_monotonicity_check(_P3, [0.1, np.nan]),
+    lambda: kappa_bound_check(_P3, 1.0, [0.1, np.nan]),
+    lambda: kappa_bound_check(_P3, np.nan, [0.1]),
+    lambda: kappa_bound_check(_P3, np.inf, [0.1]),
+    lambda: self_concordance_check(_P3, [0.1, np.nan]),
+    lambda: fixed_point_check(DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(3)),
+                              (0.1, np.nan)),
+    lambda: fixed_point_check(DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(3)),
+                              (np.inf,)),
+    # steps that are not numbers, or a ragged grid
+    lambda: phi(_P3, "x"),
+    lambda: phi(_P3, [[0.1], [0.2, 0.3]]),
+    lambda: ratio_monotonicity_check(_P3, [[0.1], [0.2, 0.3]]),
+    lambda: kappa_bound_check(_P3, "x", [0.1]),
+    lambda: fixed_point_check(DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(3)), "x"),
+    lambda: phi_fd_derivatives(_P3, 0.3, "x"),
+    # an empty grid (as the ratio and kappa checks reject it), and a
+    # finite-difference step that is not positive
+    lambda: self_concordance_check(_P3, []),
+    lambda: phi_fd_derivatives(_P3, 0.3, 0.0),
+    lambda: phi_fd_derivatives(_P3, 0.3, np.nan),
+])
+def test_malformed_steps_raise_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+@pytest.mark.parametrize("check", [
+    lambda rho, f: fixed_point_check(rho, f, (0.1,)),
+    lambda rho, f: fixed_point_check([rho], f, (0.1,)),
+    lambda rho, f: inner_product_check(rho, f, 0.1),
+], ids=["fixed-point", "fixed-point-list", "inner-product"])
+@pytest.mark.parametrize("rho, f, message", [
+    (DensityState.maximally_mixed(3), qst_objective(standard_basis_ensemble(4)), "dimension 3, objective 4"),
+    (ProbabilityVector.uniform(3), qst_objective(standard_basis_ensemble(3)), "ProbabilityVector start"),
+    (ProbabilityVector.uniform(3), burg_objective(3), "matrix objective"),
+    (DensityState.maximally_mixed(3), burg_objective(3), "matrix objective"),
+], ids=["dimension", "vector-state", "vector-objective", "matrix-state-vector-objective"])
+def test_state_and_objective_must_fit(check, rho, f, message):
+    # the checks solve makes of its start, and a matrix objective
+    with pytest.raises(InvalidInput, match=message):
+        check(rho, f)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_suite("all", 2.5, 0),
+    lambda: run_suite("ratio", 4, 1.5),
+    lambda: run_suite("ratio", 4, "1"),
+    lambda: run_suite("ratio", 4, True),
+    lambda: run_suite("ratio", True, 0),
+    lambda: random_probe(np.random.default_rng(0), 0, "qst"),
+    lambda: random_probe([np.random.default_rng(0)], 2.5, ["hermitian"]),
+    lambda: random_density(np.random.default_rng(0), 0),
+    lambda: LogPartitionProbe(np.eye(2) / 2, np.eye(2)),
+])
+def test_malformed_counts_and_bases_raise_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()

@@ -13,9 +13,10 @@ reads lower; ties count for neither). A traced ``sweep`` run of each tree at
 seed 0 gives the per-layer work counts. In a subprocess that imports
 ``TREE/src``, each tree's stacked ``eigh`` and ``eigvalsh`` calls, the
 matrices they decompose and the entries of the largest stack are counted over
-one ``run_suite("all", 100, 0)``, next to the tracemalloc peak of one
-``run_suite("all", 100, 0)`` and of one ``run_suite("all", 1000, 0)`` after a
-warm-up pass. Runs go one at a time.
+one ``run_suite("all", 100, 0)``, next to the tracemalloc peaks of one
+``run_suite("all", samples, 0)`` for 100, 1,000 and 4,000 samples after a
+warm-up pass, and of one d = 64 tomography probe built and run through the
+suites' table and all six checks. Runs go one at a time.
 """
 
 from __future__ import annotations
@@ -35,14 +36,21 @@ _COUNT_DECOMPOSITIONS = """
 import json, math, sys, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from expgrad.suites import run_suite
+from expgrad.suites import _CHECKS, _Table, random_probe, run_suite
 out = {}
 run_suite("all", 8, 0)
-for samples in (100, 1000):
+for samples in (100, 1000, 4000):
     tracemalloc.start()
     run_suite("all", samples, 0)
     out[f"tracemalloc_peak_mb_{samples}"] = tracemalloc.get_traced_memory()[1] / 1e6
     tracemalloc.stop()
+tracemalloc.start()
+probe = random_probe([np.random.default_rng([55, 0])], 64, ["qst"])
+table = _Table(probe, list(_CHECKS))
+for check, _ in _CHECKS.values():
+    check(probe, table)
+out["tracemalloc_peak_mb_d64_qst_probe"] = tracemalloc.get_traced_memory()[1] / 1e6
+tracemalloc.stop()
 counts, largest = {}, [0]
 for name in ("eigh", "eigvalsh"):
     def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -72,7 +80,8 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
 def decompositions(tree: Path) -> dict:
     """Stacked eigh and eigvalsh calls, their matrices and the largest stack's
     entries in one 100-sample ``run_suite("all", ...)`` of the tree's own
-    package, and the tracemalloc peaks of a 100- and a 1000-sample pass."""
+    package, and the tracemalloc peaks of a 100-, a 1,000- and a 4,000-sample
+    pass and of one d = 64 tomography probe's build, table and checks."""
     out = subprocess.run([sys.executable, "-c", _COUNT_DECOMPOSITIONS, str(tree.resolve() / "src")],
                          check=True, capture_output=True, text=True).stdout
     counts = json.loads(out)
