@@ -147,7 +147,6 @@ def _build_problem(args):
         rng = np.random.default_rng(args.seed)
         target = diagnostics.random_density(rng, d).matrix
         return quadratic_objective(target), DensityState.maximally_mixed(d)
-    raise InvalidInput(f"unknown objective {kind!r}")
 
 
 def cmd_gen(args) -> int:

@@ -1,33 +1,18 @@
-"""Numerical certification of the analytical machinery behind the solver:
-log-partition probes, moment-based derivatives, the Bregman-gap identity,
-sandwich bounds from self-concordant likeness, ratio monotonicity, the
-kappa step-size bound, and fixed-point/optimality checks.
+"""Numerical certification of the analysis behind the solver.
 
-A probe pairs a strictly positive state rho with the descent direction
-G = -grad f(rho). The log-partition function is
-phi(alpha) = log tr exp(log rho + alpha G); its derivatives are moments of a
-random variable eta_alpha supported on the (grouped) eigenvalues of G with
-Gibbs weights tr(P_j exp(H_alpha)) / tr exp(H_alpha). rho and G are not
-assumed to commute: H_alpha is formed as a matrix sum and decomposed.
+A probe pairs a strictly positive state rho with a Hermitian direction G,
+commuting with rho or not. The checks read its log-partition function
+phi(alpha) = log tr exp(log rho + alpha G) and the derivatives of phi (the
+Bregman-gap identity, sandwich bounds, ratio monotonicity, the kappa bound,
+self-concordance), or the EG update itself (fixed point, inner product).
 
-Every function of a probe also takes an array of alpha and a stacked probe
-(LogPartitionProbe.stack; results per probe), for one stacked eigvalsh or
-eigh over its distinct steps per chunk of probes, with the bits of one call
-per matrix: a chunk's H_alpha holds at most linalg._STACK_ELEMENTS matrix
-entries, or one probe's (LogPartitionProbe._parts), and is read before the
-next is formed. Steps are converted once (_steps), and every exponent is
-formed by LogPartitionProbe.hamiltonian_exponent, which rejects a step that
-is not finite. A gap reads phi(alpha) from the eigh that gives phi'(alpha),
-and phi(0) from the base state's log-eigenvalues. So sandwich, ratio, kappa
-and self-concordance cost 1 decomposition per chunk, of the orders they
-read, and fixed point at most 3 per chunk of states (the exact margin of
-fixed states only). _sandwich, _ratio_check, _kappa_check and
-_concordance_excess take phi and its derivatives instead, as the suites'
-table gives them. random_probe takes a list of generators too, for one stack
-(its decompositions chunked by the same budget); a tomography direction is
-qst_objective's negative gradient. Arrays formed from a decomposition are
-built in slabs of (probe, step) pairs, each at most _SLAB_ELEMENTS (a pair
-forms d^2, or d(d+1)(d+2)/6 sorted triples) or one pair.
+Every function of a probe takes a step or a 1-D array of steps, and a probe
+or a stack of probes (LogPartitionProbe.stack), whose results then gain a
+leading probe axis, each entry the bits of that probe alone. A step that is
+not a number, or not finite where an exponent is formed, raises InvalidInput.
+No stacked eigh or eigvalsh takes more than linalg._STACK_ELEMENTS matrix
+entries, or one probe's row of steps, and no array formed from a
+decomposition more than _SLAB_ELEMENTS elements, or one (probe, step) pair's.
 """
 
 from __future__ import annotations
@@ -42,12 +27,11 @@ from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
 from .linalg import (DensityState, _array, _chunks, _count, _hermitian, _hermitian_part, _joined, _stacked,
                      logsumexp)
-from .objectives import MeasurementEnsemble, ObjectiveSpec, _check_psd, qst_objective
+from .objectives import MeasurementEnsemble, ObjectiveSpec, qst_objective
 from .solver import _check_fit, eg_step
 
 
 # The third-order term (sorted triples) of one probe on a 25-point grid at d = 8.
-# (A stacked decomposition takes at most linalg._STACK_ELEMENTS matrix entries.)
 _SLAB_ELEMENTS = 25 * 120
 
 # Step sizes from the caller, as one float array (finite where an exponent is formed).
@@ -66,11 +50,9 @@ def _scalar(x):
 
 
 class LogPartitionProbe:
-    """A base state and descent direction with the direction's spectral
-    width delta; everything the log-partition diagnostics need.
-
-    The direction is validated once, by the checks of HermitianOperator,
-    and stored as its read-only array."""
+    """A base state and a descent direction, validated as HermitianOperator
+    validates it and stored as a read-only array, with the direction's
+    spectral width delta: everything the log-partition diagnostics need."""
 
     __slots__ = ("base", "exponent", "direction", "delta")
 
@@ -102,9 +84,9 @@ class LogPartitionProbe:
         return out
 
     def _parts(self, steps: int) -> list:
-        """(slice, probe) pairs that cover the probe: a stacked probe in
-        slices of its probes, each slice's H_alpha at `steps` steps a stack
-        of at most _STACK_ELEMENTS entries or one probe's; a single probe whole."""
+        """(slice, probe) pairs that cover the probe, each of whose H_alpha at
+        `steps` steps holds at most linalg._STACK_ELEMENTS entries, or one
+        probe's; a single probe whole."""
         if np.ndim(self.delta) == 0:
             return [(slice(None), self)]
         return [(at, self._of(self.base[at], self.exponent[at], self.direction[at], self.delta[at]))
@@ -129,8 +111,7 @@ class LogPartitionProbe:
 
 def phi(probe: LogPartitionProbe, alpha):
     """Log-partition value log tr exp(log rho + alpha G); a float, or an
-    array of the shape of an array alpha, from one stacked eigvalsh per part
-    of the probe (LogPartitionProbe._parts)."""
+    array of the shape of an array alpha."""
     a = _steps(alpha)
     return _joined([logsumexp(np.linalg.eigvalsh(p.hamiltonian_exponent(a))) for _, p in probe._parts(a.size)])
 
@@ -182,14 +163,12 @@ def _sorted_triples(d: int):
 
 
 def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
-    """phi and the first ``order`` of (phi', phi'', phi''') as phi_derivatives
-    computes them, from one stacked eigh per part of the probe
-    (LogPartitionProbe._parts), or from ``eig`` when the caller has it
-    already; skips the divided differences not read and forms the rest one
-    slab of (probe, step) pairs at a time. eigh gives the eigenvalues
-    ascending, so the third order sums the triples i <= j <= k only, each
-    weighted by its multiplicity: both of its factors are symmetric in
-    (i, j, k)."""
+    """(phi, phi', ...) up to the derivative of order ``order`` (1 to 3) at
+    the steps alpha, with the bits of phi and phi_derivatives. ``eig`` is
+    numpy.linalg.eigh of the probe's exponents at alpha, when the caller has
+    it. The third order sums the triples i <= j <= k of eigh's ascending
+    eigenvalues, each weighted by its multiplicity: both of its factors are
+    symmetric in (i, j, k)."""
     if eig is None:
         a = _steps(alpha)
         return _joined([_moments(p, a, order, np.linalg.eigh(p.hamiltonian_exponent(a)))
@@ -235,7 +214,7 @@ def phi_derivatives(probe: LogPartitionProbe, alpha):
     commute these reduce to the central moments of eta_alpha (mean, variance,
     third moment); off the commuting case the moment formulas acquire a
     Duhamel correction that this path accounts for. An array alpha gives
-    three arrays, from one stacked eigh per part of the probe.
+    three arrays.
     """
     return _moments(probe, alpha, 3)[1:]
 
@@ -255,7 +234,7 @@ def _gap(probe: LogPartitionProbe, alpha, value, d1):
 def bregman_gap(probe: LogPartitionProbe, alpha):
     """D(rho(alpha), rho) through the log-partition identity
     phi(0) - phi(alpha) + alpha phi'(alpha); nonnegative (Peierls-Bogoliubov).
-    An array alpha costs one first-order eigh, which gives phi(alpha) too."""
+    A step that is not positive raises InvalidInput."""
     return _gap(probe, alpha, *_moments(probe, alpha, 1))
 
 
@@ -269,11 +248,7 @@ class SandwichResult(NamedTuple):
 def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
     """Two-sided bound on the Bregman gap from self-concordant likeness:
     (e^{-da} + da - 1)/d^2 * phi'' <= gap <= (e^{da} - da - 1)/d^2 * phi''.
-
-    A zero spectral width is a first-class degenerate outcome: all three
-    quantities vanish in the limit and are reported as exact zeros, after
-    the steps are checked.
-    """
+    At a zero spectral width all three are exact zeros, and degenerate."""
     a = _steps(alpha)
     return _sandwich(probe, a, *_moments(probe, a, 2))
 
@@ -380,14 +355,12 @@ class FixedPointResult(NamedTuple):
 def fixed_point_check(rho: DensityState | Sequence, f: ObjectiveSpec,
                       alpha_grid: Sequence[float]) -> FixedPointResult:
     """True iff rho is (numerically) invariant under the EG update at every
-    grid step (one stack); a fixed point then gets the exact margin over all
-    density matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A
-    sequence of states, such as the base states of a stacked probe, gives one
-    array entry per state (margin nan off a fixed point) from the same (at
-    most three) decompositions per chunk of states, whose steps hold at most
-    _STACK_ELEMENTS matrix entries (or one state's). No state, no step, a
-    step that is not positive and finite, or a state that does not fit the
-    matrix objective f raises InvalidInput."""
+    grid step; a fixed point then gets the exact margin over all density
+    matrices, min <g, sigma - rho> = lambda_min(g) - <g, rho>. A sequence of
+    states, such as the base states of a stacked probe, gives one array entry
+    per state (margin nan off a fixed point), each the bits of that state
+    alone. No state, no step, a step that is not positive and finite, or a
+    state that does not fit the matrix objective f raises InvalidInput."""
     alphas = _steps(alpha_grid)
     single = not isinstance(rho, Sequence)
     states = [rho] if single else rho
@@ -435,50 +408,44 @@ def _concordance_excess(probe: LogPartitionProbe, var, third) -> float:
 
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    """The Hermitian part of a complex Gaussian d x d matrix."""
+    """The Hermitian part of a complex Gaussian d x d matrix; a dimension
+    that is not an integer of at least 1 raises InvalidInput."""
+    _count(d, "dimension", 1)
     return _hermitian_part(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 def random_density(rng: np.random.Generator, d: int) -> DensityState:
-    """exp(S)/tr exp(S) for a random Hermitian S of unit Frobenius norm (its
-    Schatten 2-norm), from one eigvalsh and one eigh."""
+    """exp(S)/tr exp(S) for a random Hermitian S of unit Frobenius norm; a
+    dimension that is not an integer of at least 1 raises InvalidInput."""
     return _random_densities([rng], d)[0]
 
 
 def _random_densities(rngs, d: int) -> tuple:
-    """random_density of each generator, from one stacked eigvalsh and eigh
-    (per chunk, linalg._stacked); a dimension below 1 raises InvalidInput."""
-    _count(d, "dimension", 1)
+    """random_density of each of a nonempty list of generators, bit for bit
+    one call per generator."""
     s = np.stack([random_hermitian(rng, d) for rng in rngs])
-    vals = _stacked(np.linalg.eigvalsh, s)
-    s *= (1.0 / np.sqrt(np.sum(vals * vals, axis=-1)))[:, None, None]
+    s *= (1.0 / np.linalg.norm(s, axis=(-2, -1)))[:, None, None]
     vals, v = _stacked(np.linalg.eigh, s)
     v.flags.writeable = False
     return tuple(map(DensityState, vals - logsumexp(vals)[:, None], v))
 
 
 def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:
-    """A^H A for a complex Gaussian d x d matrix A: PSD by construction."""
+    """A^H A for a complex Gaussian d x d matrix A: PSD by construction. A
+    dimension that is not an integer of at least 1 raises InvalidInput."""
+    _count(d, "dimension", 1)
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return a.conj().T @ a
 
 
 def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
-    """Seeded probe with a random base state; the direction is either a
-    tomography gradient, -grad f of qst_objective for an ensemble of 2d
-    random PSD operators at the base state (generically non-commuting with
-    it), or a plain random Hermitian. Both populations exercise the moment
-    formulas.
-
-    A list of generators, with a list of kinds, gives their probes as one
-    stack, bit for bit LogPartitionProbe.stack of one call per generator:
-    each generator draws what its probe alone draws, and each kind of matrix
-    is decomposed once for all probes (eigvalsh and eigh of the base states,
-    the ensembles' PSD eigvalsh, the directions' eigvalsh), one stacked call
-    per chunk of at most linalg._STACK_ELEMENTS entries. The operator and
-    direction stacks pass the input checks of HermitianOperator and
-    MeasurementEnsemble once per chunk. Empty lists, lists of unequal
-    lengths, or a dimension below 1 raise InvalidInput."""
+    """A seeded probe: a random_density base state and a direction of the
+    kind asked for, a random_hermitian draw ("hermitian") or -grad f of
+    qst_objective at the base state for the probe's own 2d random_psd
+    operators ("qst"). Lists of generators and kinds, of one length, give
+    their probes as one stack, bit for bit LogPartitionProbe.stack of one call
+    per generator. Empty lists, lists of unequal lengths, an unknown kind, or
+    a dimension that is not an integer of at least 1 raise InvalidInput."""
     if isinstance(rng, np.random.Generator):
         p = random_probe([rng], d, [direction_kind])
         return LogPartitionProbe._of(p.base[0], p.base[0].exponent, p.direction[0], float(p.delta[0]))
@@ -490,16 +457,11 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     base = _random_densities(rng, d)
     g = np.stack([random_hermitian(r, d) if kind == "hermitian" else np.zeros((d, d), complex)
                   for r, kind in zip(rng, direction_kind)])
-    qst = [i for i, kind in enumerate(direction_kind) if kind == "qst"]
-    # -grad f for the qst_objective of a MeasurementEnsemble of 2d random PSD
-    # operators, in chunks of probes whose operators hold at most _STACK_ELEMENTS entries
-    for part in (qst[at] for at in _chunks(len(qst), 2 * d ** 3)):
-        z = np.stack([rng[i].standard_normal((2 * d, 2, d, d)) for i in part])  # 2d random_psd draws
-        a = z[:, :, 0] + 1j * z[:, :, 1]
-        ops = _hermitian((a.conj().swapaxes(-1, -2) @ a).reshape(-1, d, d), 3)
-        _check_psd(ops)
-        for i, own in zip(part, ops.reshape(len(part), 2 * d, d, d)):
-            g[i] = -qst_objective(MeasurementEnsemble._of(own)).gradient(base[i])
+    for i in (i for i, kind in enumerate(direction_kind) if kind == "qst"):
+        z = rng[i].standard_normal((2 * d, 2, d, d))  # 2d random_psd draws
+        a = z[:, 0] + 1j * z[:, 1]
+        ops = _hermitian(a.conj().swapaxes(-1, -2) @ a, 3)  # PSD by construction
+        g[i] = -qst_objective(MeasurementEnsemble._of(ops)).gradient(base[i])
     g = _hermitian(g, 3)
     vals = _stacked(np.linalg.eigvalsh, g)
     return LogPartitionProbe._of(base, np.array([b.exponent for b in base]), g, vals[:, -1] - vals[:, 0])

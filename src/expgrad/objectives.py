@@ -10,13 +10,14 @@ Gradients, by contrast, raise DomainError outside the effective domain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _array, _hermitian, _hermitian_part, _stacked
+from .linalg import DensityState, _array, _count, _hermitian, _hermitian_part, _stacked
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,9 @@ class MeasurementEnsemble:
         if len({_array(op, copy=None).shape for op in ops}) > 1:  # no copy of an array
             raise InvalidInput("ensemble operators have mixed dimensions")
         stack = _hermitian(ops, 3)
-        _check_psd(stack)
+        lows = _stacked(np.linalg.eigvalsh, stack)[:, 0]
+        if np.any(lows < -1e-10):
+            raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
         if not np.any(stack):
             raise InvalidInput("ensemble is all zeros")
         self._keep(stack)
@@ -90,18 +93,18 @@ class MeasurementEnsemble:
         return (weights @ self._flat).view(np.complex128).reshape(self.dim, self.dim)
 
 
-def _check_psd(stack: np.ndarray) -> None:
-    """InvalidInput unless each matrix of a Hermitian stack is PSD, up to 1e-10;
-    decomposed in chunks (linalg._stacked)."""
-    lows = _stacked(np.linalg.eigvalsh, stack)[:, 0]
-    if np.any(lows < -1e-10):
-        raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
-
-
 def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
     """Projectors onto the standard basis, e_i (x) e_i. For d=2 this is the
-    instance whose objective reduces to -log x - log y on the diagonal."""
-    return MeasurementEnsemble([np.diag(e) for e in np.eye(d)])
+    instance whose objective reduces to -log x - log y on the diagonal. A
+    dimension that is not an integer of at least 1 raises InvalidInput."""
+    _count(d, "dimension", 1)
+    return MeasurementEnsemble._of(_hermitian([np.diag(e) for e in np.eye(d)], 3))
+
+
+def _positive(value, what: str) -> None:
+    """InvalidInput unless caller input is a positive, finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise InvalidInput(f"{what} must be a positive finite number, got {value!r}")
 
 
 def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Callable,
@@ -147,10 +150,10 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     """QST objective plus the log-det barrier: f_QST(rho) - lam * log det rho.
 
     The barrier forces every limit point of a monotone run into the interior.
-    The log-det is taken from the state's realized eigenvalues.
+    The log-det is taken from the state's realized eigenvalues. A weight lam
+    that is not a positive, finite real number raises InvalidInput.
     """
-    if lam <= 0.0:
-        raise InvalidInput("barrier weight must be positive")
+    _positive(lam, "barrier weight")
     base = qst_objective(ens)
 
     def value(rho: DensityState) -> float:
@@ -171,9 +174,9 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
 
 
 def burg_objective(d: int) -> ObjectiveSpec:
-    """Burg entropy -sum_i log v_i on the simplex; +inf at the boundary."""
-    if d < 1:
-        raise InvalidInput("dimension must be at least 1")
+    """Burg entropy -sum_i log v_i on the simplex; +inf at the boundary. A
+    dimension that is not an integer of at least 1 raises InvalidInput."""
+    _count(d, "dimension", 1)
     return _log_likelihood(d, "vector", lambda x: x.entries, lambda t: 1.0 / t, barrier=True)
 
 
@@ -195,9 +198,9 @@ def quadratic_objective(target, scale: float = 1.0) -> ObjectiveSpec:
     """Smooth test objective (scale/2) * ||rho - T||_F^2, T the Hermitian part
     of the square target, with gradient scale * (rho - T); its gradient is
     scale-Lipschitz, so the first Armijo candidate is accepted for small
-    enough initial steps."""
-    if scale <= 0.0:
-        raise InvalidInput("scale must be positive")
+    enough initial steps. A scale that is not a positive, finite real number
+    raises InvalidInput."""
+    _positive(scale, "scale")
     target = _hermitian(target)
 
     def value(rho: DensityState) -> float:

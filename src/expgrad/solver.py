@@ -63,9 +63,10 @@ class SolverConfig:
     alpha_bar is the initial step, shrink the backtracking factor, tau the
     sufficient-decrease fraction. max_backtracks is a safety cap: 60 halvings
     reach 1e-18 of alpha_bar, yet a gradient of spectral width 1e23 makes
-    every such step underflow. A search that reaches the cap ends the run as
-    BacktrackCapHit, with the last step tried and its value in the result's
-    last_alpha and last_value.
+    every such step underflow. A cap whose last step, alpha_bar *
+    shrink**max_backtracks, rounds to 0.0 raises InvalidInput. A search that
+    reaches the cap ends the run as BacktrackCapHit, with the last step tried
+    and its value in the result's last_alpha and last_value.
     """
 
     alpha_bar: float = 1.0
@@ -90,6 +91,12 @@ class SolverConfig:
             raise InvalidInput("max_iters must be nonnegative")
         if self.max_backtracks < 1:
             raise InvalidInput("max_backtracks must be positive")
+        try:  # the cap's step, as _armijo forms it, must not round to 0.0
+            last = self.alpha_bar * self.shrink ** self.max_backtracks
+        except OverflowError:  # a cap past the float range
+            last = 0.0
+        if last == 0.0:
+            raise InvalidInput("max_backtracks must keep alpha_bar * shrink**max_backtracks above 0.0")
         if not (0.0 < self.stop_tol < math.inf):
             raise InvalidInput("stop_tol must be positive and finite")
 

@@ -3,13 +3,10 @@
 Each suite evaluates one family of checks on a reproducible probe population
 and emits one record per probe: {check, seed, dim, pass, worst_margin}. A
 margin is the worst remaining slack after the check's stated tolerance, so
-pass is equivalent to worst_margin >= 0. The probes of each dimension are
-built as one stack, and each check runs once per dimension on that stack. It
-reads numbers by step from one table per dimension (phi, its derivatives,
-and the moments check's relative entropies), which decomposes every step
-some selected check reads once, in one stacked eigh per chunk of probes: no
-stacked decomposition takes more than linalg._STACK_ELEMENTS matrix entries,
-or one probe's row.
+pass is equivalent to worst_margin >= 0. A record has the same bits whether
+its check runs alone or under "all", and memory is bounded as in
+diagnostics: no stacked decomposition takes more than
+linalg._STACK_ELEMENTS matrix entries, or one probe's row of steps.
 """
 
 from __future__ import annotations
@@ -54,9 +51,8 @@ _KAPPA_STEPS = np.append(np.linspace(0.05, 1.0, 20), 1.0)  # a grid in (0, alpha
 
 def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
     """Central-difference oracle for the first three derivatives of phi,
-    Richardson-extrapolated from steps h and h/2. alpha and h broadcast; the
-    distinct stencil points take one stacked phi call. A step h that is not
-    positive raises InvalidInput."""
+    Richardson-extrapolated from steps h and h/2. alpha and h broadcast. A
+    step h that is not positive raises InvalidInput."""
     a, h = np.broadcast_arrays(_steps(alpha), _steps(h))
     if not np.all(h > 0.0):
         raise InvalidInput("finite-difference steps must be positive")
@@ -73,12 +69,10 @@ def phi_fd_derivatives(probe: LogPartitionProbe, alpha, h):
 
 
 class _Table:
-    """phi and its derivatives for the stacked probes of one dimension where the named checks read
-    them (_CHECKS), and, for the moments check, D(rho(alpha), rho) on its relative-entropy path
-    (_PATH), with rho(alpha) = exp(H_alpha) / tr exp(H_alpha): numbers only. Each part of the probe
-    (LogPartitionProbe._parts) takes one stacked eigh of those steps, read straight away by one
-    _moments per highest order read (the same bits at any order) and by the path's relative
-    entropies. No step, no eigh."""
+    """The numbers the named checks (_CHECKS) read of a stacked probe, by step: phi and its
+    derivatives up to the highest order a check reads there, with the bits _moments gives, and,
+    for the moments check, D(rho(alpha), rho) on its relative-entropy path (_PATH), with
+    rho(alpha) = exp(H_alpha) / tr exp(H_alpha). Each step is decomposed once per probe."""
 
     def __init__(self, probe: LogPartitionProbe, names):
         order = {}  # each step, with the highest derivative order read there
@@ -164,21 +158,14 @@ _CHECKS: dict[str, tuple[Callable, tuple]] = {
 
 
 def run_suite(name: str, samples: int, seed: int) -> list[dict]:
-    """Run a named suite (or all of them) over `samples` seeded probes.
-
-    Probe i has dimension (2, 3, 5, 8)[i % 4] and a tomography-gradient
-    direction for even i, a plain Hermitian one for odd i, covering both
-    commuting and non-commuting (state, direction) pairs; it draws from its
-    own generator, default_rng([seed, i]). samples and seed are integers (not
-    bools), samples at least 1 and seed at least 0, else InvalidInput.
-    The probes of each dimension are built as one stack, and each check runs
-    once on that stack. Each stacked decomposition takes at most
-    linalg._STACK_ELEMENTS matrix entries, or one probe's row (its steps
-    times d^2), so the cost per dimension is fixed while every stack is
-    within that budget, and a larger stack adds one call per extra chunk; no
-    matrix of a pass is decomposed twice. The records equal the
-    single-check suites' bits.
-    """
+    """The records of a named suite, or of every check under "all", over
+    `samples` seeded probes. Probe i draws from default_rng([seed, i]) and
+    has dimension (2, 3, 5, 8)[i % 4], with a tomography-gradient direction
+    for even i and a random Hermitian one for odd i: every probe of dimension
+    2 or 5 is a tomography probe, every probe of dimension 3 or 8 a Hermitian
+    one, and no base state commutes with its direction. An unknown name,
+    samples or seed not an integer (a bool is not one), samples below 1 or
+    seed below 0 raise InvalidInput."""
     if name not in SUITE_NAMES:
         raise InvalidInput(f"unknown suite {name!r}")
     _count(samples, "samples", 1)

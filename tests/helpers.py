@@ -1,8 +1,10 @@
 """Reference functions that only the tests read: a Schatten norm, the
-classical KL divergence, and the witness that the tomography objective is not
-relatively smooth. Test modules import them as ``from helpers import ...``
-(pytest puts this directory on the path)."""
+classical KL divergence, the witness that the tomography objective is not
+relatively smooth, and an exact-arithmetic oracle for the solver's Armijo
+product and divergence. Test modules import them as ``from helpers import
+...`` (pytest puts this directory on the path)."""
 
+import mpmath
 import numpy as np
 
 from expgrad.entropy import ProbabilityVector
@@ -47,3 +49,47 @@ def qst_hardness_witness(smoothness: float) -> tuple[float, float]:
     x = 1.0 / (2.0 * smoothness)
     violation = smoothness / x - 1.0 / (x * x)
     return x, violation
+
+
+_DIGITS = 60  # of the exact evaluations below
+
+
+def _exact_matrix(state, log: bool = False) -> list:
+    """rho = V diag(exp w) V^H, or with `log` log rho = V diag(w) V^H, of a
+    DensityState as nested lists of mpmath numbers, from its stored
+    eigenvectors V and log-eigenvalues w taken as exact."""
+    w = [mpmath.mpf(float(x)) for x in state._log_eigenvalues]
+    values = w if log else [mpmath.exp(x) for x in w]
+    v = [[mpmath.mpc(complex(x)) for x in row] for row in state.eigenvectors]
+    d = len(v)
+    out = [[None] * d for _ in range(d)]
+    for i in range(d):  # one triangle, mirrored: the matrix is Hermitian
+        scaled = [v[i][k] * values[k] for k in range(d)]
+        for j in range(i, d):
+            out[i][j] = mpmath.fdot(scaled, [mpmath.conj(x) for x in v[j]])
+            out[j][i] = mpmath.conj(out[i][j])
+    return out
+
+
+def _exact_inner(a, b, c) -> float:
+    """Re sum_ij conj(a_ij) (b_ij - c_ij), as numpy.vdot(a, b - c).real,
+    rounded once to a float."""
+    return float(mpmath.re(mpmath.fsum(
+        mpmath.conj(x) * (y - z) for ra, rb, rc in zip(a, b, c) for x, y, z in zip(ra, rb, rc))))
+
+
+def exact_armijo_product(new, old, g: np.ndarray) -> float:
+    """<g, rho_new - rho_old>, the product of the Armijo test, at 60 digits
+    for DensityStates new and old and a Hermitian float array g taken as
+    exact."""
+    with mpmath.workdps(_DIGITS):
+        return _exact_inner([[mpmath.mpc(complex(x)) for x in row] for row in g],
+                            _exact_matrix(new), _exact_matrix(old))
+
+
+def exact_divergence(new, old) -> float:
+    """D(new, old) = <rho_new, log rho_new - log rho_old> at 60 digits, the
+    quantity solver._divergence rounds (without the unit-trace term, as
+    there)."""
+    with mpmath.workdps(_DIGITS):
+        return _exact_inner(_exact_matrix(new), _exact_matrix(new, log=True), _exact_matrix(old, log=True))

@@ -172,6 +172,13 @@ class TestDiagnose:
         assert set(records[0]) == {"check", "seed", "dim", "pass", "worst_margin"}
         assert "4/4 checks passed" in capsys.readouterr().out
 
+    def test_failed_records_are_listed_with_exit_1(self, monkeypatch, capsys):
+        records = [{"check": "kappa", "seed": 0, "dim": 2, "pass": True, "worst_margin": 0.5},
+                   {"check": "kappa", "seed": 0, "dim": 3, "pass": False, "worst_margin": -0.25}]
+        monkeypatch.setattr("expgrad.cli.run_suite", lambda name, samples, seed: records)
+        assert main(["diagnose", "--suite", "kappa", "--samples", "2"]) == 1
+        assert capsys.readouterr().out == "1/2 checks passed\nFAIL kappa dim=3 margin=-2.500e-01\n"
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["diagnose", "--suite", "bogus"])
@@ -256,6 +263,26 @@ class TestMalformedInput:
         assert main(argv + flags) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("argv, config", [
+        (["run", "--objective", "qst", "--operators", "BASIS"], {"tol": "x"}),
+        (["run", "--objective", "qst", "--operators", "BASIS"], [1, 2]),
+        (["gen", "--dim", "2", "--num-ops", "0", "--out", "OUT"], None),
+        (["run", "--objective", "quadratic"], None),
+        (["run", "--objective", "qst", "--operators", "BASIS", "--max-backtracks", "1100"], None),
+    ], ids=["config-tol-string", "config-not-an-object", "gen-zero-operators", "quadratic-without-dim",
+            "cap-past-the-smallest-step"])
+    def test_boundary_rejections_as_json(self, basis_file, tmp_path, capsys, argv, config):
+        paths = {"BASIS": basis_file, "OUT": str(tmp_path / "ens.json")}
+        argv = [paths.get(a, a) for a in argv]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "ens.json").exists()
+        assert json.loads(captured.err)["error"] == "InvalidInput"
 
     @pytest.mark.parametrize("command, text, named", [
         ("run", json.dumps({"max_iter": 1}), "max_iter"),
@@ -374,6 +401,22 @@ class TestLoaders:
             load_rows(path)
         assert main(["run", "--objective", "poisson", "--operators", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("dim, rows", [(2, [[1.0, 2.0, 3.0]]), (3, [[1.0, 2.0]]), (2, [1.0, 2.0])],
+                             ids=["longer", "shorter", "one-dimensional"])
+    def test_rows_must_match_the_declared_dimension(self, tmp_path, capsys, dim, rows):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"dim": dim, "rows": rows}))
+        with pytest.raises(InvalidInput, match="declared dimension"):
+            load_rows(path)
+        assert main(["run", "--objective", "poisson", "--operators", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
+    def test_rows_round_trip(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"dim": 2, "rows": [[1.0, 0.5], [0.0, 2.0]]}))
+        rows = load_rows(path)
+        assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 0.5], [0.0, 2.0]]
 
     def test_ensemble_round_trip_keeps_the_stack(self, tmp_path):
         rng = np.random.default_rng(24)

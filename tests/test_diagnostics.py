@@ -543,19 +543,17 @@ class TestWorkPerCheck:
         # steps 1, and one finite-difference stack for all three h 1 (was 5:
         # phi_derivatives, one stack per h, and the path's eigh)
         ("moments", 2),
-        # the optimum's state and ensemble 1 + 1, then one check 3 of the
-        # optimum stacked with the probes' base states
-        ("fixed-point", 5),
-        # the table 1, the finite differences 1 and fixed point 5 (was 13:
-        # sandwich, kappa, the moments check's derivatives and path, and the
-        # ratio and self-concordance grid each decomposed their own steps)
-        ("all", 7),
+        # the optimum's state 1 (its ensemble is built undecomposed), then
+        # one check 3 of the optimum stacked with the probes' base states
+        ("fixed-point", 4),
+        # the table 1, the finite differences 1 and fixed point 4
+        ("all", 6),
     ])
     def test_suite_cost_does_not_grow_with_samples(self, monkeypatch, name, per_dim):
         # each dimension's probes are one stacked build: the base states'
-        # eigvalsh and eigh and the directions' eigvalsh, and for the
-        # tomography directions of dimensions 2 and 5 the ensembles' eigvalsh
-        builds = 4 * 3 + 2
+        # eigh and the directions' eigvalsh (a draw S is scaled by its
+        # Frobenius norm, and an ensemble A^H A is PSD unchecked)
+        builds = 4 * 2
         # at 100 samples the 25 probes of d = 8 pass the entry budget in the
         # table's eigh (ratio and self-concordance 3 chunks, kappa 2, all 5)
         # and the stencils' eigvalsh (5 chunks), and d = 5 in the stencils'
@@ -573,16 +571,11 @@ class TestWorkPerCheck:
         assert cost(100) <= 4 * 25
 
     def test_matrices_per_pass(self, monkeypatch):
-        # a 100-sample "all" pass: 52 stacked calls over 11,498 matrices (42
-        # when each dimension's table and stencils were one stack whatever
-        # their size; 66 over 13,200 when each check decomposed its own steps, every
-        # finite-difference step h its own stencil centres, and the
-        # fixed-point check took eigvalsh(g) of every state; 78 when the
-        # optimum's fixed-point check ran apart from the control's, 94 over
-        # 18,800 when every gap ran its own eigvalsh of phi)
+        # a 100-sample "all" pass: none of the calls is on a random draw S,
+        # a tomography probe's operators A^H A or a basis projector
         counts = self.count_matrices(monkeypatch)
         run_suite("all", 100, 0)
-        assert counts == Counter(calls=52, matrices=11_498)
+        assert counts == Counter(calls=42, matrices=11_030)
 
     @pytest.mark.parametrize("samples", [100, 1000])
     def test_no_stack_passes_the_entry_budget(self, monkeypatch, samples):
@@ -596,7 +589,7 @@ class TestWorkPerCheck:
             monkeypatch.setattr(np.linalg, name, counted)
         run_suite("all", samples, 0)
         assert max(entries for entries, _ in sizes) <= linalg._STACK_ELEMENTS
-        assert sum(matrices for _, matrices in sizes) == {100: 11_498, 1000: 114_548}[samples]
+        assert sum(matrices for _, matrices in sizes) == {100: 11_030, 1000: 110_030}[samples]
 
     def test_no_matrix_is_decomposed_twice_per_pass(self, monkeypatch):
         # in a 100-sample "all" pass, each distinct matrix goes through eigh
@@ -610,7 +603,7 @@ class TestWorkPerCheck:
                 return _fn(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         run_suite("all", 100, 0)
-        assert sum(seen["eigh"].values()) == 4_916 and sum(seen["eigvalsh"].values()) == 6_582
+        assert sum(seen["eigh"].values()) == 4_916 and sum(seen["eigvalsh"].values()) == 6_114
         for name, hashes in seen.items():
             assert max(hashes.values()) == 1, name
 
@@ -741,15 +734,17 @@ def test_random_probe_needs_one_kind_per_generator(generators, kinds):
 
 
 def test_random_probe_checks_its_stacks_as_the_ensemble_does(monkeypatch):
-    # the operators of both qst probes (2d each) and the three directions
-    # pass HermitianOperator's validator as one stack each, and the
-    # operators MeasurementEnsemble's PSD check
+    # each qst probe's 2d operators, then the three directions, pass
+    # HermitianOperator's validator as one stack each; no operator is
+    # decomposed, as A^H A is PSD by construction
     seen = []
-    for name in ("_hermitian", "_check_psd"):
-        monkeypatch.setattr(diagnostics, name, lambda a, *rest, _f=getattr(diagnostics, name), _n=name:
-                            seen.append((_n, np.shape(a))) or _f(a, *rest))
+    monkeypatch.setattr(diagnostics, "_hermitian", lambda a, *rest, _f=diagnostics._hermitian:
+                        seen.append(np.shape(a)) or _f(a, *rest))
+    counts = TestWorkPerCheck.count_matrices(monkeypatch)
     random_probe([np.random.default_rng([51, i]) for i in range(3)], 4, ["qst", "hermitian", "qst"])
-    assert seen == [("_hermitian", (16, 4, 4)), ("_check_psd", (16, 4, 4)), ("_hermitian", (3, 4, 4))]
+    assert seen == [(8, 4, 4), (8, 4, 4), (3, 4, 4)]
+    # the base states' eigh and the directions' eigvalsh
+    assert counts == Counter(calls=2, matrices=3 + 3)
 
 
 def test_list_of_states_matches_each_state():

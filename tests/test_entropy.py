@@ -46,6 +46,13 @@ class TestProbabilityVector:
     def test_uniform(self):
         assert np.allclose(ProbabilityVector.uniform(4).entries, 0.25)
 
+    @pytest.mark.parametrize("entries", [
+        [[0.5, 0.5]], [], [np.nan, 1.0], [np.inf, 0.0],
+    ], ids=["matrix", "empty", "nan", "inf"])
+    def test_rejects_a_malformed_vector(self, entries):
+        with pytest.raises(InvalidInput):
+            ProbabilityVector(entries)
+
     def test_leaves_the_callers_array_writable(self):
         a = np.array([0.5, 0.5])
         p = ProbabilityVector(a)
@@ -113,6 +120,15 @@ class TestQuantumRelativeEntropy:
             bregman = (von_neumann_entropy_neg(rho) - von_neumann_entropy_neg(sigma)
                        - np.vdot(grad_h, rho.matrix - sigma.matrix).real)
             assert quantum_relative_entropy(rho, sigma) == pytest.approx(bregman, abs=1e-9)
+
+    @pytest.mark.parametrize("singular", ["rho", "sigma"])
+    def test_singular_argument(self, singular):
+        # exp(-800) underflows to an exact zero eigenvalue
+        states = {"rho": DensityState.maximally_mixed(2),
+                  "sigma": DensityState.maximally_mixed(2)}
+        states[singular] = DensityState.from_exponent(np.diag([-800.0, 0.0]))
+        with pytest.raises(DomainError, match="singular"):
+            quantum_relative_entropy(states["rho"], states["sigma"])
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInput):

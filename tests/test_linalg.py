@@ -197,6 +197,12 @@ class TestDensityState:
         rho = DensityState.from_exponent(HermitianOperator(np.diag([-40.0, 0.0])))
         assert rho.min_eig > 0.0  # not clamped away
 
+    @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))],
+                             ids=["non-square", "vector", "stack"])
+    def test_from_exponent_rejects_a_non_square_array(self, h):
+        with pytest.raises(InvalidInput, match="square"):
+            DensityState.from_exponent(h)
+
     # halving a complex inf gives 0 * inf in the imaginary part, which numpy
     # reports on the way to the rejection
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -7,6 +7,8 @@ import pytest
 from expgrad.entropy import ProbabilityVector
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator
+from expgrad.diagnostics import random_hermitian as diagnostics_random_hermitian
+from expgrad.diagnostics import random_psd as diagnostics_random_psd
 from expgrad.objectives import (
     MeasurementEnsemble,
     burg_objective,
@@ -286,6 +288,39 @@ class TestPoissonLinearObjective:
     def test_rejects_zero_row(self):
         with pytest.raises(InvalidInput):
             poisson_linear_objective([[0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: poisson_linear_objective([1.0, 2.0]),
+    lambda: poisson_linear_objective([[1.0, -0.5], [1.0, 1.0]]),
+    lambda: poisson_linear_objective([[1.0, np.inf], [1.0, 1.0]]),
+    lambda: poisson_linear_objective([[1.0, np.nan], [1.0, 1.0]]),
+    lambda: quadratic_objective(np.eye(2), 0.0),
+], ids=["poisson-1d", "poisson-negative", "poisson-inf", "poisson-nan", "quadratic-zero-scale"])
+def test_constructors_reject_malformed_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hedged_qst_objective(standard_basis_ensemble(2), math.nan),
+    lambda: hedged_qst_objective(standard_basis_ensemble(2), math.inf),
+    lambda: hedged_qst_objective(standard_basis_ensemble(2), "x"),
+    lambda: hedged_qst_objective(standard_basis_ensemble(2), True),
+    lambda: quadratic_objective(np.eye(2), math.nan),
+    lambda: burg_objective(2.5),
+    lambda: burg_objective(True),
+    lambda: standard_basis_ensemble(-1),
+    lambda: standard_basis_ensemble(2.5),
+    lambda: diagnostics_random_hermitian(np.random.default_rng(0), 0),
+    lambda: diagnostics_random_psd(np.random.default_rng(0), 0),
+], ids=["hedged-nan", "hedged-inf", "hedged-string", "hedged-bool", "quadratic-nan", "burg-fraction",
+        "burg-bool", "basis-negative", "basis-fraction", "random-hermitian-0", "random-psd-0"])
+def test_weights_and_dimensions_are_checked_at_the_boundary(call):
+    # a weight or scale is a positive, finite real number, not a bool, and a
+    # dimension an integer of at least 1, not a bool
+    with pytest.raises(InvalidInput):
+        call()
 
 
 class TestLogLikelihood:

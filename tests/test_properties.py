@@ -1,9 +1,11 @@
 """Property tests of the EG solver on drawn instances: monotone descent, unit
 trace and Hermiticity of every iterate, the Armijo condition at every
 accepted step, invariance of the step when the gradient moves by c I, the
-solver's stored-exponent divergence against the relative entropy, and the
+solver's stored-exponent divergence against the relative entropy, the
 soundness of the spectral bound by which the line search excludes
-candidates of a barrier objective.
+candidates of a barrier objective, and the Armijo product and divergence
+against an exact-arithmetic oracle (helpers.exact_armijo_product,
+helpers.exact_divergence).
 
 Ensembles are drawn random (Wishart), rank-deficient (rank-one operators
 spanning half the space, so the optimum is singular) or near-commuting (one
@@ -14,14 +16,16 @@ derandomized, so every run draws the same instances.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expgrad.diagnostics import random_density
+from expgrad.diagnostics import random_density, random_psd
 from expgrad.entropy import quantum_relative_entropy
-from expgrad.linalg import DensityState
+from expgrad.linalg import DensityState, _hermitian
 from expgrad.objectives import MeasurementEnsemble, hedged_qst_objective, qst_objective
 from expgrad.solver import SolverConfig, _divergence, _underflow_step, eg_step, solve
+from helpers import exact_armijo_product, exact_divergence
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=15)
 KINDS = ("random", "rank-deficient", "near-commuting")
@@ -116,6 +120,56 @@ def test_divergence_is_relative_entropy(kind, d, seed, alpha):
     scale = 1.0 + np.max(np.abs(nxt.exponent)) + np.max(np.abs(rho.exponent))
     assert abs(_divergence(nxt, rho) - want) <= 1e-13 * d * scale
     assert _divergence(rho, rho) == 0.0
+
+
+def entry_scale(state, values):
+    """|V| diag(values) |V|^T for the state's stored eigenvectors V: entrywise,
+    a bound on the magnitude of each term summed to form V diag(values) V^H."""
+    v = np.abs(state.eigenvectors)
+    return (v * values) @ v.T
+
+
+@PROPERTY
+@given(d=st.integers(2, 8), seed=seeds, log10_min=st.floats(-300.0, 0.0),
+       log2_step=st.floats(-60.0, 0.0), log10_width=st.floats(-2.0, 6.0))
+def test_armijo_product_and_divergence_match_the_exact_oracle(d, seed, log10_min, log2_step, log10_width):
+    # a state with lambda_min = 10**log10_min and a candidate eg_step from it:
+    # the Armijo test's float product <g, rho' - rho> and solver._divergence
+    # D(rho', rho) are each within d eps S of the exact values, the round-off
+    # of sums of d terms: S = sum_ij |g_ij| (A' + A)_ij for the product and
+    # sum_ij A'_ij (L' + L)_ij for D, with A = |V| diag(lambda) |V|^T and
+    # L = |V| diag(|log lambda|) |V|^T bounding the terms of rho and log rho
+    rng = np.random.default_rng(seed)
+    w = np.append(rng.uniform(log10_min, 0.0, d - 1), log10_min) * math.log(10.0)
+    u = haar_unitary(rng, d)
+    rho = DensityState.from_exponent(_hermitian((u * w) @ u.conj().T))
+    g = _hermitian(complex_gaussian(rng, d, d) * 10.0 ** log10_width)
+    nxt = eg_step(rho, g, 2.0 ** log2_step)
+    eps = np.finfo(np.float64).eps
+    product = float(np.vdot(g, nxt.point - rho.point).real)  # as solver._armijo forms it
+    scale = np.sum(np.abs(g) * (entry_scale(nxt, nxt.eigenvalues) + entry_scale(rho, rho.eigenvalues)))
+    assert abs(product - exact_armijo_product(nxt, rho, g)) <= d * eps * scale
+    logs = entry_scale(nxt, np.abs(nxt._log_eigenvalues)) + entry_scale(rho, np.abs(rho._log_eigenvalues))
+    scale = np.sum(entry_scale(nxt, nxt.eigenvalues) * logs)
+    assert abs(_divergence(nxt, rho) - exact_divergence(nxt, rho)) <= d * eps * scale
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the float Armijo product cancels at near-singular iterates")
+def test_armijo_decision_matches_the_exact_one_at_a_near_singular_iterate():
+    # the hedged tomography instance on which the solver stops spuriously:
+    # at its first iterate (lambda_min 8e-19) the float product is -3.74e-3
+    # and the exact one -1.170e-4, while f falls by 1.165e-4 at the step
+    # 2**-60; so the float test rejects a step that the exact test accepts
+    rng = np.random.default_rng(0)
+    f = hedged_qst_objective(MeasurementEnsemble([random_psd(rng, 32) for _ in range(4 * 32)]), 1e-2)
+    cfg = SolverConfig()
+    state = solve(DensityState.maximally_mixed(32), f, SolverConfig(max_iters=1)).final_state
+    g = f.gradient(state)
+    nxt = eg_step(state, g, 2.0 ** -60)
+    f_state, f_next = f.value(state), f.value(nxt)
+    float_test = f_next <= f_state + cfg.tau * float(np.vdot(g, nxt.point - state.point).real)
+    exact_test = f_next <= f_state + cfg.tau * exact_armijo_product(nxt, state, g)
+    assert float_test == exact_test
 
 
 def spectral_cut(state, g):

@@ -71,6 +71,19 @@ class TestSolverConfig:
         with pytest.raises(InvalidInput):
             SolverConfig(**kwargs)
 
+    def test_cap_must_keep_the_last_step_positive(self):
+        # at alpha_bar = 1 and shrink = 0.5, the step 0.5**1074 = 5e-324 is
+        # the smallest positive float, and 0.5**1075 rounds to 0.0
+        for cap in (1075, 10 ** 400):
+            with pytest.raises(InvalidInput, match="max_backtracks"):
+                SolverConfig(max_backtracks=cap)
+        # from the quadratic's own minimizer no step decreases f: the search
+        # runs to the cap and reports its last step, not an invalid one
+        t = random_density(np.random.default_rng(0), 3)
+        result = solve(DensityState.from_matrix(t.matrix), quadratic_objective(t.matrix),
+                       SolverConfig(max_backtracks=1074))
+        assert result.status is SolveStatus.BACKTRACK_CAP_HIT and result.last_alpha == 5e-324
+
     @pytest.mark.parametrize("kwargs", [
         {"max_iters": 1.5}, {"max_backtracks": 2.5}, {"max_iters": True}, {"max_backtracks": None},
         {"alpha_bar": "x"}, {"stop_tol": None}, {"tau": False}, {"shrink": 0.5j},
