@@ -7,23 +7,16 @@ from types import ModuleType as _ModuleType
 from .entropy import ProbabilityVector, quantum_relative_entropy
 from .diagnostics import (
     FixedPointResult,
-    KappaResult,
     LogPartitionProbe,
-    RatioResult,
-    SandwichResult,
     bregman_gap,
     chi,
     fixed_point_check,
     inner_product_check,
-    kappa_bound_check,
     phi,
     phi_derivatives,
     random_density,
     random_hermitian,
     random_probe,
-    ratio_monotonicity_check,
-    sandwich_check,
-    self_concordance_check,
 )
 from .errors import DomainError, InvalidInput
 from .linalg import DensityState, HermitianOperator

@@ -1,10 +1,10 @@
 """Numerical certification of the analysis behind the solver.
 
 A probe pairs a strictly positive state rho with a Hermitian direction G,
-commuting with rho or not. The checks read its log-partition function
-phi(alpha) = log tr exp(log rho + alpha G) and the derivatives of phi (the
-Bregman-gap identity, sandwich bounds, ratio monotonicity, the kappa bound,
-self-concordance), or the EG update itself (fixed point, inner product).
+commuting with rho or not. This module holds its log-partition function
+phi(alpha) = log tr exp(log rho + alpha G), the exact derivatives of phi, the
+Bregman gap, the checks of the EG update itself (fixed point, inner product)
+and the seeded probes; the checks on phi's derivatives are in suites.
 
 Every function of a probe takes a step or a 1-D array of steps, and a probe
 or a stack of probes (LogPartitionProbe.stack), whose results then gain a
@@ -238,93 +238,6 @@ def bregman_gap(probe: LogPartitionProbe, alpha):
     return _gap(probe, alpha, *_moments(probe, alpha, 1))
 
 
-class SandwichResult(NamedTuple):
-    lower: float | np.ndarray
-    gap: float | np.ndarray
-    upper: float | np.ndarray
-    degenerate: bool | np.ndarray = False
-
-
-def sandwich_check(probe: LogPartitionProbe, alpha) -> SandwichResult:
-    """Two-sided bound on the Bregman gap from self-concordant likeness:
-    (e^{-da} + da - 1)/d^2 * phi'' <= gap <= (e^{da} - da - 1)/d^2 * phi''.
-    At a zero spectral width all three are exact zeros, and degenerate."""
-    a = _steps(alpha)
-    return _sandwich(probe, a, *_moments(probe, a, 2))
-
-
-def _sandwich(probe: LogPartitionProbe, a, value, d1, var) -> SandwichResult:
-    """sandwich_check at the steps a, given phi, phi' and phi'' there."""
-    d = np.reshape(probe.delta, np.shape(probe.delta) + (1,) * a.ndim)
-    flat = d == 0.0
-    x, dd = d * a, np.where(flat, 1.0, d * d)
-    parts = ((np.expm1(-x) + x) / dd * var, _gap(probe, a, value, d1), (np.expm1(x) - x) / dd * var)
-    return SandwichResult(*map(_scalar, np.where(flat, 0.0, parts)),
-                          degenerate=_scalar(np.reshape(flat, np.shape(probe.delta))))
-
-
-class RatioResult(NamedTuple):
-    non_increasing: bool | np.ndarray
-    worst_violation: float | np.ndarray
-    ratios: np.ndarray
-    degenerate: bool | np.ndarray = False
-
-
-def ratio_monotonicity_check(probe: LogPartitionProbe,
-                             alpha_grid: Sequence[float]) -> RatioResult:
-    """Check that alpha -> D(rho(alpha), rho) / (e^{da}(da - 1) + 1) is
-    non-increasing on the given ascending positive grid (zero ratios at a
-    zero width)."""
-    grid = _steps(alpha_grid)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise InvalidInput("grid must be strictly ascending and positive")
-    return _ratio_check(probe, grid, *_moments(probe, grid, 1))
-
-
-def _ratio_check(probe: LogPartitionProbe, grid, value, d1) -> RatioResult:
-    """ratio_monotonicity_check on a valid grid, given phi and phi' there."""
-    d = np.asarray(probe.delta)[..., None]
-    gaps = _gap(probe, grid, value, d1)
-    ratios = np.divide(gaps, chi(d * grid), out=np.zeros_like(gaps), where=d != 0.0)
-    # allowed slack: next <= prev * (1 + 1e-8) + 1e-12
-    excess = ratios[..., 1:] - (ratios[..., :-1] * (1.0 + 1e-8) + 1e-12)
-    worst = np.max(excess, axis=-1, initial=0.0)
-    return RatioResult(_scalar(worst <= 0.0), _scalar(worst), ratios, _scalar(d[..., 0] == 0.0))
-
-
-class KappaResult(NamedTuple):
-    holds: bool | np.ndarray
-    worst_margin: float | np.ndarray
-    kappa: float | np.ndarray
-    degenerate: bool | np.ndarray = False
-    rhs: float | np.ndarray = 0.0  # kappa * D(rho(abar), rho)
-
-
-def kappa_bound_check(probe: LogPartitionProbe, alpha_bar: float,
-                      alpha_grid: Sequence[float]) -> KappaResult:
-    """Check D(rho(a), rho)/a^2 >= kappa * D(rho(abar), rho) on a grid in
-    (0, abar], with kappa = Delta^2 / (2 [e^{D abar}(D abar - 1) + 1]); at a
-    zero width, kappa and the margin are zero."""
-    grid, alpha_bar = _steps(alpha_grid), _steps(alpha_bar)
-    if alpha_bar.ndim or not 0.0 < alpha_bar < math.inf:
-        raise InvalidInput("alpha_bar must be a positive and finite step size")
-    if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid > alpha_bar * (1 + 1e-12)):
-        raise InvalidInput("grid must lie in (0, alpha_bar]")
-    steps, at = np.unique(np.append(grid, alpha_bar), return_inverse=True)
-    return _kappa_check(probe, alpha_bar, grid, bregman_gap(probe, steps)[..., at])
-
-
-def _kappa_check(probe: LogPartitionProbe, alpha_bar, grid, gaps) -> KappaResult:
-    """kappa_bound_check on a valid grid, given the gaps on it and, last, at alpha_bar."""
-    d = np.asarray(probe.delta)
-    flat = d == 0.0
-    kappa = np.divide(d * d, 2.0 * chi(d * alpha_bar), out=np.zeros(d.shape), where=~flat)
-    rhs = kappa * gaps[..., -1]
-    worst = np.where(flat, 0.0, np.min(gaps[..., :-1] / (grid * grid) - rhs[..., None], axis=-1))
-    holds = worst >= -1e-9 * np.maximum(1.0, np.abs(rhs))
-    return KappaResult(*map(_scalar, (holds, worst, kappa, flat, rhs)))
-
-
 def inner_product_check(rho: DensityState, f: ObjectiveSpec, alpha: float) -> float:
     """Margin of <grad f(rho), rho(alpha) - rho> <= -D(rho(alpha), rho)/alpha;
     nonnegative (up to round-off) by the mirror-descent subproblem optimality.
@@ -389,24 +302,6 @@ def fixed_point_check(rho: DensityState | Sequence, f: ObjectiveSpec,
     return FixedPointResult(fixed, movement, margin)
 
 
-def self_concordance_check(probe: LogPartitionProbe,
-                           alpha_grid: Sequence[float]) -> float:
-    """Worst normalized excess of |phi'''| over Delta * phi'' on the grid;
-    nonpositive (within slack) when the self-concordant-likeness bound holds.
-    An empty grid raises InvalidInput.
-    """
-    grid = _steps(alpha_grid)
-    if grid.size == 0:
-        raise InvalidInput("grid must hold one or more step sizes")
-    return _concordance_excess(probe, *phi_derivatives(probe, grid)[1:])
-
-
-def _concordance_excess(probe: LogPartitionProbe, var, third) -> float:
-    """self_concordance_check, given phi'' and phi''' on the grid."""
-    bound = np.asarray(probe.delta)[..., None] * var
-    return _scalar(np.max((np.abs(third) - bound) / np.maximum(1.0, bound), axis=-1, initial=-math.inf))
-
-
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     """The Hermitian part of a complex Gaussian d x d matrix; a dimension
     that is not an integer of at least 1 raises InvalidInput."""
@@ -458,9 +353,7 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
     g = np.stack([random_hermitian(r, d) if kind == "hermitian" else np.zeros((d, d), complex)
                   for r, kind in zip(rng, direction_kind)])
     for i in (i for i, kind in enumerate(direction_kind) if kind == "qst"):
-        z = rng[i].standard_normal((2 * d, 2, d, d))  # 2d random_psd draws
-        a = z[:, 0] + 1j * z[:, 1]
-        ops = _hermitian(a.conj().swapaxes(-1, -2) @ a, 3)  # PSD by construction
+        ops = _hermitian([random_psd(rng[i], d) for _ in range(2 * d)], 3)  # PSD by construction
         g[i] = -qst_objective(MeasurementEnsemble._of(ops)).gradient(base[i])
     g = _hermitian(g, 3)
     vals = _stacked(np.linalg.eigvalsh, g)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .entropy import ProbabilityVector
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState
+from .linalg import DensityState, _array
 from .objectives import ObjectiveSpec
 
 
@@ -133,9 +133,13 @@ def eg_step(state, g: np.ndarray, alpha: float):
     """One exponentiated gradient update exp(log x - alpha g), normalized in
     log domain, of a DensityState (g a Hermitian array) or a
     ProbabilityVector (g a vector). A gradient that is a multiple of the
-    identity leaves the state unchanged (the normalization cancels it)."""
+    identity leaves the state unchanged (the normalization cancels it). A
+    gradient of another shape than the state's exponent raises InvalidInput."""
     if alpha <= 0.0:
         raise InvalidInput("step size must be positive")
+    g = _array(g, copy=None, what="gradient")
+    if g.shape != state.exponent.shape:
+        raise InvalidInput(f"gradient of shape {g.shape} for a state of shape {state.exponent.shape}")
     # a real combination of two exactly Hermitian arrays is exactly Hermitian
     return type(state).from_exponent(state.exponent - alpha * g)
 

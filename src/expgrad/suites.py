@@ -1,11 +1,12 @@
 """Batch diagnostic suites over seeded random probes.
 
-Each suite evaluates one family of checks on a reproducible probe population
-and emits one record per probe: {check, seed, dim, pass, worst_margin}. A
-margin is the worst remaining slack after the check's stated tolerance, so
-pass is equivalent to worst_margin >= 0. A record has the same bits whether
-its check runs alone or under "all", and memory is bounded as in
-diagnostics: no stacked decomposition takes more than
+Each suite evaluates one check on a reproducible probe population and emits
+one record per probe: {check, seed, dim, pass, worst_margin}. A check is one
+function (_CHECKS) from a stacked probe's _Table, the numbers it reads, to a
+margin per probe: the worst remaining slack after the check's stated
+tolerance, so pass is equivalent to worst_margin >= 0. A record has the same
+bits whether its check runs alone or under "all", and memory is bounded as
+in diagnostics: no stacked decomposition takes more than
 linalg._STACK_ELEMENTS matrix entries, or one probe's row of steps.
 """
 
@@ -18,13 +19,10 @@ import numpy as np
 
 from .diagnostics import (
     LogPartitionProbe,
-    _concordance_excess,
     _gap,
-    _kappa_check,
     _moments,
-    _ratio_check,
-    _sandwich,
     _steps,
+    chi,
     fixed_point_check,
     phi,
     phi_derivatives,  # noqa: F401
@@ -98,19 +96,30 @@ class _Table:
 
 
 # Each check maps the stacked probes of one dimension, and their table, to one margin per probe.
+# D(alpha) is the Bregman gap D(rho(alpha), rho) and x = Delta alpha. At a zero width Delta the sandwich
+# margin is +inf, the ratio and kappa margins 0.0.
 def _check_sandwich(probe, table):
-    res = _sandwich(probe, _SANDWICH, *table.read(_SANDWICH, 2))
-    margin = np.min([res.gap - res.lower + 1e-9, res.upper - res.gap + 1e-9, res.lower + 1e-12],
-                    axis=(0, -1))
-    return np.where(res.degenerate, math.inf, margin)
+    """(e^-x + x - 1) phi''/Delta^2 <= D <= (e^x - x - 1) phi''/Delta^2 within 1e-9, lower >= -1e-12."""
+    value, d1, var = table.read(_SANDWICH, 2)
+    d = probe.delta[:, None]
+    x, dd = d * _SANDWICH, np.where(d == 0.0, 1.0, d * d)
+    lower, upper = (np.expm1(-x) + x) / dd * var, (np.expm1(x) - x) / dd * var
+    gap = _gap(probe, _SANDWICH, value, d1)
+    margin = np.min([gap - lower + 1e-9, upper - gap + 1e-9, lower + 1e-12], axis=(0, -1))
+    return np.where(probe.delta == 0.0, math.inf, margin)
 
 
 def _check_ratio(probe, table):
-    res = _ratio_check(probe, _GRID, *table.read(_GRID, 1))
-    return np.where(res.degenerate, 0.0, -res.worst_violation)
+    """D(alpha) / chi(x) non-increasing on _GRID: each at most the one before (1 + 1e-8) + 1e-12."""
+    d = probe.delta[:, None]
+    gaps = _gap(probe, _GRID, *table.read(_GRID, 1))
+    ratios = np.divide(gaps, chi(d * _GRID), out=np.zeros_like(gaps), where=d != 0.0)
+    excess = ratios[:, 1:] - (ratios[:, :-1] * (1.0 + 1e-8) + 1e-12)
+    return np.where(probe.delta == 0.0, 0.0, -np.max(excess, axis=-1, initial=0.0))
 
 
 def _check_moments(probe, table):
+    """phi' to phi''' within 1e-5 of finite differences, phi'' <= Delta^2/4 + 1e-10, D within 1e-8."""
     analytic = np.array(table.read(_MOMENTS, 3)[1:])  # (derivative, probe, alpha)
     # every finite-difference step h in one call: (h, derivative, probe, alpha)
     fd = np.moveaxis(phi_fd_derivatives(probe, _MOMENTS, np.array(_FD_STEPS)[:, None]), -2, 0)
@@ -127,13 +136,16 @@ def _check_moments(probe, table):
 
 
 def _check_kappa(probe, table):
-    res = _kappa_check(probe, 1.0, _KAPPA_STEPS[:-1], _gap(probe, _KAPPA_STEPS, *table.read(_KAPPA_STEPS, 1)))
-    return np.where(res.degenerate, 0.0, res.worst_margin + 1e-9 * np.maximum(1.0, np.abs(res.rhs)))
+    """D(alpha)/alpha^2 >= kappa D(1) - 1e-9 max(1, kappa D(1)), kappa = Delta^2/(2 chi(Delta))."""
+    d, grid = probe.delta, _KAPPA_STEPS[:-1]
+    gaps = _gap(probe, _KAPPA_STEPS, *table.read(_KAPPA_STEPS, 1))
+    rhs = np.divide(d * d, 2.0 * chi(d), out=np.zeros(d.shape), where=d != 0.0) * gaps[:, -1]
+    worst = np.min(gaps[:, :-1] / (grid * grid) - rhs[:, None], axis=-1)
+    return np.where(d == 0.0, 0.0, worst + 1e-9 * np.maximum(1.0, np.abs(rhs)))
 
 
 def _check_fixed_point(probe, _):
-    # one stack: the maximally mixed state, the optimum, must be a fixed
-    # point; the control, the probes' base states (random densities), not
+    """The optimum, the maximally mixed state, fixed with margin >= -1e-8; no base state fixed."""
     d = probe.dim
     res = fixed_point_check([DensityState.maximally_mixed(d), *probe.base],
                             qst_objective(standard_basis_ensemble(d)), (0.1, 1.0, 3.0))
@@ -142,7 +154,10 @@ def _check_fixed_point(probe, _):
 
 
 def _check_self_concordance(probe, table):
-    return 1e-10 - _concordance_excess(probe, *table.read(_GRID, 3)[2:])
+    """|phi'''| <= Delta phi'' on _GRID, within 1e-10 max(1, Delta phi'')."""
+    _, _, var, third = table.read(_GRID, 3)
+    bound = probe.delta[:, None] * var
+    return 1e-10 - np.max((np.abs(third) - bound) / np.maximum(1.0, bound), axis=-1)
 
 
 # Each check, with the (order, steps) it reads from the table: the highest

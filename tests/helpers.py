@@ -1,8 +1,9 @@
 """Reference functions that only the tests read: a Schatten norm, the
 classical KL divergence, the witness that the tomography objective is not
 relatively smooth, and an exact-arithmetic oracle for the solver's Armijo
-product and divergence. Test modules import them as ``from helpers import
-...`` (pytest puts this directory on the path)."""
+product, divergence and tomography value difference. Test modules import
+them as ``from helpers import ...`` (pytest puts this directory on the
+path)."""
 
 import mpmath
 import numpy as np
@@ -71,11 +72,10 @@ def _exact_matrix(state, log: bool = False) -> list:
     return out
 
 
-def _exact_inner(a, b, c) -> float:
-    """Re sum_ij conj(a_ij) (b_ij - c_ij), as numpy.vdot(a, b - c).real,
-    rounded once to a float."""
-    return float(mpmath.re(mpmath.fsum(
-        mpmath.conj(x) * (y - z) for ra, rb, rc in zip(a, b, c) for x, y, z in zip(ra, rb, rc))))
+def _exact_inner(a, b, c):
+    """Re sum_ij conj(a_ij) (b_ij - c_ij), as numpy.vdot(a, b - c).real."""
+    return mpmath.re(mpmath.fsum(
+        mpmath.conj(x) * (y - z) for ra, rb, rc in zip(a, b, c) for x, y, z in zip(ra, rb, rc)))
 
 
 def exact_armijo_product(new, old, g: np.ndarray) -> float:
@@ -83,13 +83,37 @@ def exact_armijo_product(new, old, g: np.ndarray) -> float:
     for DensityStates new and old and a Hermitian float array g taken as
     exact."""
     with mpmath.workdps(_DIGITS):
-        return _exact_inner([[mpmath.mpc(complex(x)) for x in row] for row in g],
-                            _exact_matrix(new), _exact_matrix(old))
+        return float(_exact_inner([[mpmath.mpc(complex(x)) for x in row] for row in g],
+                                  _exact_matrix(new), _exact_matrix(old)))
 
 
-def exact_divergence(new, old) -> float:
+def exact_divergence(new, old, unit_trace: bool = False) -> float:
     """D(new, old) = <rho_new, log rho_new - log rho_old> at 60 digits, the
     quantity solver._divergence rounds (without the unit-trace term, as
-    there)."""
+    there). With `unit_trace`, minus tr(rho_new - rho_old) too: the quantity
+    quantum_relative_entropy rounds. That term is not zero, as the stored
+    log-eigenvalues are normalized in floating point."""
     with mpmath.workdps(_DIGITS):
-        return _exact_inner(_exact_matrix(new), _exact_matrix(new, log=True), _exact_matrix(old, log=True))
+        rho_new = _exact_matrix(new)
+        out = _exact_inner(rho_new, _exact_matrix(new, log=True), _exact_matrix(old, log=True))
+        if unit_trace:
+            rho_old = _exact_matrix(old)
+            out -= mpmath.re(mpmath.fsum(rho_new[i][i] - rho_old[i][i] for i in range(len(rho_new))))
+        return float(out)
+
+
+def exact_value_difference(new, old, operators) -> float:
+    """f(new) - f(old) for qst_objective, f(rho) = -sum_i log tr(M_i rho), at
+    60 digits for DensityStates new and old and the float operators M_i (an
+    (m, d, d) array) taken as exact: the difference that solver._armijo tests
+    against tau times the Armijo product."""
+    with mpmath.workdps(_DIGITS):
+        a, b = _exact_matrix(new), _exact_matrix(old)
+        total = mpmath.mpf(0)
+        for m in operators:
+            m = [[mpmath.mpc(complex(x)) for x in row] for row in m]
+            # tr(M rho) = sum_jk M_jk conj(rho_jk), as rho is Hermitian
+            t_new, t_old = (mpmath.re(mpmath.fsum(x * mpmath.conj(y) for rm, rr in zip(m, rho)
+                                                  for x, y in zip(rm, rr))) for rho in (a, b))
+            total += mpmath.log(t_old) - mpmath.log(t_new)
+        return float(total)

@@ -2,7 +2,9 @@
 PASS/FAIL line. Shared fixtures provide a reproducible population of 100
 log-partition probes (dimensions cycling through 2, 3, 5, 8; directions
 alternating between tomography gradients and plain Hermitian matrices) and 20
-seeded solver instances across the five objective families.
+seeded solver instances across the five objective families. Properties 6-8
+read the sandwich, ratio and kappa checks from the run_suite records of that
+same population.
 """
 
 import math
@@ -24,7 +26,6 @@ from expgrad import (
     fixed_point_check,
     hedged_qst_objective,
     inner_product_check,
-    kappa_bound_check,
     phi_derivatives,
     phi_fd_derivatives,
     poisson_linear_objective,
@@ -33,11 +34,11 @@ from expgrad import (
     quantum_relative_entropy,
     random_density,
     random_probe,
-    ratio_monotonicity_check,
-    sandwich_check,
+    run_suite,
     solve,
     standard_basis_ensemble,
 )
+from expgrad import suites
 from expgrad.diagnostics import random_psd
 from helpers import qst_hardness_witness, schatten_norm
 
@@ -150,6 +151,16 @@ def test_05_bregman_gap_identity(probes):
     report(5, "bregman-gap-identity", worst <= 1e-8, f"worst rel diff {worst:.3e}")
 
 
+def suite_failures(name):
+    """The records of run_suite(name, N_PROBES, PROBE_SEED) that fail. That
+    population is the probes fixture bit for bit: probe i comes from
+    default_rng([PROBE_SEED, i]), has dimension PROBE_DIMS[i % 4] and gets a
+    tomography direction for even i. The suite's grids: the sandwich at steps
+    (0.1, 1, 5), the ratio on geomspace(1e-3, 10, 25) and the kappa bound on
+    linspace(0.05, 1, 20) with alpha_bar = 1."""
+    return [r for r in run_suite(name, N_PROBES, PROBE_SEED) if not r["pass"]]
+
+
 def test_06_self_concordance_and_sandwich(probes):
     ok, detail = True, ""
     for p in probes:
@@ -157,39 +168,39 @@ def test_06_self_concordance_and_sandwich(probes):
             _, var, third = phi_derivatives(p, alpha)
             if abs(third) > p.delta * var + 1e-10:
                 ok, detail = False, f"|phi'''| excess {abs(third) - p.delta * var:.3e}"
-            res = sandwich_check(p, alpha)
-            if res.degenerate:
-                continue
-            if not (res.lower - 1e-9 <= res.gap <= res.upper + 1e-9):
-                ok, detail = False, "sandwich ordering violated"
-            if res.lower < -1e-12:
-                ok, detail = False, f"lower bound {res.lower:.3e}"
+    failed = suite_failures("sandwich")
+    if failed:
+        ok, detail = False, f"sandwich margin {min(r['worst_margin'] for r in failed):.3e}"
     report(6, "self-concordance-sandwich", ok, detail)
 
 
-def test_07_ratio_monotonicity(probes):
-    grid = np.geomspace(1e-3, 10.0, 25)
-    worst = max(ratio_monotonicity_check(p, grid).worst_violation for p in probes)
-    report(7, "ratio-monotonicity", worst <= 0.0, f"worst violation {worst:.3e}")
+def test_07_ratio_monotonicity():
+    failed = suite_failures("ratio")
+    worst = min((r["worst_margin"] for r in failed), default=0.0)
+    report(7, "ratio-monotonicity", not failed, f"worst margin {worst:.3e}")
 
 
 def test_08_kappa_bound(probes):
-    grid = np.linspace(0.05, 1.0, 20)
     ok, detail = True, ""
+    failed = suite_failures("kappa")
+    if failed:
+        ok, detail = False, f"kappa margin {min(r['worst_margin'] for r in failed):.3e}"
     for p in probes:
-        res = kappa_bound_check(p, 1.0, grid)
-        if not res.holds:
-            ok, detail = False, f"kappa margin {res.worst_margin:.3e}"
         for alpha in (0.1, 0.5, 1.0, 5.0):
             _, var, _ = phi_derivatives(p, alpha)
             if var > p.delta ** 2 / 4.0 + 1e-10:
                 ok, detail = False, f"variance excess {var - p.delta ** 2 / 4:.3e}"
-    # point value: spectral width 1 and unit cap step give kappa exactly 1/2
-    point = LogPartitionProbe(DensityState.maximally_mixed(2),
-                              HermitianOperator(np.diag([0.0, 1.0])))
-    kappa = kappa_bound_check(point, 1.0, [1.0]).kappa
-    if abs(kappa - 0.5) > 1e-15:
-        ok, detail = False, f"kappa point value {kappa!r}"
+    # point value: spectral width 1 and unit cap step give kappa exactly 1/2,
+    # so the kappa check's margin is the closed form's with kappa = 1/2, from
+    # phi(alpha) = log((1 + e^alpha) / 2) and D(alpha) = alpha phi'(alpha) - phi(alpha)
+    point = LogPartitionProbe.stack([LogPartitionProbe(DensityState.maximally_mixed(2),
+                                                       HermitianOperator(np.diag([0.0, 1.0])))])
+    margin = suites._check_kappa(point, suites._Table(point, ["kappa"]))[0]
+    grid = np.linspace(0.05, 1.0, 20)
+    gap = grid * np.exp(grid) / (1.0 + np.exp(grid)) - np.log((1.0 + np.exp(grid)) / 2.0)
+    want = np.min(gap / (grid * grid)) - 0.5 * gap[-1] + 1e-9
+    if abs(margin - want) > 1e-12:
+        ok, detail = False, f"kappa point margin {margin!r}, closed form {want!r}"
     report(8, "kappa-bound", ok, detail)
 
 

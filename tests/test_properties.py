@@ -3,9 +3,10 @@ trace and Hermiticity of every iterate, the Armijo condition at every
 accepted step, invariance of the step when the gradient moves by c I, the
 solver's stored-exponent divergence against the relative entropy, the
 soundness of the spectral bound by which the line search excludes
-candidates of a barrier objective, and the Armijo product and divergence
-against an exact-arithmetic oracle (helpers.exact_armijo_product,
-helpers.exact_divergence).
+candidates of a barrier objective, and the Armijo product, the divergence,
+the value difference and diagnostics.inner_product_check against an
+exact-arithmetic oracle (helpers.exact_armijo_product,
+helpers.exact_divergence, helpers.exact_value_difference).
 
 Ensembles are drawn random (Wishart), rank-deficient (rank-one operators
 spanning half the space, so the optimum is singular) or near-commuting (one
@@ -17,15 +18,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from expgrad.diagnostics import random_density, random_psd
+from expgrad.diagnostics import inner_product_check, random_density, random_psd
 from expgrad.entropy import quantum_relative_entropy
 from expgrad.linalg import DensityState, _hermitian
 from expgrad.objectives import MeasurementEnsemble, hedged_qst_objective, qst_objective
 from expgrad.solver import SolverConfig, _divergence, _underflow_step, eg_step, solve
-from helpers import exact_armijo_product, exact_divergence
+from helpers import exact_armijo_product, exact_divergence, exact_value_difference
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=15)
 KINDS = ("random", "rank-deficient", "near-commuting")
@@ -122,11 +123,35 @@ def test_divergence_is_relative_entropy(kind, d, seed, alpha):
     assert _divergence(rho, rho) == 0.0
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def near_singular_state(rng, d, log10_min):
+    """exp(H) / tr exp(H) for H = U diag(w) U^H, U Haar and w log 10 drawn in
+    [log10_min, 0] with one entry at log10_min."""
+    w = np.append(rng.uniform(log10_min, 0.0, d - 1), log10_min) * math.log(10.0)
+    u = haar_unitary(rng, d)
+    return DensityState.from_exponent(_hermitian((u * w) @ u.conj().T))
+
+
 def entry_scale(state, values):
     """|V| diag(values) |V|^T for the state's stored eigenvectors V: entrywise,
     a bound on the magnitude of each term summed to form V diag(values) V^H."""
     v = np.abs(state.eigenvectors)
     return (v * values) @ v.T
+
+
+def product_scale(new, old, g):
+    """sum_ij |g_ij| (A' + A)_ij, A = |V| diag(lambda) |V|^T: the magnitude of
+    the terms of <g, rho' - rho>."""
+    return np.sum(np.abs(g) * (entry_scale(new, new.eigenvalues) + entry_scale(old, old.eigenvalues)))
+
+
+def divergence_scale(new, old):
+    """sum_ij A'_ij (L' + L)_ij, L = |V| diag(|log lambda|) |V|^T: the
+    magnitude of the terms of D(rho', rho)."""
+    logs = entry_scale(new, np.abs(new._log_eigenvalues)) + entry_scale(old, np.abs(old._log_eigenvalues))
+    return np.sum(entry_scale(new, new.eigenvalues) * logs)
 
 
 @PROPERTY
@@ -136,22 +161,59 @@ def test_armijo_product_and_divergence_match_the_exact_oracle(d, seed, log10_min
     # a state with lambda_min = 10**log10_min and a candidate eg_step from it:
     # the Armijo test's float product <g, rho' - rho> and solver._divergence
     # D(rho', rho) are each within d eps S of the exact values, the round-off
-    # of sums of d terms: S = sum_ij |g_ij| (A' + A)_ij for the product and
-    # sum_ij A'_ij (L' + L)_ij for D, with A = |V| diag(lambda) |V|^T and
-    # L = |V| diag(|log lambda|) |V|^T bounding the terms of rho and log rho
+    # of sums of d terms: S = product_scale for the product and
+    # divergence_scale for D, whose A and L bound the terms of rho and log rho
     rng = np.random.default_rng(seed)
-    w = np.append(rng.uniform(log10_min, 0.0, d - 1), log10_min) * math.log(10.0)
-    u = haar_unitary(rng, d)
-    rho = DensityState.from_exponent(_hermitian((u * w) @ u.conj().T))
+    rho = near_singular_state(rng, d, log10_min)
     g = _hermitian(complex_gaussian(rng, d, d) * 10.0 ** log10_width)
     nxt = eg_step(rho, g, 2.0 ** log2_step)
-    eps = np.finfo(np.float64).eps
     product = float(np.vdot(g, nxt.point - rho.point).real)  # as solver._armijo forms it
-    scale = np.sum(np.abs(g) * (entry_scale(nxt, nxt.eigenvalues) + entry_scale(rho, rho.eigenvalues)))
-    assert abs(product - exact_armijo_product(nxt, rho, g)) <= d * eps * scale
-    logs = entry_scale(nxt, np.abs(nxt._log_eigenvalues)) + entry_scale(rho, np.abs(rho._log_eigenvalues))
-    scale = np.sum(entry_scale(nxt, nxt.eigenvalues) * logs)
-    assert abs(_divergence(nxt, rho) - exact_divergence(nxt, rho)) <= d * eps * scale
+    assert abs(product - exact_armijo_product(nxt, rho, g)) <= d * EPS * product_scale(nxt, rho, g)
+    assert abs(_divergence(nxt, rho) - exact_divergence(nxt, rho)) <= d * EPS * divergence_scale(nxt, rho)
+
+
+@PROPERTY
+@given(d=st.integers(2, 6), seed=seeds, log10_min=st.floats(-300.0, 0.0), log2_step=st.floats(-20.0, 0.0))
+def test_inner_product_check_matches_the_exact_oracle(d, seed, log10_min, log2_step):
+    # diagnostics.inner_product_check, -D(rho', rho)/alpha - <g, rho' - rho>
+    # at the tomography gradient g, against its value at 60 digits, with D's
+    # unit-trace term -tr(rho' - rho) as quantum_relative_entropy has it:
+    # within d eps ((divergence_scale + 2) / alpha + product_scale), the 2 for
+    # the terms tr rho' + tr rho of the unit-trace term. Below steps of 2**-20
+    # that bound exceeds the margin itself. A candidate with an eigenvalue
+    # that underflows to 0 has no relative entropy (DomainError).
+    rng = np.random.default_rng(seed)
+    rho = near_singular_state(rng, d, log10_min)
+    f = qst_objective(MeasurementEnsemble([random_psd(rng, d) for _ in range(2 * d)]))
+    g, alpha = f.gradient(rho), 2.0 ** log2_step
+    nxt = eg_step(rho, g, alpha)
+    assume(nxt.eigenvalues[0] > 0.0)
+    want = -exact_divergence(nxt, rho, unit_trace=True) / alpha - exact_armijo_product(nxt, rho, g)
+    bound = d * EPS * ((divergence_scale(nxt, rho) + 2.0) / alpha + product_scale(nxt, rho, g))
+    assert abs(inner_product_check(rho, f, alpha) - want) <= bound
+
+
+@PROPERTY
+@given(d=st.integers(2, 6), seed=seeds, log10_min=st.floats(-300.0, 0.0), log2_step=st.floats(-60.0, 0.0))
+def test_value_difference_matches_the_exact_oracle(d, seed, log10_min, log2_step):
+    # the float difference f(rho') - f(rho) that solver._armijo tests, for
+    # qst_objective at a step along its gradient, against
+    # helpers.exact_value_difference: within d eps sum_i (S_i / t_i + |log t_i|)
+    # over both states, with t_i = tr(M_i rho) and S_i = sum_jk |M_i|_jk A_jk
+    # the magnitude of its terms, so S_i / t_i bounds the relative round-off
+    # of t_i, and |log t_i| that of the sum of the logs
+    rng = np.random.default_rng(seed)
+    rho = near_singular_state(rng, d, log10_min)
+    ens = MeasurementEnsemble([random_psd(rng, d) for _ in range(2 * d)])
+    f = qst_objective(ens)
+    nxt = eg_step(rho, f.gradient(rho), 2.0 ** log2_step)
+    scale = 0.0
+    for state in (nxt, rho):
+        t = ens.probabilities(state.matrix)
+        terms = np.sum(np.abs(ens.operators) * entry_scale(state, state.eigenvalues), axis=(-2, -1))
+        scale += np.sum(terms / t + np.abs(np.log(t)))
+    difference = f.value(nxt) - f.value(rho)
+    assert abs(difference - exact_value_difference(nxt, rho, ens.operators)) <= d * EPS * scale
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the float Armijo product cancels at near-singular iterates")

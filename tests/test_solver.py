@@ -123,6 +123,17 @@ class TestEgStep:
         with pytest.raises(InvalidInput):
             eg_step(DensityState.maximally_mixed(2), HermitianOperator(np.eye(2)).mat, 0.0)
 
+    @pytest.mark.parametrize("state, g", [
+        (ProbabilityVector([0.5, 0.5]), np.eye(2)),
+        (DensityState.maximally_mixed(2), np.array([1.0, 2.0])),
+        (DensityState.maximally_mixed(2), np.eye(3)),
+        (DensityState.maximally_mixed(2), "x"),
+    ], ids=["matrix-for-vector", "vector-for-matrix", "wrong-dimension", "not-an-array"])
+    def test_rejects_gradient_of_another_shape(self, state, g):
+        # the gradient has the shape of the state's exponent, or nothing is formed
+        with pytest.raises(InvalidInput, match="gradient"):
+            eg_step(state, g, 1.0)
+
     def test_minimizes_mirror_descent_subproblem(self):
         # brute-force oracle over feasible sigma: 200-point diagonal grid plus
         # 50 random states; the EG step must attain the minimum up to 1e-6
