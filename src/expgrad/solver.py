@@ -129,17 +129,29 @@ class SolveResult:
     last_value: Optional[float] = None
 
 
-def eg_step(state, g: np.ndarray, alpha: float):
-    """One exponentiated gradient update exp(log x - alpha g), normalized in
-    log domain, of a DensityState (g a Hermitian array) or a
-    ProbabilityVector (g a vector). A gradient that is a multiple of the
-    identity leaves the state unchanged (the normalization cancels it). A
-    gradient of another shape than the state's exponent raises InvalidInput."""
-    if alpha <= 0.0:
-        raise InvalidInput("step size must be positive")
+def _gradient(state, g) -> np.ndarray:
+    """g as an array to subtract from the state's exponent: InvalidInput
+    unless it has that exponent's shape and holds numbers, real ones for a
+    ProbabilityVector and an exactly Hermitian matrix for a DensityState."""
     g = _array(g, copy=None, what="gradient")
     if g.shape != state.exponent.shape:
         raise InvalidInput(f"gradient of shape {g.shape} for a state of shape {state.exponent.shape}")
+    if g.dtype.kind not in ("biuf" if g.ndim == 1 else "biufc"):
+        raise InvalidInput(f"gradient of dtype {g.dtype} for a {type(state).__name__}")
+    if g.ndim == 2 and not np.array_equal(g, g.conj().T):
+        raise InvalidInput("gradient is not Hermitian")
+    return g
+
+
+def eg_step(state, g: np.ndarray, alpha: float):
+    """One exponentiated gradient update exp(log x - alpha g), normalized in
+    log domain, of a DensityState (g a Hermitian array) or a
+    ProbabilityVector (g a real vector). A gradient that is a multiple of
+    the identity leaves the state unchanged (the normalization cancels it).
+    A gradient that _gradient rejects raises InvalidInput."""
+    if alpha <= 0.0:
+        raise InvalidInput("step size must be positive")
+    g = _gradient(state, g)
     # a real combination of two exactly Hermitian arrays is exactly Hermitian
     return type(state).from_exponent(state.exponent - alpha * g)
 
@@ -192,8 +204,8 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
         elif alpha > cut:
             f_cand = math.inf
             continue
-        else:
-            candidate = eg_step(state, g, alpha)
+        else:  # eg_step without its checks, which solve made of g
+            candidate = type(state).from_exponent(state.exponent - alpha * g)
         f_cand = f.value(candidate)
         if math.isfinite(f_cand) and f_cand <= f_state + cfg.tau * float(
                 np.vdot(g, candidate.point - state.point).real):
@@ -217,7 +229,8 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
     """Run the exponentiated gradient method with Armijo line search from a
     strictly positive DensityState or ProbabilityVector until stationarity
     (the Bregman gap at the full step drops below stop_tol), relative
-    f-stagnation, or max_iters."""
+    f-stagnation, or max_iters. Each gradient f returns is checked once, as
+    eg_step checks its g; one that fails raises InvalidInput."""
     _check_fit(x0, f)
     if not np.all(np.isfinite(x0.exponent)):
         raise DomainError("initial point must be strictly positive")
@@ -225,7 +238,7 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
         raise DomainError("initial point is outside the effective domain")
     state = x0
     f_prev = f.value(state)
-    g = f.gradient(state)
+    g = _gradient(state, f.gradient(state))
     probe = None  # the alpha_bar step from state, once computed
     result = SolveResult(state, [], SolveStatus.MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
@@ -237,8 +250,8 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
             result.status = SolveStatus.BACKTRACK_CAP_HIT
             result.last_alpha, result.last_value = alpha, f_new
             break
-        g_next = f.gradient(state_next)
-        probe = eg_step(state_next, g_next, cfg.alpha_bar)
+        g_next = _gradient(state_next, f.gradient(state_next))
+        probe = type(state_next).from_exponent(state_next.exponent - cfg.alpha_bar * g_next)
         gap_bar = _divergence(probe, state_next)
         record = IterationRecord(k, f_new, alpha, backtracks, hi - lo, gap_bar, state_next.min_eig)
         result.trace.append(record)

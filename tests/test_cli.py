@@ -82,6 +82,18 @@ class TestRun:
         # uniform start is already the minimizer
         assert summary["final_f"] == pytest.approx(4 * math.log(4.0), abs=1e-10)
 
+    def test_poisson_on_simplex(self, tmp_path, capsys):
+        rows = [[1.0, 2.0, 0.5], [0.5, 1.0, 3.0], [2.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+        rows_path = tmp_path / "rows.json"
+        rows_path.write_text(json.dumps({"dim": 3, "rows": rows}))
+        rc = main(["run", "--objective", "poisson", "--operators", str(rows_path)])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["status"] in ("Stationary", "Converged")
+        # finite, and below the value at the uniform start
+        start = -np.log(np.mean(rows, axis=1)).sum()
+        assert math.isfinite(summary["final_f"]) and summary["final_f"] < start
+
     def test_zero_iterations(self, basis_file, tmp_path, capsys):
         trace_path = tmp_path / "t.csv"
         rc = main(["run", "--objective", "qst", "--operators", basis_file,

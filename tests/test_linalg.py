@@ -18,6 +18,13 @@ def random_hermitian(rng, d):
     return HermitianOperator(a)
 
 
+def with_entry(value):
+    """A 3 x 3 zero matrix with value at (2, 1)."""
+    h = np.zeros((3, 3), dtype=complex)
+    h[2, 1] = value
+    return h
+
+
 class TestHermitianOperator:
     def test_constructor_symmetrizes(self):
         a = np.array([[1.0, 2.0 + 1j], [2.0 - 1j + 3e-13, 0.0]])
@@ -204,12 +211,15 @@ class TestDensityState:
             DensityState.from_exponent(h)
 
     # halving a complex inf gives 0 * inf in the imaginary part, which numpy
-    # reports on the way to the rejection
+    # reports on the way to the rejection; one inf entry gives NaN
+    # eigenvalues, an all-inf array a LinAlgError (LAPACK does not converge)
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_from_exponent_rejects_non_finite_array(self, bad):
-        h = np.zeros((3, 3), dtype=complex)
-        h[2, 1] = bad
+    @pytest.mark.parametrize("h", [
+        pytest.param(with_entry(np.inf), id="inf"),
+        pytest.param(with_entry(np.nan), id="nan"),
+        pytest.param(np.full((3, 3), np.inf), id="all-inf"),
+    ])
+    def test_from_exponent_rejects_non_finite_array(self, h):
         with pytest.raises(InvalidInput):
             DensityState.from_exponent(h)
 

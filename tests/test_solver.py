@@ -19,6 +19,7 @@ from expgrad.objectives import (
     quadratic_objective,
     standard_basis_ensemble,
 )
+from expgrad import solver as solver_module
 from expgrad.solver import (
     SolveStatus,
     SolverConfig,
@@ -131,6 +132,17 @@ class TestEgStep:
     ], ids=["matrix-for-vector", "vector-for-matrix", "wrong-dimension", "not-an-array"])
     def test_rejects_gradient_of_another_shape(self, state, g):
         # the gradient has the shape of the state's exponent, or nothing is formed
+        with pytest.raises(InvalidInput, match="gradient"):
+            eg_step(state, g, 1.0)
+
+    @pytest.mark.parametrize("state, g", [
+        (ProbabilityVector([0.5, 0.5]), np.array([1j, 0.0])),
+        (DensityState.maximally_mixed(2), np.array([[0.0, 1.0], [0.0, 0.0]])),
+        (DensityState.maximally_mixed(2), np.array([["a", "b"], ["c", "d"]])),
+    ], ids=["complex-vector", "not-hermitian", "strings"])
+    def test_rejects_gradient_that_is_not_real_or_hermitian(self, state, g):
+        # no complex simplex point, no matrix read by its lower triangle alone,
+        # and no raw numpy error
         with pytest.raises(InvalidInput, match="gradient"):
             eg_step(state, g, 1.0)
 
@@ -307,6 +319,14 @@ class TestSolve:
         with pytest.raises(InvalidInput):
             solve(x0, f)
 
+    def test_rejects_gradient_that_is_not_hermitian(self):
+        # the objective's gradients are checked as eg_step checks its own
+        rng = np.random.default_rng(49)
+        f = quadratic_objective(HermitianOperator(random_density(rng, 3).matrix))
+        lower = dataclasses.replace(f, gradient=lambda rho: np.tril(f.gradient(rho)))
+        with pytest.raises(InvalidInput, match="Hermitian"):
+            solve(random_density(rng, 3), lower)
+
     def test_sink_receives_every_record(self):
         f = qst_objective(standard_basis_ensemble(2))
         seen = []
@@ -405,6 +425,7 @@ class TestWorkPerSolve:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(solver_module, "_gradient", counted("checks", solver_module._gradient))
         monkeypatch.setattr(MeasurementEnsemble, "probabilities",
                             counted("probabilities", MeasurementEnsemble.probabilities))
         return counts, dataclasses.replace(f, value=counted("value", f.value),
@@ -457,7 +478,7 @@ class TestWorkPerSolve:
         if family != "hedged-qst":  # not barriers
             assert excluded == 0
         assert work["eigh"] == 1 + candidates - excluded + 1
-        assert work["gradient"] == iters + 1
+        assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
         assert work["probabilities"] == (0 if family == "quadratic" else candidates - excluded + 1)
 
@@ -487,7 +508,7 @@ class TestWorkPerSolve:
         assert excluded > 0
         assert work["exponent"] <= 2 * iters + 1
         assert work["eigh"] == 1 + candidates - excluded + 1
-        assert work["gradient"] == iters + 1
+        assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
 
     def test_simplex_solve(self, monkeypatch):
@@ -498,7 +519,7 @@ class TestWorkPerSolve:
         iters = len(res.trace)
         assert iters > 1
         excluded = self.replay_excluded(x0, f, cfg, res.trace)
-        assert work["gradient"] == iters + 1
+        assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == iters + sum(r.backtracks for r in res.trace) - excluded + 1
 
     def test_capped_search_of_excluded_candidates(self, monkeypatch):
