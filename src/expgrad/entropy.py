@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _array, logsumexp
+from .linalg import DensityState, _array, _count, logsumexp
 
 
 class ProbabilityVector:
@@ -50,6 +50,7 @@ class ProbabilityVector:
 
     @classmethod
     def uniform(cls, d: int) -> "ProbabilityVector":
+        _count(d, "dimension", 1)
         return cls(np.full(d, 1.0 / d))
 
     @property

@@ -125,11 +125,11 @@ class DensityState:
         """Build exp(H)/tr exp(H) from a Hermitian exponent H, a square
         array read as numpy.linalg.eigh reads it (lower triangle, no
         symmetrizing copy), so one that is Hermitian already. One
-        eigendecomposition; a non-finite H raises InvalidInput, detected on
-        the eigenvalues it yields."""
+        eigendecomposition; an empty or non-finite H raises InvalidInput, the
+        latter detected on the eigenvalues it yields."""
         a = _array(h, np.complex128, copy=None)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise InvalidInput(f"expected a nonempty square matrix, got shape {a.shape}")
         try:
             vals, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError:  # LAPACK does not converge on inf entries
@@ -155,6 +155,7 @@ class DensityState:
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityState":
+        _count(d, "dimension", 1)
         return cls.from_exponent(np.zeros((d, d)))
 
     @property

@@ -1,15 +1,19 @@
 """Reference functions that only the tests read: a Schatten norm, the
 classical KL divergence, the witness that the tomography objective is not
-relatively smooth, and an exact-arithmetic oracle for the solver's Armijo
-product, divergence and tomography value difference. Test modules import
-them as ``from helpers import ...`` (pytest puts this directory on the
-path)."""
+relatively smooth, an exact-arithmetic oracle for the solver's Armijo
+product, divergence and tomography value difference, and an ensemble loader
+that parses a whole file at once. Test modules import them as
+``from helpers import ...`` (pytest puts this directory on the path)."""
+
+import json
 
 import mpmath
 import numpy as np
 
 from expgrad.entropy import ProbabilityVector
 from expgrad.errors import DomainError, InvalidInput
+from expgrad.objectives import MeasurementEnsemble
+from expgrad.serialize import matrix_from_json
 
 
 def schatten_norm(a: np.ndarray, p) -> float:
@@ -35,6 +39,22 @@ def classical_relative_entropy(p: ProbabilityVector, q: ProbabilityVector) -> fl
     mask = pe > 0.0
     kl = float(np.sum(pe[mask] * (np.log(pe[mask]) - np.log(qe[mask]))))
     return kl - float(np.sum(pe) - np.sum(qe))
+
+
+def json_load_ensemble(path) -> MeasurementEnsemble:
+    """serialize.load_ensemble by json.load of the whole file into nested
+    lists, then its checks and conversions in their order: the reference
+    whose exceptions and stacks the streaming loader must give."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or type(payload.get("dim")) is not int or "operators" not in payload:
+        raise InvalidInput("ensemble file must contain an integer 'dim' and 'operators'")
+    if not isinstance(payload["operators"], list):
+        raise InvalidInput("'operators' must be a list of matrices")
+    ens = MeasurementEnsemble([matrix_from_json(m) for m in payload["operators"]])
+    if ens.dim != payload["dim"]:
+        raise InvalidInput("ensemble dimension does not match its operators")
+    return ens
 
 
 def qst_hardness_witness(smoothness: float) -> tuple[float, float]:

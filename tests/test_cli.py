@@ -4,6 +4,8 @@ config merging, and determinism of the emitted artifacts."""
 import csv
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from expgrad import InvalidInput, MeasurementEnsemble, standard_basis_ensemble
 from expgrad.cli import main
 from expgrad.serialize import load_ensemble, load_rows, save_ensemble
+from helpers import json_load_ensemble
 
 LOG2 = math.log(2.0)
 
@@ -430,6 +433,23 @@ class TestLoaders:
         rows = load_rows(path)
         assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 0.5], [0.0, 2.0]]
 
+    def test_load_peak_memory_is_the_text_and_a_few_stacks(self, tmp_path):
+        # parsing the whole file at once, about 120 B of Python objects per
+        # complex entry, peaked at 3.35 MB here: 12.8 stacks, against 5.2
+        # streamed and a bound of 6.6
+        rng = np.random.default_rng(16)
+        a = rng.standard_normal((64, 16, 16)) + 1j * rng.standard_normal((64, 16, 16))
+        ens = MeasurementEnsemble(a.conj().swapaxes(-1, -2) @ a)
+        path = tmp_path / "ens.json"
+        save_ensemble(ens, path)
+        tracemalloc.start()
+        try:
+            load_ensemble(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 4 * ens.operators.nbytes
+
     def test_ensemble_round_trip_keeps_the_stack(self, tmp_path):
         rng = np.random.default_rng(24)
         mats = []
@@ -440,6 +460,98 @@ class TestLoaders:
         path = tmp_path / "ens.json"
         save_ensemble(ens, path)
         assert load_ensemble(path).operators.tobytes() == ens.operators.tobytes()
+
+
+def spaced(text):
+    """text with JSON whitespace of each kind around every bracket, comma and
+    colon (no string of the payloads holds one)."""
+    return " \r\n" + re.sub(r"([\[\]{},:])", "\n \\1\t\r", text) + "\n "
+
+
+VALID = json.dumps(ensemble_payload(np.eye(2), np.diag([0.0, 1.0])))
+OPS = VALID[VALID.index("["):-1]  # the text of its operators list
+
+# file texts on which the streaming loader must do what json.load did
+LOADER_TEXTS = {
+    **{f"malformed-{name}": json.dumps(payload) for name, payload in MALFORMED_ENSEMBLES.items()},
+    "valid": VALID,
+    "spaced": spaced(VALID),
+    "spaced-malformed": spaced(json.dumps(MALFORMED_ENSEMBLES["string-entry"])),
+    "reordered-and-extra-keys": '{"extra": {"operators": 5, "dim": 1.5}, "operators": %s, '
+                                '"notes": [1, {"a": null}, "]"], "dim": 2}' % OPS,
+    "duplicate-operators-first-malformed": '{"dim": 2, "operators": [5.0, "x"], "operators": %s}' % OPS,
+    "duplicate-operators-last-malformed": '{"dim": 2, "operators": %s, "operators": [[["a"]]]}' % OPS,
+    "duplicate-operators-last-not-a-list": '{"dim": 2, "operators": %s, "operators": 5}' % OPS,
+    "duplicate-operators-malformed-then-a-number": '{"dim": 2, "operators": [5.0], "operators": 5}',
+    "duplicate-operators-last-a-list": '{"dim": 2, "operators": 5, "operators": %s}' % OPS,
+    "duplicate-dim": '{"dim": 3, "operators": %s, "dim": 2}' % OPS,
+    "nan-entries": json.dumps(ensemble_payload(np.diag([np.nan, -np.inf]))),
+    # an entry no double holds: numpy's OverflowError, not InvalidInput
+    "integer-entry-too-large": '{"dim": 1, "operators": [[[[1%s, 0]]]]}' % ("0" * 400),
+    "escaped-key": '{"dim": 2, "op\\u0065rators": %s}' % OPS,
+    "empty-operators": '{"dim": 2, "operators": [ ]}',
+    "operators-a-number": '{"dim": 2, "operators": 5}',
+    "operators-an-object": '{"dim": 2, "operators": {"0": []}}',
+    "top-level-list": json.dumps([1, 2]),
+    "top-level-number": "5",
+    "top-level-null": " null ",
+    "empty-object": "{}",
+    "dim-float-next-to-malformed-operator": '{"dim": 2.0, "operators": [5.0]}',
+    "no-dim-next-to-malformed-operator": '{"operators": [[["a"]]]}',
+    "syntax-error-after-malformed-operator": '{"dim": 2, "operators": [5.0, [[[1.0, 0.0]]',
+    "syntax-error-after-malformed-list": '{"dim": 2, "operators": [5.0], "dim" 2}',
+    "empty-file": "",
+    "whitespace-only": " \n",
+    "truncated": VALID[:-20],
+    "trailing-data": VALID + " {}",
+    "trailing-whitespace": VALID + " \n\t",
+    "trailing-comma-in-list": '{"dim": 2, "operators": [%s,]}' % OPS[1:-1],
+    "trailing-comma-in-object": '{"dim": 2, "operators": %s,}' % OPS,
+    "missing-comma-in-list": '{"dim": 2, "operators": [[] []]}',
+    "missing-comma-in-object": '{"dim": 2 "operators": %s}' % OPS,
+    "missing-colon": '{"dim" 2, "operators": %s}' % OPS,
+    "single-quoted-key": "{'dim': 2}",
+    "unquoted-key": '{dim: 2}',
+    "unterminated-key": '{"dim',
+    "control-character-in-key": '{"di\tm": 2, "operators": %s}' % OPS,
+    "unclosed-list": '{"dim": 2, "operators": [',
+    "byte-order-mark": "\ufeff" + VALID,
+}
+
+
+def load_outcome(load, path):
+    """What load(path) gives: the dimension and the stack's bytes, or the
+    type and message of what it raises."""
+    try:
+        ens = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ens.dim, ens.operators.tobytes()
+
+
+class TestLoaderMatchesJsonLoad:
+    """load_ensemble parses one operator at a time, yet raises what json.load
+    of the whole file and then the checks raised, in the same order, and
+    gives the same stack."""
+
+    @pytest.mark.parametrize("name", sorted(LOADER_TEXTS))
+    def test_same_outcome(self, tmp_path, name):
+        path = tmp_path / "ens.json"
+        path.write_text(LOADER_TEXTS[name], encoding="utf-8")
+        assert load_outcome(load_ensemble, path) == load_outcome(json_load_ensemble, path)
+
+    @pytest.mark.parametrize("name, code, error", [
+        ("syntax-error-after-malformed-operator", 1, "JSONDecodeError"),
+        ("dim-float-next-to-malformed-operator", 2, "InvalidInput"),
+        ("duplicate-operators-first-malformed", 0, None),
+    ])
+    def test_cli_exit_code(self, tmp_path, capsys, name, code, error):
+        path = tmp_path / "ens.json"
+        path.write_text(LOADER_TEXTS[name])
+        assert main(["lambda-sweep", "--operators", str(path), "--lambdas", "0.1"]) == code
+        captured = capsys.readouterr()
+        if error is not None:
+            assert json.loads(captured.err)["error"] == error
 
 
 class TestSaveEnsemble:

@@ -21,15 +21,27 @@ def test_repo_against_itself_is_identical():
         assert {f"{family}.csv", f"{family}.json", f"run-{family}.stdout"} <= set(names)
     assert {"ens.json", "sweep.json", "diagnose.json", "lambda-sweep.stdout"} <= set(names)
     assert {"config.csv", "sweep-config.json", "run-unknown-key.stderr"} <= set(names)
+    assert {f"run-{name}.stderr" for name in cli_diff.MALFORMED} <= set(names)
+
+
+# the commands that fail by design: their exit codes and errors
+FAILS = {
+    "run-unknown-key": ("2", "InvalidInput"),
+    "run-truncated": ("1", "JSONDecodeError"),
+    "run-dim-float": ("2", "InvalidInput"),
+    "run-bad-operator-then-syntax-error": ("1", "JSONDecodeError"),
+}
 
 
 def test_every_command_succeeds(tmp_path):
-    # but the config with an unknown key, a usage error by design
+    # but those of FAILS, which fail as they should
     cli_diff.run_script(REPO, tmp_path, cli_diff.SMALL)
-    for name, _ in cli_diff.script(cli_diff.SMALL):
+    commands = [name for name, _ in cli_diff.script(cli_diff.SMALL)]
+    assert set(FAILS) <= set(commands)
+    for name in commands:
         exit_code, stderr = ((tmp_path / f"{name}.{ext}").read_text() for ext in ("exit", "stderr"))
-        if name == "run-unknown-key":
-            assert exit_code == "2\n" and json.loads(stderr)["error"] == "InvalidInput", name
+        if name in FAILS:
+            assert (exit_code[:-1], json.loads(stderr)["error"]) == FAILS[name], name
         else:
             assert exit_code == "0\n" and stderr == "", name
 

@@ -46,6 +46,11 @@ class TestProbabilityVector:
     def test_uniform(self):
         assert np.allclose(ProbabilityVector.uniform(4).entries, 0.25)
 
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+    def test_uniform_rejects_a_dimension_that_is_no_count(self, d):
+        with pytest.raises(InvalidInput, match="dimension"):
+            ProbabilityVector.uniform(d)
+
     @pytest.mark.parametrize("entries", [
         [[0.5, 0.5]], [], [np.nan, 1.0], [np.inf, 0.0],
     ], ids=["matrix", "empty", "nan", "inf"])

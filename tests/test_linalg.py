@@ -200,12 +200,17 @@ class TestDensityState:
         rho = DensityState.maximally_mixed(3)
         assert np.allclose(rho.matrix, np.eye(3) / 3.0, atol=1e-14)
 
+    @pytest.mark.parametrize("d", [0, -1, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
+    def test_maximally_mixed_rejects_a_dimension_that_is_no_count(self, d):
+        with pytest.raises(InvalidInput, match="dimension"):
+            DensityState.maximally_mixed(d)
+
     def test_tiny_eigenvalue_is_kept(self):
         rho = DensityState.from_exponent(HermitianOperator(np.diag([-40.0, 0.0])))
         assert rho.min_eig > 0.0  # not clamped away
 
-    @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))],
-                             ids=["non-square", "vector", "stack"])
+    @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 0))],
+                             ids=["non-square", "vector", "stack", "empty"])
     def test_from_exponent_rejects_a_non_square_array(self, h):
         with pytest.raises(InvalidInput, match="square"):
             DensityState.from_exponent(h)
