@@ -11,7 +11,10 @@ option name; explicit flags override the file. Both take the solver flags
 ``alpha-bar``, ``shrink``, ``tau``, ``max-iter``, ``max-backtracks`` and
 ``tol``; ``run`` also takes ``seed`` (read by the quadratic objective only)
 and ``lambda`` (hedged-qst only). Any other key, or a flag or key that the
-objective does not read, is a usage error.
+objective does not read, is a usage error. Each value is checked by the
+package function that reads it (``SolverConfig`` for the solver flags),
+before any input file is read, so a malformed one is a usage error whose
+message names that function's field, such as ``max_iters`` or ``stop_tol``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import argparse
 import collections
 import dataclasses
 import json
-import math
 import sys
 import time
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .entropy import ProbabilityVector
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState
+from .linalg import DensityState, _count, _positive
 from .objectives import (
     MeasurementEnsemble,
     burg_objective,
@@ -45,51 +47,28 @@ from . import diagnostics
 OBJECTIVE_KINDS = ("qst", "hedged-qst", "burg", "poisson", "quadratic")
 
 
-def _integer(name, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _seed(name, value):
-    if _integer(name, value) < 0:
-        raise InvalidInput(f"{name} must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _number(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidInput(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _number_list(name, value):
-    try:
-        numbers = [float(s) for s in str(value).split(",") if s.strip()]
-    except ValueError:
-        raise InvalidInput(f"{name} must be comma-separated numbers, got {value!r}") from None
-    return [_number(name, x) for x in numbers]
-
-
-_Flag = collections.namedtuple("_Flag", "dest check default objective", defaults=(None,))
+_Flag = collections.namedtuple("_Flag", "dest default objective", defaults=(None,))
 
 # every flag a config file may fill, keyed by its long option name, which is
-# its config key: (argparse dest, value check, default, the one objective that
-# reads it or None for all). The solver flags are SolverConfig's fields.
+# its config key: (argparse dest, default, the one objective that reads it or
+# None for all). A flag's type is its default's. The solver flags are
+# SolverConfig's fields. Each value is checked where the package reads it:
+# by SolverConfig, or, for seed and lambda, by linalg's scalar checks before
+# any input file is read.
 _FLAGS = {
-    **{key: _Flag(field.name, _integer if field.type == "int" else _number, field.default)
+    **{key: _Flag(field.name, field.default)
        for key, field in zip(("alpha-bar", "shrink", "tau", "max-iter", "max-backtracks", "tol"),
                              dataclasses.fields(SolverConfig), strict=True)},
-    "seed": _Flag("seed", _seed, 0, "quadratic"),
-    "lambda": _Flag("lam", _number, 0.1, "hedged-qst"),
+    "seed": _Flag("seed", 0, "quadratic"),
+    "lambda": _Flag("lam", 0.1, "hedged-qst"),
 }
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the JSON config file, then from defaults, and
-    check the type of every value. Raises InvalidInput on a mismatch, on a
-    file that is not a JSON object, on a key that names no flag of _FLAGS
-    the subcommand takes, and on a flag or key that its objective ignores."""
+    """Fill unset flags from the JSON config file, then from defaults.
+    Raises InvalidInput on a file that is not a JSON object, on a key that
+    names no flag of _FLAGS the subcommand takes, and on a flag or key that
+    its objective ignores."""
     if "config" not in args:
         return args
     config = {}
@@ -111,8 +90,8 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 getattr(args, flag.dest) is not None or key in config):
             raise InvalidInput(f"{key!r} applies only to the {flag.objective} objective, not {args.objective}")
     for key, flag in flags.items():
-        value = getattr(args, flag.dest)
-        setattr(args, flag.dest, flag.check(key, config.get(key, flag.default) if value is None else value))
+        if getattr(args, flag.dest) is None:
+            setattr(args, flag.dest, config.get(key, flag.default))
     return args
 
 
@@ -125,38 +104,30 @@ def _build_problem(args):
     kind = args.objective
     if kind in ("qst", "hedged-qst", "poisson") and args.operators is None:
         raise InvalidInput(f"--operators is required for the {kind} objective")
-    if kind == "qst":
-        ens = load_ensemble(args.operators)
-        return qst_objective(ens), DensityState.maximally_mixed(ens.dim)
-    if kind == "hedged-qst":
-        ens = load_ensemble(args.operators)
-        return hedged_qst_objective(ens, args.lam), DensityState.maximally_mixed(ens.dim)
+    if kind in ("burg", "quadratic") and args.dim is None:
+        raise InvalidInput(f"--dim is required for the {kind} objective")
     if kind == "burg":
-        if args.dim is None:
-            raise InvalidInput("--dim is required for the burg objective")
         return burg_objective(args.dim), ProbabilityVector.uniform(args.dim)
     if kind == "poisson":
         rows = load_rows(args.operators)
         return poisson_linear_objective(rows), ProbabilityVector.uniform(rows.shape[1])
     if kind == "quadratic":
-        if args.dim is None:
-            raise InvalidInput("--dim is required for the quadratic objective")
-        d = args.dim
-        if d < 1:
-            raise InvalidInput("--dim must be at least 1")
-        rng = np.random.default_rng(args.seed)
-        target = diagnostics.random_density(rng, d).matrix
-        return quadratic_objective(target), DensityState.maximally_mixed(d)
+        _count(args.seed, "seed", 0)
+        target = diagnostics.random_density(np.random.default_rng(args.seed), args.dim).matrix
+        return quadratic_objective(target), DensityState.maximally_mixed(args.dim)
+    if kind == "hedged-qst":
+        _positive(args.lam, "lambda")  # a usage error before the file is read
+    ens = load_ensemble(args.operators)
+    objective = qst_objective(ens) if kind == "qst" else hedged_qst_objective(ens, args.lam)
+    return objective, DensityState.maximally_mixed(ens.dim)
 
 
 def cmd_gen(args) -> int:
-    dim, num_ops = args.dim, args.num_ops
-    if dim < 2:
-        raise InvalidInput("--dim must be at least 2")
-    if num_ops < 1:
-        raise InvalidInput("--num-ops must be at least 1")
-    rng = np.random.default_rng(_seed("seed", args.seed))
-    ops = [diagnostics.random_psd(rng, dim) for _ in range(num_ops)]
+    _count(args.dim, "--dim", 2)
+    _count(args.num_ops, "--num-ops", 1)
+    _count(args.seed, "seed", 0)
+    rng = np.random.default_rng(args.seed)
+    ops = [diagnostics.random_psd(rng, args.dim) for _ in range(args.num_ops)]
     save_ensemble(MeasurementEnsemble(ops), args.out)
     return 0
 
@@ -213,15 +184,18 @@ def _sweep_point(ens, lam, cfg):
 
 
 def cmd_lambda_sweep(args) -> int:
-    lambdas = _number_list("lambdas", args.lambdas)
+    cfg = _solver_config(args)
+    try:
+        lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
+    except ValueError:
+        raise InvalidInput(f"lambdas must be comma-separated numbers, got {args.lambdas!r}") from None
     if not lambdas:
         raise InvalidInput("--lambdas must list at least one value")
-    if any(l <= 0.0 for l in lambdas):
-        raise InvalidInput("barrier weights must be positive")
+    for lam in lambdas:  # a usage error before the file is read
+        _positive(lam, "lambdas")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise InvalidInput("barrier weights must be strictly descending")
     ens = load_ensemble(args.operators)
-    cfg = _solver_config(args)
     rows = [_sweep_point(ens, lam, cfg) for lam in lambdas]
     if args.out:
         with open(args.out, "w") as fh:
@@ -237,7 +211,7 @@ def _add_config_flags(p: argparse.ArgumentParser, solver_only: bool = False):
     solver_only the solver flags, which every objective reads."""
     for key, flag in _FLAGS.items():
         if not (solver_only and flag.objective):
-            p.add_argument(f"--{key}", dest=flag.dest, type=float if flag.check is _number else int,
+            p.add_argument(f"--{key}", dest=flag.dest, type=type(flag.default),
                            default=None, metavar=key.upper().replace("-", "_"))
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
 

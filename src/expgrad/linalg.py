@@ -8,7 +8,9 @@ the target sizes (d <= 64).
 
 from __future__ import annotations
 
+import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -56,10 +58,11 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def _array(entries, dtype=None, copy=True, what: str = "input") -> np.ndarray:
     """numpy.array of caller input, the one conversion of it, with numpy's
-    errors (string entries, a mapping, ragged nesting) as InvalidInput."""
+    errors (string entries, a mapping, ragged nesting, an integer no double
+    holds) as InvalidInput."""
     try:
         return np.array(entries, dtype=dtype, copy=copy)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed {what}: {exc}") from None
 
 
@@ -68,6 +71,14 @@ def _count(value, what: str, least: int) -> None:
     bool, of at least `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise InvalidInput(f"{what} must be an integer of at least {least}, got {value!r}")
+
+
+def _positive(value, what: str, below: float = math.inf) -> None:
+    """InvalidInput unless caller input that is a step, weight, factor or
+    tolerance is a real number, not a bool, in (0, below) that a double holds."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            0.0 < value < below and value <= sys.float_info.max):
+        raise InvalidInput(f"{what} must be a finite number in (0, {below:g}), got {value!r}")
 
 
 def _hermitian(entries, ndim: int = 2) -> np.ndarray:

@@ -10,14 +10,13 @@ Gradients, by contrast, raise DomainError outside the effective domain.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _array, _count, _hermitian, _hermitian_part, _stacked
+from .linalg import DensityState, _array, _count, _hermitian, _hermitian_part, _positive, _stacked
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ def standard_basis_ensemble(d: int) -> MeasurementEnsemble:
     dimension that is not an integer of at least 1 raises InvalidInput."""
     _count(d, "dimension", 1)
     return MeasurementEnsemble._of(_hermitian([np.diag(e) for e in np.eye(d)], 3))
-
-
-def _positive(value, what: str) -> None:
-    """InvalidInput unless caller input is a positive, finite real number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-        raise InvalidInput(f"{what} must be a positive finite number, got {value!r}")
 
 
 def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Callable,

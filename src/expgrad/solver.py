@@ -29,15 +29,14 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .entropy import ProbabilityVector
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _array
+from .linalg import DensityState, _array, _count, _positive
 from .objectives import ObjectiveSpec
 
 
@@ -77,28 +76,18 @@ class SolverConfig:
     stop_tol: float = 1e-10
 
     def __post_init__(self):
-        for f in fields(self):  # a bool is neither a count nor a step size
-            value, count = getattr(self, f.name), f.type == "int"
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if count else numbers.Real):
-                raise InvalidInput(f"{f.name} must be {'an integer' if count else 'a real number'}, got {value!r}")
-        if not (0.0 < self.alpha_bar < math.inf):
-            raise InvalidInput("alpha_bar must be positive and finite")
-        if not (0.0 < self.shrink < 1.0):
-            raise InvalidInput("shrink must lie in (0, 1)")
-        if not (0.0 < self.tau < 1.0):
-            raise InvalidInput("tau must lie in (0, 1)")
-        if self.max_iters < 0:
-            raise InvalidInput("max_iters must be nonnegative")
-        if self.max_backtracks < 1:
-            raise InvalidInput("max_backtracks must be positive")
+        _positive(self.alpha_bar, "alpha_bar")
+        _positive(self.shrink, "shrink", below=1.0)
+        _positive(self.tau, "tau", below=1.0)
+        _count(self.max_iters, "max_iters", 0)
+        _count(self.max_backtracks, "max_backtracks", 1)
+        _positive(self.stop_tol, "stop_tol")
         try:  # the cap's step, as _armijo forms it, must not round to 0.0
             last = self.alpha_bar * self.shrink ** self.max_backtracks
         except OverflowError:  # a cap past the float range
             last = 0.0
         if last == 0.0:
             raise InvalidInput("max_backtracks must keep alpha_bar * shrink**max_backtracks above 0.0")
-        if not (0.0 < self.stop_tol < math.inf):
-            raise InvalidInput("stop_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -148,9 +137,9 @@ def eg_step(state, g: np.ndarray, alpha: float):
     log domain, of a DensityState (g a Hermitian array) or a
     ProbabilityVector (g a real vector). A gradient that is a multiple of
     the identity leaves the state unchanged (the normalization cancels it).
-    A gradient that _gradient rejects raises InvalidInput."""
-    if alpha <= 0.0:
-        raise InvalidInput("step size must be positive")
+    A step that is not a positive, finite real number, or a gradient that
+    _gradient rejects, raises InvalidInput."""
+    _positive(alpha, "step size")
     g = _gradient(state, g)
     # a real combination of two exactly Hermitian arrays is exactly Hermitian
     return type(state).from_exponent(state.exponent - alpha * g)

@@ -260,6 +260,16 @@ MALFORMED_ENSEMBLES = {
 }
 
 
+# every key a config file may fill: its SolverConfig field (or its flag's
+# dest, as the package reads it), and a value out of its range
+CONFIG_KEYS = {
+    "alpha-bar": ("alpha_bar", 0.0), "shrink": ("shrink", 1.0), "tau": ("tau", 0.0),
+    "max-iter": ("max_iters", -1), "max-backtracks": ("max_backtracks", 0), "tol": ("stop_tol", -1e-8),
+    "seed": ("seed", -1), "lambda": ("lambda", 0.0),
+}
+MALFORMED_VALUES = {"string": "1", "bool": True, "null": None, "list": [1], "non-finite": math.inf}
+
+
 class TestMalformedInput:
     """Every malformed flag, config value or input file ends in exit 2 with a
     JSON InvalidInput object on stderr, never in a traceback or a silent cast."""
@@ -285,8 +295,10 @@ class TestMalformedInput:
         (["gen", "--dim", "2", "--num-ops", "0", "--out", "OUT"], None),
         (["run", "--objective", "quadratic"], None),
         (["run", "--objective", "qst", "--operators", "BASIS", "--max-backtracks", "1100"], None),
+        (["gen", "--dim", "1", "--num-ops", "2", "--out", "OUT"], None),
+        (["run", "--objective", "quadratic", "--dim", "0"], None),
     ], ids=["config-tol-string", "config-not-an-object", "gen-zero-operators", "quadratic-without-dim",
-            "cap-past-the-smallest-step"])
+            "cap-past-the-smallest-step", "gen-dim-one", "quadratic-dim-zero"])
     def test_boundary_rejections_as_json(self, basis_file, tmp_path, capsys, argv, config):
         paths = {"BASIS": basis_file, "OUT": str(tmp_path / "ens.json")}
         argv = [paths.get(a, a) for a in argv]
@@ -298,6 +310,57 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and not (tmp_path / "ens.json").exists()
         assert json.loads(captured.err)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("value", [*MALFORMED_VALUES, "out-of-range"])
+    @pytest.mark.parametrize("command, key", [("run", key) for key in CONFIG_KEYS]
+                             + [("lambda-sweep", key) for key in CONFIG_KEYS if key not in ("seed", "lambda")])
+    def test_malformed_config_value_as_json(self, basis_file, tmp_path, capsys, command, key, value):
+        # the CLI passes each value on as it is; the package function that
+        # reads it rejects it, under the key or its SolverConfig field name
+        field, out_of_range = CONFIG_KEYS[key]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: MALFORMED_VALUES.get(value, out_of_range)}))
+        objective = {"seed": "quadratic", "lambda": "hedged-qst"}.get(key, "qst")
+        argv = (["lambda-sweep", "--lambdas", "0.1"] if command == "lambda-sweep"
+                else ["run", "--objective", objective])
+        argv += ["--dim", "2"] if objective == "quadratic" else ["--operators", basis_file]
+        assert main(argv + ["--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and (key in err["message"] or field in err["message"])
+
+    @pytest.mark.parametrize("operators", ["BASIS", "ABSENT"])
+    @pytest.mark.parametrize("lambdas", ["-1", "inf", "nan", "0.1,-1"])
+    def test_lambdas_that_are_not_positive_finite_numbers(self, basis_file, tmp_path, capsys,
+                                                          operators, lambdas):
+        # checked before the file is read
+        path = basis_file if operators == "BASIS" else str(tmp_path / "absent.json")
+        assert main(["lambda-sweep", "--operators", path, "--lambdas", lambdas]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and "lambdas" in err["message"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["run", "--objective", "hedged-qst", "--lambda", "-1"], None),
+        (["run", "--objective", "hedged-qst", "--lambda", "0"], None),
+        (["run", "--objective", "hedged-qst", "--lambda", "nan"], None),
+        (["run", "--objective", "hedged-qst"], {"lambda": "x"}),
+        (["run", "--objective", "qst", "--tol", "0"], None),
+        (["lambda-sweep", "--lambdas", "0.1", "--alpha-bar", "0"], None),
+    ], ids=["lambda-negative", "lambda-zero", "lambda-nan", "lambda-string", "run-tol-zero",
+            "sweep-alpha-bar-zero"])
+    def test_malformed_value_next_to_a_missing_file(self, tmp_path, capsys, argv, config):
+        # a usage error, found before the --operators file is opened
+        argv = argv + ["--operators", str(tmp_path / "absent.json")]
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "InvalidInput"
 
     @pytest.mark.parametrize("command, text, named", [
         ("run", json.dumps({"max_iter": 1}), "max_iter"),
@@ -380,7 +443,10 @@ class TestMalformedInput:
         ("poisson", {"dim": 1, "rows": [["a"]]}),
         ("poisson", {"dim": 2, "rows": [[1, 2], [3]]}),
         ("qst", {"dim": 2, "operators": 5}),
-    ], ids=["rows-not-numbers", "rows-ragged", "operators-not-a-list"])
+        ("poisson", {"dim": 1, "rows": [[10 ** 400]]}),
+        ("qst", {"dim": 1, "operators": [[[[10 ** 400, 0]]]]}),
+    ], ids=["rows-not-numbers", "rows-ragged", "operators-not-a-list", "rows-entry-too-large",
+            "operators-entry-too-large"])
     def test_malformed_input_file_as_json(self, tmp_path, capsys, objective, payload):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(payload))
@@ -486,7 +552,8 @@ LOADER_TEXTS = {
     "duplicate-operators-last-a-list": '{"dim": 2, "operators": 5, "operators": %s}' % OPS,
     "duplicate-dim": '{"dim": 3, "operators": %s, "dim": 2}' % OPS,
     "nan-entries": json.dumps(ensemble_payload(np.diag([np.nan, -np.inf]))),
-    # an entry no double holds: numpy's OverflowError, not InvalidInput
+    # an entry no double holds: InvalidInput from the conversion of its
+    # matrix payload (serialize.matrix_from_json), which both loaders make
     "integer-entry-too-large": '{"dim": 1, "operators": [[[[1%s, 0]]]]}' % ("0" * 400),
     "escaped-key": '{"dim": 2, "op\\u0065rators": %s}' % OPS,
     "empty-operators": '{"dim": 2, "operators": [ ]}',

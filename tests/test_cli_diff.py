@@ -30,6 +30,8 @@ FAILS = {
     "run-truncated": ("1", "JSONDecodeError"),
     "run-dim-float": ("2", "InvalidInput"),
     "run-bad-operator-then-syntax-error": ("1", "JSONDecodeError"),
+    "run-entry-too-large": ("2", "InvalidInput"),
+    "run-rows-entry-too-large": ("2", "InvalidInput"),
 }
 
 

@@ -932,6 +932,8 @@ _P3 = random_probe(np.random.default_rng(57), 3, "qst")
     lambda: phi_fd_derivatives(_P3, 0.3, -1e-3),
     lambda: phi_fd_derivatives(_P3, 0.3, 0.0),
     lambda: phi_fd_derivatives(_P3, 0.3, np.nan),
+    # a step no double holds
+    lambda: phi(_P3, [0.1, 10 ** 400]),
 ])
 def test_malformed_steps_raise_invalid_input(call):
     with pytest.raises(InvalidInput):

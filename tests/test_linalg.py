@@ -78,8 +78,8 @@ BOUNDARY_CALLS = {
 
 
 @pytest.mark.parametrize("entries", [
-    [["a", "b"], ["c", "d"]], {"x": 1.0}, [[1.0, 0.0], [0.0]],
-], ids=["strings", "mapping", "ragged"])
+    [["a", "b"], ["c", "d"]], {"x": 1.0}, [[1.0, 0.0], [0.0]], [[10 ** 400, 0], [0, 1]],
+], ids=["strings", "mapping", "ragged", "integer-too-large"])
 @pytest.mark.parametrize("call", BOUNDARY_CALLS.values(), ids=BOUNDARY_CALLS.keys())
 def test_boundary_rejects_input_numpy_cannot_convert(call, entries):
     with pytest.raises(InvalidInput):

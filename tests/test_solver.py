@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from expgrad.diagnostics import inner_product_check
 from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator
@@ -67,6 +68,7 @@ class TestSolverConfig:
         {"alpha_bar": 0.0}, {"shrink": 1.0}, {"shrink": 0.0}, {"tau": 1.5},
         {"max_iters": -1}, {"max_backtracks": 0}, {"stop_tol": 0.0},
         {"alpha_bar": math.inf}, {"stop_tol": math.inf}, {"alpha_bar": math.nan},
+        {"stop_tol": 10 ** 400},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(InvalidInput):
@@ -123,6 +125,17 @@ class TestEgStep:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(InvalidInput):
             eg_step(DensityState.maximally_mixed(2), HermitianOperator(np.eye(2)).mat, 0.0)
+
+    @pytest.mark.parametrize("alpha", ["x", None, True, math.inf, math.nan, 10 ** 400],
+                             ids=["string", "none", "bool", "inf", "nan", "integer-too-large"])
+    def test_rejects_a_step_that_is_no_positive_finite_number(self, alpha):
+        # checked before it is used: no raw TypeError or OverflowError, no
+        # bool read as 1, no inf * 0 warning; inner_product_check takes its step
+        rho = DensityState.maximally_mixed(2)
+        with pytest.raises(InvalidInput, match="step size"):
+            eg_step(rho, HermitianOperator(np.eye(2)).mat, alpha)
+        with pytest.raises(InvalidInput, match="step size"):
+            inner_product_check(rho, qst_objective(standard_basis_ensemble(2)), alpha)
 
     @pytest.mark.parametrize("state, g", [
         (ProbabilityVector([0.5, 0.5]), np.eye(2)),

@@ -12,9 +12,11 @@ Poisson on 12 x 5 rows, Burg d = 7, quadratic d = 4); an 8-weight
 ``diagnose --suite all --report``; and three runs through ``--config``: a
 tomography ``run`` filled from a file, a 3-weight ``lambda-sweep`` whose
 ``--max-iter`` overrides its file, and a ``run`` whose file has an unknown
-key (exit 2, JSON error on stderr); and three tomography ``run``s on
+key (exit 2, JSON error on stderr); three tomography ``run``s on
 malformed ensemble files: JSON cut short (exit 1), a float ``dim`` (exit 2),
-and a malformed operator before a syntax error (exit 1). Every file the
+and a malformed operator before a syntax error (exit 1); and a tomography
+and a Poisson ``run`` on files holding an integer entry no double holds
+(exit 2 each). Every file the
 script leaves, each command's stdout, stderr and exit code among them, is
 compared byte for byte, with the ``wall_time_ms`` field of ``run``'s summary
 (a timing) left out. Prints the files that differ and exits 1 if any does,
@@ -65,14 +67,18 @@ CONFIGS = {
     "unknown_config.json": {"max_iter": 3},
 }
 
-# malformed ensemble files, each read by one run; the two operators are the
-# standard basis of d = 2
+# malformed input files, each read by one run of the objective named: the two
+# operators are the standard basis of d = 2, and _TOO_LARGE an integer entry
+# no double holds
 _OPERATORS = ('[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
               '[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]')
+_TOO_LARGE = "1" + "0" * 400
 MALFORMED = {
-    "truncated": '{"dim": 2, "operators": ' + _OPERATORS[:-20],
-    "dim-float": '{"dim": 2.0, "operators": ' + _OPERATORS + "}",
-    "bad-operator-then-syntax-error": '{"dim": 2, "operators": [5.0, ' + _OPERATORS + "}",
+    "truncated": ("qst", '{"dim": 2, "operators": ' + _OPERATORS[:-20]),
+    "dim-float": ("qst", '{"dim": 2.0, "operators": ' + _OPERATORS + "}"),
+    "bad-operator-then-syntax-error": ("qst", '{"dim": 2, "operators": [5.0, ' + _OPERATORS + "}"),
+    "entry-too-large": ("qst", '{"dim": 1, "operators": [[[[%s, 0.0]]]]}' % _TOO_LARGE),
+    "rows-entry-too-large": ("poisson", '{"dim": 1, "rows": [[%s]]}' % _TOO_LARGE),
 }
 
 
@@ -108,21 +114,21 @@ def script(sizes: dict) -> list[tuple[str, list[str]]]:
         ("run-unknown-key", ["run", "--objective", "qst", "--operators", "ens.json",
                              "--config", "unknown_config.json"]),
     ]
-    commands += [(f"run-{name}", ["run", "--objective", "qst", "--operators", f"{name}.json"])
-                 for name in MALFORMED]
+    commands += [(f"run-{name}", ["run", "--objective", objective, "--operators", f"{name}.json"])
+                 for name, (objective, _) in MALFORMED.items()]
     return commands
 
 
 def run_script(tree: Path, workdir: Path, sizes: dict) -> None:
     """Run the script with the tree's own package, leaving its files in
-    workdir; the Poisson rows, the config files and the malformed ensembles
-    are written there first."""
+    workdir; the Poisson rows, the config files and the malformed input
+    files are written there first."""
     m, d = sizes["rows"]
     rows = np.random.default_rng(5).random((m, d)) + 0.01
     (workdir / "rows.json").write_text(json.dumps({"dim": d, "rows": rows.tolist()}))
     for name, config in CONFIGS.items():
         (workdir / name).write_text(json.dumps(config))
-    for name, text in MALFORMED.items():
+    for name, (_, text) in MALFORMED.items():
         (workdir / f"{name}.json").write_text(text)
     subprocess.run([sys.executable, "-c", _RUN, str(Path(tree).resolve() / "src"),
                     json.dumps(script(sizes))], cwd=workdir, check=True)
