@@ -9,7 +9,6 @@ from .diagnostics import (
     FixedPointResult,
     LogPartitionProbe,
     bregman_gap,
-    chi,
     fixed_point_check,
     inner_product_check,
     phi,
@@ -30,7 +29,7 @@ from .objectives import (
     quadratic_objective,
     standard_basis_ensemble,
 )
-from .suites import SUITE_NAMES, phi_fd_derivatives, run_suite
+from .suites import SUITE_NAMES, run_suite
 from .solver import (
     IterationRecord,
     SolveResult,

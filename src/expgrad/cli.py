@@ -9,12 +9,15 @@ print a machine-readable JSON object on stderr. ``run`` and ``lambda-sweep``
 may also take flags from ``--config FILE``, a JSON object keyed by the long
 option name; explicit flags override the file. Both take the solver flags
 ``alpha-bar``, ``shrink``, ``tau``, ``max-iter``, ``max-backtracks`` and
-``tol``; ``run`` also takes ``seed`` (read by the quadratic objective only)
-and ``lambda`` (hedged-qst only). Any other key, or a flag or key that the
-objective does not read, is a usage error. Each value is checked by the
-package function that reads it (``SolverConfig`` for the solver flags),
-before any input file is read, so a malformed one is a usage error whose
-message names that function's field, such as ``max_iters`` or ``stop_tol``.
+``tol``, and ``run`` also the keys ``seed`` and ``lambda``; any other key is
+a usage error. Which of its four inputs ``run`` reads, ``operators`` and
+``dim`` as flags and ``seed`` and ``lambda`` as flags or keys, depends on
+the objective, as OBJECTIVE_INPUTS lists them. One rule holds for all four:
+an input that the objective does not read is a usage error, and so is a
+missing one that it requires. Each value is checked by the package function
+that reads it (``SolverConfig`` for the solver flags), before any input
+file is read, so a malformed one is a usage error whose message names that
+function's field, such as ``max_iters`` or ``stop_tol``.
 """
 
 from __future__ import annotations
@@ -44,31 +47,31 @@ from .solver import SolverConfig, solve, write_trace_csv
 from .suites import SUITE_NAMES, run_suite
 from . import diagnostics
 
-OBJECTIVE_KINDS = ("qst", "hedged-qst", "burg", "poisson", "quadratic")
+# the inputs each objective reads, the first of which it requires: the
+# --operators file and --dim as flags, seed and lambda as flags or config keys
+OBJECTIVE_INPUTS = {"qst": ("operators",), "hedged-qst": ("operators", "lambda"), "poisson": ("operators",),
+                    "burg": ("dim",), "quadratic": ("dim", "seed")}
 
-
-_Flag = collections.namedtuple("_Flag", "dest default objective", defaults=(None,))
+_Flag = collections.namedtuple("_Flag", "dest default")
 
 # every flag a config file may fill, keyed by its long option name, which is
-# its config key: (argparse dest, default, the one objective that reads it or
-# None for all). A flag's type is its default's. The solver flags are
-# SolverConfig's fields. Each value is checked where the package reads it:
-# by SolverConfig, or, for seed and lambda, by linalg's scalar checks before
-# any input file is read.
-_FLAGS = {
-    **{key: _Flag(field.name, field.default)
-       for key, field in zip(("alpha-bar", "shrink", "tau", "max-iter", "max-backtracks", "tol"),
-                             dataclasses.fields(SolverConfig), strict=True)},
-    "seed": _Flag("seed", 0, "quadratic"),
-    "lambda": _Flag("lam", 0.1, "hedged-qst"),
-}
+# its config key: (argparse dest, default). A flag's type is its default's.
+# The solver flags are SolverConfig's fields, which every objective reads;
+# run also takes seed and lambda. Each value is checked where the package
+# reads it: by SolverConfig, or, for seed and lambda, by linalg's scalar
+# checks before any input file is read.
+_SOLVER_FLAGS = {key: _Flag(field.name, field.default)
+                 for key, field in zip(("alpha-bar", "shrink", "tau", "max-iter", "max-backtracks", "tol"),
+                                       dataclasses.fields(SolverConfig), strict=True)}
+_FLAGS = {**_SOLVER_FLAGS, "seed": _Flag("seed", 0), "lambda": _Flag("lambda", 0.1)}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the JSON config file, then from defaults.
     Raises InvalidInput on a file that is not a JSON object, on a key that
-    names no flag of _FLAGS the subcommand takes, and on a flag or key that
-    its objective ignores."""
+    names no flag of _FLAGS the subcommand takes, and, for run, on an input
+    (flag or key) that OBJECTIVE_INPUTS does not list for its objective or a
+    missing one that it requires."""
     if "config" not in args:
         return args
     config = {}
@@ -85,10 +88,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if key not in flags:
             raise InvalidInput(f"unknown config key {key!r}; {args.command} takes "
                                + ", ".join(sorted(flags)))
-    for key, flag in flags.items():
-        if flag.objective is not None and flag.objective != args.objective and (
-                getattr(args, flag.dest) is not None or key in config):
-            raise InvalidInput(f"{key!r} applies only to the {flag.objective} objective, not {args.objective}")
+    if "objective" in args:
+        reads = OBJECTIVE_INPUTS[args.objective]
+        for key in dict.fromkeys(name for names in OBJECTIVE_INPUTS.values() for name in names):
+            if key not in reads and (getattr(args, key) is not None or key in config):
+                raise InvalidInput(f"the {args.objective} objective does not read {key!r}")
+        if getattr(args, reads[0]) is None:
+            raise InvalidInput(f"the {args.objective} objective requires {reads[0]!r}")
     for key, flag in flags.items():
         if getattr(args, flag.dest) is None:
             setattr(args, flag.dest, config.get(key, flag.default))
@@ -100,12 +106,9 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _build_problem(args):
-    """Returns (objective, initial_state)."""
+    """Returns (objective, initial_state), from the inputs that
+    OBJECTIVE_INPUTS lists for args.objective."""
     kind = args.objective
-    if kind in ("qst", "hedged-qst", "poisson") and args.operators is None:
-        raise InvalidInput(f"--operators is required for the {kind} objective")
-    if kind in ("burg", "quadratic") and args.dim is None:
-        raise InvalidInput(f"--dim is required for the {kind} objective")
     if kind == "burg":
         return burg_objective(args.dim), ProbabilityVector.uniform(args.dim)
     if kind == "poisson":
@@ -116,9 +119,9 @@ def _build_problem(args):
         target = diagnostics.random_density(np.random.default_rng(args.seed), args.dim).matrix
         return quadratic_objective(target), DensityState.maximally_mixed(args.dim)
     if kind == "hedged-qst":
-        _positive(args.lam, "lambda")  # a usage error before the file is read
+        _positive(getattr(args, "lambda"), "lambda")  # a usage error before the file is read
     ens = load_ensemble(args.operators)
-    objective = qst_objective(ens) if kind == "qst" else hedged_qst_objective(ens, args.lam)
+    objective = qst_objective(ens) if kind == "qst" else hedged_qst_objective(ens, getattr(args, "lambda"))
     return objective, DensityState.maximally_mixed(ens.dim)
 
 
@@ -206,13 +209,11 @@ def cmd_lambda_sweep(args) -> int:
     return 0
 
 
-def _add_config_flags(p: argparse.ArgumentParser, solver_only: bool = False):
-    """``--config`` and the flags it may fill: all of them, or with
-    solver_only the solver flags, which every objective reads."""
-    for key, flag in _FLAGS.items():
-        if not (solver_only and flag.objective):
-            p.add_argument(f"--{key}", dest=flag.dest, type=type(flag.default),
-                           default=None, metavar=key.upper().replace("-", "_"))
+def _add_config_flags(p: argparse.ArgumentParser, flags: dict):
+    """``--config`` and the flags of `flags` (_FLAGS or _SOLVER_FLAGS) it may fill."""
+    for key, flag in flags.items():
+        p.add_argument(f"--{key}", dest=flag.dest, type=type(flag.default),
+                       default=None, metavar=key.upper().replace("-", "_"))
     p.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
@@ -228,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_gen)
 
     p_run = sub.add_parser("run", help="run one solve, emitting trace and summary")
-    p_run.add_argument("--objective", choices=OBJECTIVE_KINDS, required=True)
+    p_run.add_argument("--objective", choices=OBJECTIVE_INPUTS, required=True)
     p_run.add_argument("--operators", default=None, help="ensemble or rows JSON file")
     p_run.add_argument("--dim", type=int, default=None)
     p_run.add_argument("--trace", default=None, help="trace CSV output path")
     p_run.add_argument("--summary", default=None, help="summary JSON output path")
-    _add_config_flags(p_run)
+    _add_config_flags(p_run, _FLAGS)
     p_run.set_defaults(func=cmd_run)
 
     p_diag = sub.add_parser("diagnose", help="run a diagnostics suite")
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--lambdas", required=True,
                          help="comma-separated descending positive weights")
     p_sweep.add_argument("--out", default=None, help="table JSON output path")
-    _add_config_flags(p_sweep, solver_only=True)
+    _add_config_flags(p_sweep, _SOLVER_FLAGS)
     p_sweep.set_defaults(func=cmd_lambda_sweep)
 
     return parser

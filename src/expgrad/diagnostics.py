@@ -10,9 +10,11 @@ Every function of a probe takes a step or a 1-D array of steps, and a probe
 or a stack of probes (LogPartitionProbe.stack), whose results then gain a
 leading probe axis, each entry the bits of that probe alone. A step that is
 not a number, or not finite where an exponent is formed, raises InvalidInput.
-No stacked eigh or eigvalsh takes more than linalg._STACK_ELEMENTS matrix
-entries, or one probe's row of steps, and no array formed from a
-decomposition more than _SLAB_ELEMENTS elements, or one (probe, step) pair's.
+No stack that a check forms for eigh or eigvalsh takes more than
+linalg._STACK_ELEMENTS matrix entries, or one probe's row of steps, and no
+array formed from a decomposition more than _SLAB_ELEMENTS elements, or one
+(probe, step) pair's. A probe build decomposes its base states and its
+directions as the whole stacks they already are.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import numpy as np
 
 from .entropy import quantum_relative_entropy
 from .errors import InvalidInput
-from .linalg import (DensityState, _array, _chunks, _count, _hermitian, _hermitian_part, _joined, _stacked,
-                     logsumexp)
+from .linalg import (DensityState, _array, _chunks, _count, _hermitian, _hermitian_part, _joined, logsumexp)
 from .objectives import MeasurementEnsemble, ObjectiveSpec, qst_objective
 from .solver import _check_fit, eg_step
 
@@ -322,7 +323,7 @@ def _random_densities(rngs, d: int) -> tuple:
     one call per generator."""
     s = np.stack([random_hermitian(rng, d) for rng in rngs])
     s *= (1.0 / np.linalg.norm(s, axis=(-2, -1)))[:, None, None]
-    vals, v = _stacked(np.linalg.eigh, s)
+    vals, v = np.linalg.eigh(s)
     v.flags.writeable = False
     return tuple(map(DensityState, vals - logsumexp(vals)[:, None], v))
 
@@ -358,5 +359,5 @@ def random_probe(rng, d: int, direction_kind="qst") -> LogPartitionProbe:
         ops = _hermitian([random_psd(rng[i], d) for _ in range(2 * d)], 3)  # PSD by construction
         g[i] = -qst_objective(MeasurementEnsemble._of(ops)).gradient(base[i])
     g = _hermitian(g, 3)
-    vals = _stacked(np.linalg.eigvalsh, g)
+    vals = np.linalg.eigvalsh(g)
     return LogPartitionProbe._of(base, np.array([b.exponent for b in base]), g, vals[:, -1] - vals[:, 0])

@@ -26,8 +26,10 @@ def logsumexp(x: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-# The matrix entries that one stacked eigh or eigvalsh takes: a larger stack is
-# decomposed in chunks along its first axis (_chunks), the same bits per matrix.
+# The most matrix entries in one stacked eigh or eigvalsh of a stack that a
+# check forms: a larger one is formed and decomposed in chunks along its first
+# axis (_chunks), the same bits per matrix. A stack that exists already is
+# decomposed whole, as chunks of it would bound no memory.
 _STACK_ELEMENTS = 20_000
 
 
@@ -44,12 +46,6 @@ def _joined(parts: list):
     if len(parts) == 1:
         return parts[0]
     return tuple(map(np.concatenate, zip(*parts))) if isinstance(parts[0], tuple) else np.concatenate(parts)
-
-
-def _stacked(decompose, stack: np.ndarray):
-    """decompose (numpy.linalg.eigh or eigvalsh) of a stack of matrices, one
-    call per chunk (_chunks) of its first axis."""
-    return _joined([decompose(stack[at]) for at in _chunks(len(stack), stack[0].size)])
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:

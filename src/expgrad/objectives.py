@@ -16,7 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidInput
-from .linalg import DensityState, _array, _count, _hermitian, _hermitian_part, _positive, _stacked
+from .linalg import DensityState, _array, _count, _hermitian, _hermitian_part, _positive
+
+# the smallest normal double: the hedged objective's domain ends below it
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class MeasurementEnsemble:
         if len({_array(op, copy=None).shape for op in ops}) > 1:  # no copy of an array
             raise InvalidInput("ensemble operators have mixed dimensions")
         stack = _hermitian(ops, 3)
-        lows = _stacked(np.linalg.eigvalsh, stack)[:, 0]
+        lows = np.linalg.eigvalsh(stack)[:, 0]
         if np.any(lows < -1e-10):
             raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
         if not np.any(stack):
@@ -143,25 +146,28 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     """QST objective plus the log-det barrier: f_QST(rho) - lam * log det rho.
 
     The barrier forces every limit point of a monotone run into the interior.
-    The log-det is taken from the state's realized eigenvalues. A weight lam
-    that is not a positive, finite real number raises InvalidInput.
+    The log-det is taken from the state's realized eigenvalues. Value,
+    gradient and in_domain share one domain, the states whose smallest
+    eigenvalue is at least the smallest normal double: below it rho^{-1} can
+    overflow, so the value there is +inf, as at a zero eigenvalue. A weight
+    lam that is not a positive, finite real number raises InvalidInput.
     """
     _positive(lam, "barrier weight")
     base = qst_objective(ens)
 
     def value(rho: DensityState) -> float:
-        if rho.eigenvalues[0] <= 0.0:  # before base.value forms rho.matrix
+        if rho.eigenvalues[0] < _TINY:  # before base.value forms rho.matrix
             return math.inf
-        # +inf stays +inf: the log-det of a positive spectrum is finite
+        # +inf stays +inf: the log-det of a normal spectrum is finite
         return base.value(rho) - lam * float(np.log(rho.eigenvalues).sum())
 
     def gradient(rho: DensityState) -> np.ndarray:
-        if rho.eigenvalues[0] <= 0.0:
+        if rho.eigenvalues[0] < _TINY:
             raise DomainError("barrier gradient undefined on a singular state")
         return base.gradient(rho) - lam * rho.inverse()  # exactly Hermitian, as both terms are
 
     def in_domain(rho: DensityState) -> bool:
-        return base.in_domain(rho) and rho.eigenvalues[0] > 0.0
+        return base.in_domain(rho) and rho.eigenvalues[0] >= _TINY
 
     return ObjectiveSpec(ens.dim, value, gradient, in_domain, "matrix", barrier=True)
 

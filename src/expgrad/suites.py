@@ -6,8 +6,8 @@ function (_CHECKS) from a stacked probe's _Table, the numbers it reads, to a
 margin per probe: the worst remaining slack after the check's stated
 tolerance, so pass is equivalent to worst_margin >= 0. A record has the same
 bits whether its check runs alone or under "all", and memory is bounded as
-in diagnostics: no stacked decomposition takes more than
-linalg._STACK_ELEMENTS matrix entries, or one probe's row of steps.
+in diagnostics: no stack that a check forms for a decomposition takes more
+than linalg._STACK_ELEMENTS matrix entries, or one probe's row of steps.
 """
 
 from __future__ import annotations

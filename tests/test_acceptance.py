@@ -27,7 +27,6 @@ from expgrad import (
     hedged_qst_objective,
     inner_product_check,
     phi_derivatives,
-    phi_fd_derivatives,
     poisson_linear_objective,
     qst_objective,
     quadratic_objective,
@@ -40,6 +39,7 @@ from expgrad import (
 )
 from expgrad import suites
 from expgrad.diagnostics import random_psd
+from expgrad.suites import phi_fd_derivatives
 from helpers import qst_hardness_witness, schatten_norm
 
 LOG2 = math.log(2.0)

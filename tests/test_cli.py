@@ -269,6 +269,15 @@ CONFIG_KEYS = {
 }
 MALFORMED_VALUES = {"string": "1", "bool": True, "null": None, "list": [1], "non-finite": math.inf}
 
+# the inputs each objective reads, its first required (as the README states)
+OBJECTIVE_READS = {"qst": ("operators",), "hedged-qst": ("operators", "lambda"), "poisson": ("operators",),
+                   "burg": ("dim",), "quadratic": ("dim", "seed")}
+# each input of run: where it may be given, and a valid value as its flag
+# takes it (a config key takes that text as JSON); ABSENT names a file that
+# does not exist, so a run that opens it exits 1
+INPUTS = {"operators": (("flag",), "ABSENT"), "dim": (("flag",), "3"),
+          "seed": (("flag", "config"), "3"), "lambda": (("flag", "config"), "0.5")}
+
 
 class TestMalformedInput:
     """Every malformed flag, config value or input file ends in exit 2 with a
@@ -413,6 +422,38 @@ class TestMalformedInput:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "InvalidInput" and "'seed'" in err["message"]
+
+    @pytest.mark.parametrize("objective, key, where", [
+        (objective, key, where) for objective, reads in OBJECTIVE_READS.items()
+        for key, (places, _) in INPUTS.items() if key not in reads for where in places])
+    def test_input_the_objective_does_not_read(self, tmp_path, capsys, objective, key, where):
+        # every input, as a flag or a config key, with every objective that
+        # does not read it: a usage error that names it, before any file is
+        # opened (the operators file, read or not, does not exist)
+        required = OBJECTIVE_READS[objective][0]
+        argv = ["run", "--objective", objective, f"--{required}", INPUTS[required][1]]
+        if where == "flag":
+            argv += [f"--{key}", INPUTS[key][1]]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: json.loads(INPUTS[key][1])}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main([str(tmp_path / "absent.json") if a == "ABSENT" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and repr(key) in err["message"]
+
+    @pytest.mark.parametrize("objective", list(OBJECTIVE_READS))
+    def test_missing_required_input(self, tmp_path, capsys, objective):
+        # the other inputs it reads do not stand in for it
+        argv = ["run", "--objective", objective]
+        for key in OBJECTIVE_READS[objective][1:]:
+            argv += [f"--{key}", INPUTS[key][1]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidInput" and repr(OBJECTIVE_READS[objective][0]) in err["message"]
 
     @pytest.mark.parametrize("argv", [
         ["diagnose", "--suite", "ratio", "--seed", "-1"],

@@ -32,6 +32,8 @@ FAILS = {
     "run-bad-operator-then-syntax-error": ("1", "JSONDecodeError"),
     "run-entry-too-large": ("2", "InvalidInput"),
     "run-rows-entry-too-large": ("2", "InvalidInput"),
+    "run-qst-unread-dim": ("2", "InvalidInput"),
+    "run-burg-unread-operators": ("2", "InvalidInput"),
 }
 
 

@@ -20,13 +20,11 @@ from expgrad import (
     MeasurementEnsemble,
     bregman_gap,
     burg_objective,
-    chi,
     eg_step,
     fixed_point_check,
     inner_product_check,
     phi,
     phi_derivatives,
-    phi_fd_derivatives,
     ProbabilityVector,
     qst_objective,
     quadratic_objective,
@@ -37,7 +35,9 @@ from expgrad import (
     run_suite,
     standard_basis_ensemble,
 )
+from expgrad.diagnostics import chi
 from expgrad.linalg import logsumexp
+from expgrad.suites import phi_fd_derivatives
 
 
 def constant_direction_probe(d, c):
@@ -379,7 +379,8 @@ class TestArrayAlpha:
 class TestWorkPerCheck:
     """Each check costs a fixed number of stacked decompositions per probe,
     whatever the size of its grid; a sample population adds calls only where
-    a stack passes the entry budget (linalg._STACK_ELEMENTS)."""
+    a stack that a check forms passes the entry budget
+    (linalg._STACK_ELEMENTS). A probe build's stacks are decomposed whole."""
 
     @staticmethod
     def count_decompositions(monkeypatch):

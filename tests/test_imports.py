@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, only
 ``__init__.py`` declares ``__all__``, and the package exports no module
-through it.
+through it, nor a name without a caller.
 
 A stand-in for a linter's unused-import rule, which catches the imports that
 deleting code leaves behind, and for a rule that keeps the list of public
@@ -11,6 +11,9 @@ through the module.
 """
 
 import ast
+import inspect
+import re
+import textwrap
 from pathlib import Path
 from types import ModuleType
 
@@ -18,6 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expgrad"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = PACKAGE.parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -69,3 +73,31 @@ def test_no_exported_name_is_a_module():
     assert [name for name in expgrad.__all__ if isinstance(getattr(expgrad, name), ModuleType)] == []
     assert not any(isinstance(value, ModuleType) for value in namespace.values())
     assert {"MeasurementEnsemble", "HermitianOperator", "solve", "run_suite"} <= set(expgrad.__all__)
+
+
+def uncalled(namespace: dict) -> list[str]:
+    """The names of `namespace` (name -> value) that neither cli.py nor the
+    README names, and that the source of no other function or class of
+    `namespace` reads."""
+    named = set(re.findall(r"\w+", (PACKAGE / "cli.py").read_text() + README.read_text()))
+
+    def reads(value) -> set:
+        if not (inspect.isfunction(value) or inspect.isclass(value)):
+            return set()
+        tree = ast.parse(textwrap.dedent(inspect.getsource(value)))
+        return {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+
+    used = {name: reads(value) for name, value in namespace.items()}
+    return [name for name in namespace
+            if name not in named and not any(name in used[other] for other in namespace if other != name)]
+
+
+def test_every_exported_name_has_a_caller():
+    import expgrad
+    from expgrad import diagnostics, suites
+
+    public = {name: getattr(expgrad, name) for name in expgrad.__all__}
+    assert uncalled(public) == []
+    # two helpers that only suites calls, which the list leaves out
+    assert uncalled({**public, "chi": diagnostics.chi, "phi_fd_derivatives": suites.phi_fd_derivatives}) == [
+        "chi", "phi_fd_derivatives"]

@@ -224,6 +224,18 @@ class TestHedgedQstObjective:
         with pytest.raises(DomainError):
             f.gradient(rho)
 
+    @pytest.mark.parametrize("low", [-715.0, -708.5])
+    def test_subnormal_eigenvalue_is_outside_the_domain(self, low):
+        # lambda_min 2.2e-311, whose inverse overflows, and 2.0e-308, whose
+        # inverse is finite: below the smallest normal double, value,
+        # gradient and in_domain agree that the state is out
+        f = hedged_qst_objective(standard_basis_ensemble(2), 0.1)
+        rho = DensityState.from_exponent(np.diag([low, 0.0]))
+        assert 0.0 < rho.min_eig < np.finfo(np.float64).tiny
+        assert f.value(rho) == math.inf and not f.in_domain(rho)
+        with pytest.raises(DomainError):
+            f.gradient(rho)
+
     def test_underflowed_state_skips_the_probabilities(self, monkeypatch):
         calls = []
         probabilities = MeasurementEnsemble.probabilities

@@ -25,7 +25,7 @@ from expgrad.diagnostics import inner_product_check, random_density, random_psd
 from expgrad.entropy import quantum_relative_entropy
 from expgrad.linalg import DensityState, _hermitian
 from expgrad.objectives import MeasurementEnsemble, hedged_qst_objective, qst_objective
-from expgrad.solver import SolverConfig, _divergence, _underflow_step, eg_step, solve
+from expgrad.solver import SolverConfig, _armijo, _divergence, _underflow_step, eg_step, solve
 from helpers import exact_armijo_product, exact_divergence, exact_value_difference
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=15)
@@ -221,17 +221,21 @@ def test_armijo_decision_matches_the_exact_one_at_a_near_singular_iterate():
     # the hedged tomography instance on which the solver stops spuriously:
     # at its first iterate (lambda_min 8e-19) the float product is -3.74e-3
     # and the exact one -1.170e-4, while f falls by 1.165e-4 at the step
-    # 2**-60; so the float test rejects a step that the exact test accepts
+    # 2**-60. The solver's own search from there, with that step as its
+    # first and one backtrack allowed, accepts the step iff it returns
+    # j = 0 with a candidate; it returns j = 1, rejecting a step that the
+    # exact test accepts
     rng = np.random.default_rng(0)
     f = hedged_qst_objective(MeasurementEnsemble([random_psd(rng, 32) for _ in range(4 * 32)]), 1e-2)
-    cfg = SolverConfig()
+    cfg = SolverConfig(alpha_bar=2.0 ** -60, max_backtracks=1)
     state = solve(DensityState.maximally_mixed(32), f, SolverConfig(max_iters=1)).final_state
     g = f.gradient(state)
-    nxt = eg_step(state, g, 2.0 ** -60)
-    f_state, f_next = f.value(state), f.value(nxt)
-    float_test = f_next <= f_state + cfg.tau * float(np.vdot(g, nxt.point - state.point).real)
-    exact_test = f_next <= f_state + cfg.tau * exact_armijo_product(nxt, state, g)
-    assert float_test == exact_test
+    f_state = f.value(state)
+    _, candidate, j, _ = _armijo(state, f, cfg, g, f_state)
+    solver_accepts = j == 0 and candidate is not None
+    nxt = eg_step(state, g, cfg.alpha_bar)
+    exact_accepts = f.value(nxt) <= f_state + cfg.tau * exact_armijo_product(nxt, state, g)
+    assert solver_accepts == exact_accepts
 
 
 def spectral_cut(state, g):

@@ -250,6 +250,15 @@ class TestSolve:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert min(r.min_eig for r in res.trace) > 1e-6
 
+    def test_hedged_run_ends_with_a_status_past_a_subnormal_step(self):
+        # at alpha_bar = 1e6 a step at the first iterate reaches lambda_min
+        # 3.5e-312, where rho^{-1} overflows: the hedged value is +inf there,
+        # so the search rejects that step instead of the gradient raising
+        f = hedged_qst_objective(random_ensemble(np.random.default_rng(46), 2, 4), 1e-3)
+        res = solve(DensityState.maximally_mixed(2), f, SolverConfig(alpha_bar=1e6))
+        assert isinstance(res.status, SolveStatus)
+        assert min(r.min_eig for r in res.trace) >= np.finfo(np.float64).tiny
+
     def test_stationary_at_minimizer(self):
         f = qst_objective(standard_basis_ensemble(2))
         res = solve(DensityState.maximally_mixed(2), f)

@@ -14,9 +14,13 @@ tomography ``run`` filled from a file, a 3-weight ``lambda-sweep`` whose
 ``--max-iter`` overrides its file, and a ``run`` whose file has an unknown
 key (exit 2, JSON error on stderr); three tomography ``run``s on
 malformed ensemble files: JSON cut short (exit 1), a float ``dim`` (exit 2),
-and a malformed operator before a syntax error (exit 1); and a tomography
+and a malformed operator before a syntax error (exit 1); a tomography
 and a Poisson ``run`` on files holding an integer entry no double holds
-(exit 2 each). Every file the
+(exit 2 each); two ``run``s given an input their objective does not read,
+a tomography ``--dim`` and a Burg ``--operators`` naming a missing file
+(exit 2 each); and a hedged ``run`` at lambda = 1e-3 and alpha-bar = 1e6
+on a d = 2 ensemble of 4 operators that ``gen`` writes at seed 46, whose
+search passes a step with a subnormal smallest eigenvalue (exit 0). Every file the
 script leaves, each command's stdout, stderr and exit code among them, is
 compared byte for byte, with the ``wall_time_ms`` field of ``run``'s summary
 (a timing) left out. Prints the files that differ and exits 1 if any does,
@@ -116,6 +120,14 @@ def script(sizes: dict) -> list[tuple[str, list[str]]]:
     ]
     commands += [(f"run-{name}", ["run", "--objective", objective, "--operators", f"{name}.json"])
                  for name, (objective, _) in MALFORMED.items()]
+    commands += [
+        ("run-qst-unread-dim", ["run", "--objective", "qst", "--operators", "ens.json", "--dim", "7"]),
+        ("run-burg-unread-operators", ["run", "--objective", "burg", "--dim", "3",
+                                       "--operators", "missing.json"]),
+        ("gen-subnormal", ["gen", "--dim", "2", "--num-ops", "4", "--seed", "46", "--out", "subnormal_ens.json"]),
+        ("run-hedged-subnormal", ["run", "--objective", "hedged-qst", "--operators", "subnormal_ens.json",
+                                  "--lambda", "1e-3", "--alpha-bar", "1e6"]),
+    ]
     return commands
 
 
