@@ -5,43 +5,55 @@ used to exercise the line-search acceptance path.
 Out-of-domain evaluation returns +inf rather than raising: the Armijo loop
 treats +inf as a failed sufficient-decrease test and shrinks the step.
 Gradients, by contrast, raise DomainError outside the effective domain.
+Every objective here has one numerical edge, _TINY: a t_i, simplex entry or
+eigenvalue below the smallest normal double is off the domain, as 1/x can
+overflow there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, InvalidInput
 from .linalg import DensityState, _array, _count, _hermitian, _hermitian_part, _positive
 
-# the smallest normal double: the hedged objective's domain ends below it
+# the smallest normal double: every objective's domain ends below it
 _TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Value/gradient/domain contract for a convex objective.
+    """Value/gradient contract for a convex objective.
 
     ``kind`` is "matrix" (states are DensityState, gradients are Hermitian
     d x d arrays) or "vector" (states are ProbabilityVector, gradients are
-    length-d arrays). ``value`` returns +inf outside the effective domain.
+    length-d arrays). ``value`` is the one statement of the effective
+    domain: it returns +inf outside it. ``in_domain(x)`` follows it, as
+    math.isfinite(value(x)) unless one is given; solve does not read it.
     ``barrier`` is set by the constructors of objectives whose value is +inf
-    at every state with a zero eigenvalue or entry; the line search then
-    skips candidates that provably have one. The tomography, Poisson and
-    Burg objectives are one function, -sum_i log t_i of a linear map t(x),
-    and differ only in that map and its adjoint.
+    at every state with an eigenvalue or entry below _TINY; the line search
+    then skips candidates that provably have one. The tomography, Poisson
+    and Burg objectives are one function, -sum_i log t_i of a linear map
+    t(x), and differ only in that map and its adjoint.
     """
 
     dim: int
     value: Callable
     gradient: Callable
-    in_domain: Callable
+    in_domain: Optional[Callable] = None
     kind: str = "matrix"
     barrier: bool = False
+
+    def __post_init__(self):
+        if self.in_domain is None:
+            # the value alone, not self: a spec in a reference cycle would
+            # hold its ensemble until the garbage collector runs
+            value = self.value
+            object.__setattr__(self, "in_domain", lambda x: math.isfinite(value(x)))
 
 
 class MeasurementEnsemble:
@@ -107,10 +119,10 @@ def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Calla
                     barrier: bool = False) -> ObjectiveSpec:
     """-sum_i log t_i for a linear map t = probabilities(x), nonnegative on
     the domain, with gradient -adjoint(t), where adjoint(t) applies the
-    map's adjoint to the weights 1/t_i. A point where some t_i <= 0
-    (negative round-off included) is out of the domain. t is computed once
-    per state: a call at the state object of the last call reuses it, as
-    states are read-only."""
+    map's adjoint to the weights 1/t_i. A point where some t_i < _TINY
+    (zero and negative round-off included) is out of the domain. t is
+    computed once per state: a call at the state object of the last call
+    reuses it, as states are read-only."""
     last = [None, None]  # the last state and its t
 
     def t_at(x) -> np.ndarray:
@@ -120,20 +132,17 @@ def _log_likelihood(dim: int, kind: str, probabilities: Callable, adjoint: Calla
 
     def value(x) -> float:
         t = t_at(x)
-        if (t <= 0.0).any():
+        if (t < _TINY).any():
             return math.inf
         return float(-np.log(t).sum())
 
     def gradient(x) -> np.ndarray:
         t = t_at(x)
-        if (t <= 0.0).any():
-            raise DomainError("gradient requested where some t_i(x) <= 0")
+        if (t < _TINY).any():
+            raise DomainError("gradient requested where some t_i(x) is below the smallest normal double")
         return -adjoint(t)
 
-    def in_domain(x) -> bool:
-        return bool((t_at(x) > 0.0).all())
-
-    return ObjectiveSpec(dim, value, gradient, in_domain, kind, barrier)
+    return ObjectiveSpec(dim, value, gradient, kind=kind, barrier=barrier)
 
 
 def qst_objective(ens: MeasurementEnsemble) -> ObjectiveSpec:
@@ -146,11 +155,11 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     """QST objective plus the log-det barrier: f_QST(rho) - lam * log det rho.
 
     The barrier forces every limit point of a monotone run into the interior.
-    The log-det is taken from the state's realized eigenvalues. Value,
-    gradient and in_domain share one domain, the states whose smallest
-    eigenvalue is at least the smallest normal double: below it rho^{-1} can
-    overflow, so the value there is +inf, as at a zero eigenvalue. A weight
-    lam that is not a positive, finite real number raises InvalidInput.
+    The log-det is taken from the state's realized eigenvalues. Value and
+    gradient share one domain, the states whose smallest eigenvalue is at
+    least _TINY: below it rho^{-1} can overflow, so the value there is +inf,
+    as at a zero eigenvalue. A weight lam that is not a positive, finite
+    real number raises InvalidInput.
     """
     _positive(lam, "barrier weight")
     base = qst_objective(ens)
@@ -166,15 +175,13 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
             raise DomainError("barrier gradient undefined on a singular state")
         return base.gradient(rho) - lam * rho.inverse()  # exactly Hermitian, as both terms are
 
-    def in_domain(rho: DensityState) -> bool:
-        return base.in_domain(rho) and rho.eigenvalues[0] >= _TINY
-
-    return ObjectiveSpec(ens.dim, value, gradient, in_domain, "matrix", barrier=True)
+    return ObjectiveSpec(ens.dim, value, gradient, barrier=True)
 
 
 def burg_objective(d: int) -> ObjectiveSpec:
-    """Burg entropy -sum_i log v_i on the simplex; +inf at the boundary. A
-    dimension that is not an integer of at least 1 raises InvalidInput."""
+    """Burg entropy -sum_i log v_i on the simplex; +inf where an entry is
+    below _TINY. A dimension that is not an integer of at least 1 raises
+    InvalidInput."""
     _count(d, "dimension", 1)
     return _log_likelihood(d, "vector", lambda x: x.entries, lambda t: 1.0 / t, barrier=True)
 
@@ -209,4 +216,4 @@ def quadratic_objective(target, scale: float = 1.0) -> ObjectiveSpec:
     def gradient(rho: DensityState) -> np.ndarray:
         return _hermitian_part(scale * (rho.matrix - target))
 
-    return ObjectiveSpec(target.shape[0], value, gradient, lambda rho: True, "matrix")
+    return ObjectiveSpec(target.shape[0], value, gradient)

@@ -18,8 +18,9 @@ candidates - excluded + 1 eigendecompositions (one per candidate formed,
 plus the last probe) and one eigvalsh per iteration for the gradient's
 spectral width. A candidate is excluded, never formed, when the objective is
 a barrier and a Weyl bound on the spread of its exponent proves that an
-eigenvalue underflows to 0 (see _armijo). The exponent log rho is formed
-only where it is read, at the start, at each accepted iterate and at each
+eigenvalue falls below the smallest normal double, objectives._TINY, where
+the barrier is +inf (see _armijo). The exponent log rho is formed only
+where it is read, at the start, at each accepted iterate and at each
 alpha_bar probe, so at most 2 iterations + 1 times per solve however many
 candidates the line search rejects.
 """
@@ -37,14 +38,15 @@ import numpy as np
 from .entropy import ProbabilityVector
 from .errors import DomainError, InvalidInput
 from .linalg import DensityState, _array, _count, _positive
-from .objectives import ObjectiveSpec
+from .objectives import _TINY, ObjectiveSpec
 
 
 TRACE_COLUMNS = ("k", "f", "alpha", "backtracks", "delta", "bregman_gap_bar", "min_eig")
 
-# exp(x) == 0.0 below -745.1332; _ROUNDING * d * scale bounds the rounding
-# of the spectral bound at that scale (see _armijo)
-_EXP_UNDERFLOW = 745.14
+# exp(x) < _TINY below log(_TINY) = -708.3964, where a barrier objective is
+# +inf; _ROUNDING * d * scale bounds the rounding of the spectral bound at
+# that scale (see _armijo)
+_EDGE = -math.log(_TINY)
 _ROUNDING = 32 * np.finfo(np.float64).eps
 
 
@@ -153,15 +155,16 @@ def _divergence(new, old) -> float:
 
 
 def _underflow_step(state, lo: float, hi: float) -> float:
-    """A step beyond which eg_step(state, g, alpha) provably has a zero
-    eigenvalue or entry, for a g with extreme eigenvalues lo <= hi; +inf
-    where the bound proves nothing (as at lo == hi). See _armijo."""
+    """A step beyond which eg_step(state, g, alpha) provably has an
+    eigenvalue or entry below _TINY, for a g with extreme eigenvalues
+    lo <= hi; +inf where the bound proves nothing (as at lo == hi). See
+    _armijo."""
     slack = _ROUNDING * state.dim
     width = (hi - lo) - slack * max(-lo, hi)
     if width <= 0.0:
         return math.inf
     spread = state.log_spread
-    return (_EXP_UNDERFLOW + spread + slack * (spread + math.log(state.dim))) / width
+    return (_EDGE + spread + slack * (spread + math.log(state.dim))) / width
 
 
 def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, cut=math.inf):
@@ -179,13 +182,16 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
     normalized log-eigenvalues w. By Weyl's inequalities the exponent
     H = log rho - alpha g has lambda_max(H) - lambda_min(H) >= alpha Delta - s.
     As logsumexp >= max, the candidate's smallest normalized log-eigenvalue
-    is at most -(lambda_max(H) - lambda_min(H)), and exp of it is exactly 0.0
-    once that spread exceeds 745.1332; the barrier then gives +inf. Rounding
-    in Delta, in s, in forming H and the eigensolver's backward error move
-    the computed spread by at most c d eps (alpha ||g|| + max|w|) with a
-    modest c; _underflow_step adds 32 d eps (alpha ||g|| + s + log d) to
-    745.14, as max|w| <= s + log d for normalized w. On a vector the same
-    holds entrywise, without the eigensolver."""
+    is at most -(lambda_max(H) - lambda_min(H)), and exp of it is below
+    _TINY once that spread exceeds _EDGE = -log(_TINY) = 708.3964: the
+    objectives' one numerical edge, where a barrier gives +inf. Rounding in
+    Delta, in s, in forming H and the eigensolver's backward error move the
+    computed spread by at most c d eps (alpha ||g|| + max|w|) with a modest
+    c; _underflow_step adds 32 d eps (alpha ||g|| + s + log d) to _EDGE, as
+    max|w| <= s + log d for normalized w. That slack, at least
+    32 d eps _EDGE / 2 past the bound, also covers exp(-_EDGE), which rounds
+    above _TINY by 3e-14 relative. On a vector the same holds entrywise,
+    without the eigensolver."""
     for j in range(cfg.max_backtracks + 1):
         alpha = cfg.alpha_bar * cfg.shrink ** j
         if j == 0 and first is not None:
@@ -219,14 +225,15 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
     strictly positive DensityState or ProbabilityVector until stationarity
     (the Bregman gap at the full step drops below stop_tol), relative
     f-stagnation, or max_iters. Each gradient f returns is checked once, as
-    eg_step checks its g; one that fails raises InvalidInput."""
+    eg_step checks its g; one that fails raises InvalidInput. A start where
+    f is not finite is outside f's domain and raises DomainError."""
     _check_fit(x0, f)
     if not np.all(np.isfinite(x0.exponent)):
         raise DomainError("initial point must be strictly positive")
-    if not f.in_domain(x0):
-        raise DomainError("initial point is outside the effective domain")
     state = x0
     f_prev = f.value(state)
+    if not math.isfinite(f_prev):
+        raise DomainError("initial point is outside the effective domain")
     g = _gradient(state, f.gradient(state))
     probe = None  # the alpha_bar step from state, once computed
     result = SolveResult(state, [], SolveStatus.MAX_ITERS)

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from expgrad.diagnostics import random_hermitian as diagnostics_random_hermitian
 from expgrad.diagnostics import random_psd as diagnostics_random_psd
 from expgrad.objectives import (
     MeasurementEnsemble,
+    ObjectiveSpec,
     burg_objective,
     hedged_qst_objective,
     poisson_linear_objective,
@@ -18,6 +21,7 @@ from expgrad.objectives import (
     quadratic_objective,
     standard_basis_ensemble,
 )
+from expgrad.solver import SolveStatus, solve
 from helpers import qst_hardness_witness
 
 LOG2 = np.log(2.0)
@@ -354,7 +358,12 @@ class TestLogLikelihood:
          DensityState.from_exponent(np.diag([-800.0, 0.0, 0.0]))),
         (poisson_linear_objective([[1.0, 0.0], [1.0, 1.0]]), ProbabilityVector([0.0, 1.0])),
         (burg_objective(3), ProbabilityVector([0.5, 0.0, 0.5])),
-    ], ids=["qst", "poisson", "burg"])
+        # a positive t_i below the smallest normal double, where 1/t_i can
+        # overflow, is out as a zero one is
+        (qst_objective(standard_basis_ensemble(2)), DensityState.from_exponent(np.diag([-715.0, 0.0]))),
+        (poisson_linear_objective([[1.0, 0.0], [1.0, 1.0]]), ProbabilityVector([1e-310, 1.0])),
+        (burg_objective(2), ProbabilityVector([1.0, 1e-310])),
+    ], ids=["qst", "poisson", "burg", "qst-subnormal", "poisson-subnormal", "burg-subnormal"])
     def test_zero_rate_is_out_of_domain(self, f, x):
         assert f.value(x) == math.inf
         assert f.in_domain(x) is False
@@ -389,6 +398,64 @@ class TestQuadraticObjective:
         r1, r2 = random_density(rng, 2), random_density(rng, 2)
         mid = DensityState.from_matrix(0.5 * (r1.matrix + r2.matrix))
         assert f.value(mid) <= 0.5 * f.value(r1) + 0.5 * f.value(r2) + 1e-12
+
+
+def _family_points():
+    """(objective, point) pairs of all five families: an interior point,
+    and a point with a zero and one with a subnormal eigenvalue or entry,
+    which are off the domain but for the quadratic, whose domain is every
+    state."""
+    basis = standard_basis_ensemble(2)
+    inside = DensityState.maximally_mixed(2)
+    zero, subnormal = (DensityState.from_exponent(np.diag([low, 0.0])) for low in (-800.0, -708.5))
+    rows = [[1.0, 0.0], [1.0, 1.0]]
+    pairs = {
+        "qst": [(qst_objective(basis), x) for x in (inside, zero, subnormal)],
+        "hedged-qst": [(hedged_qst_objective(basis, 0.1), x) for x in (inside, zero, subnormal)],
+        "poisson": [(poisson_linear_objective(rows), ProbabilityVector(p))
+                    for p in ([0.5, 0.5], [0.0, 1.0], [1e-310, 1.0])],
+        "burg": [(burg_objective(2), ProbabilityVector(p))
+                 for p in ([0.3, 0.7], [0.0, 1.0], [1.0, 1e-310])],
+        "quadratic": [(quadratic_objective(np.eye(2) / 2.0), x) for x in (inside, zero, subnormal)],
+    }
+    return [pytest.param(f, x, id=f"{name}-{i}") for name, fx in pairs.items()
+            for i, (f, x) in enumerate(fx)]
+
+
+class TestDomain:
+    """value is the one statement of an objective's domain: in_domain
+    follows it, and a custom objective needs no in_domain."""
+
+    @pytest.mark.parametrize("f, x", _family_points())
+    def test_in_domain_follows_the_value(self, f, x):
+        assert f.in_domain(x) == math.isfinite(f.value(x))
+
+    @pytest.mark.parametrize("make", [lambda: qst_objective(standard_basis_ensemble(2)),
+                                      lambda: hedged_qst_objective(standard_basis_ensemble(2), 0.1),
+                                      lambda: burg_objective(2)], ids=["qst", "hedged-qst", "burg"])
+    def test_a_spec_is_freed_without_the_garbage_collector(self, make):
+        # its default in_domain closes over value, not the spec: no cycle
+        # keeps the spec, and with it the ensemble, alive
+        gc.disable()
+        try:
+            ref = weakref.ref(make())
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_custom_objective_without_in_domain_solves(self):
+        # -log det rho, +inf on a singular state: its minimizer is the
+        # maximally mixed state
+        def value(rho):
+            return math.inf if rho.eigenvalues[0] <= 0.0 else float(-np.log(rho.eigenvalues).sum())
+
+        f = ObjectiveSpec(3, value, lambda rho: -rho.inverse())
+        assert f.in_domain(DensityState.maximally_mixed(3))
+        assert not f.in_domain(DensityState.from_exponent(np.diag([-800.0, 0.0, 0.0])))
+        rng = np.random.default_rng(39)
+        res = solve(random_density(rng, 3), f)
+        assert res.status in (SolveStatus.CONVERGED, SolveStatus.STATIONARY)
+        assert np.allclose(res.final_state.eigenvalues, 1.0 / 3.0, atol=1e-4)
 
 
 class TestHardnessWitness:

@@ -3,10 +3,11 @@ trace and Hermiticity of every iterate, the Armijo condition at every
 accepted step, invariance of the step when the gradient moves by c I, the
 solver's stored-exponent divergence against the relative entropy, the
 soundness of the spectral bound by which the line search excludes
-candidates of a barrier objective, and the Armijo product, the divergence,
-the value difference and diagnostics.inner_product_check against an
-exact-arithmetic oracle (helpers.exact_armijo_product,
-helpers.exact_divergence, helpers.exact_value_difference).
+candidates of a barrier objective (hedged QST and Burg), and the Armijo
+product, the divergence, the value difference and
+diagnostics.inner_product_check against an exact-arithmetic oracle
+(helpers.exact_armijo_product, helpers.exact_divergence,
+helpers.exact_value_difference).
 
 Ensembles are drawn random (Wishart), rank-deficient (rank-one operators
 spanning half the space, so the optimum is singular) or near-commuting (one
@@ -22,9 +23,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expgrad.diagnostics import inner_product_check, random_density, random_psd
-from expgrad.entropy import quantum_relative_entropy
+from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
 from expgrad.linalg import DensityState, _hermitian
-from expgrad.objectives import MeasurementEnsemble, hedged_qst_objective, qst_objective
+from expgrad.objectives import MeasurementEnsemble, burg_objective, hedged_qst_objective, qst_objective
 from expgrad.solver import SolverConfig, _armijo, _divergence, _underflow_step, eg_step, solve
 from helpers import exact_armijo_product, exact_divergence, exact_value_difference
 
@@ -239,16 +240,20 @@ def test_armijo_decision_matches_the_exact_one_at_a_near_singular_iterate():
 
 
 def spectral_cut(state, g):
-    spectrum = np.linalg.eigvalsh(g)
+    spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else np.sort(g)
     return _underflow_step(state, float(spectrum[0]), float(spectrum[-1]))
+
+
+CUT_MULTIPLES = np.array([1.0 + 1e-12, 1.001, 1.004, 1.01, 1.1, 2.0, 10.0, 1e3])
 
 
 @PROPERTY
 @given(kind=kinds, d=dims, seed=seeds, lam=st.floats(1e-4, 1e-1))
 def test_excluded_steps_underflow(kind, d, seed, lam):
-    # every step past the bound forms a state with a zero eigenvalue and
-    # hedged value +inf; from the maximally mixed state Weyl's inequality is
-    # nearly tight, so the steps just past the bound test its constant
+    # every step past the bound forms a state with an eigenvalue below the
+    # smallest normal double and hedged value +inf; from the maximally mixed
+    # state Weyl's inequality is nearly tight, so the steps just past the
+    # bound test its constant
     rng = np.random.default_rng(seed)
     f = hedged_qst_objective(draw_ensemble(kind, d, rng), lam)
     state = DensityState.maximally_mixed(d)
@@ -259,9 +264,30 @@ def test_excluded_steps_underflow(kind, d, seed, lam):
     g = f.gradient(state)
     cut = spectral_cut(state, g)
     assert math.isfinite(cut)
-    for alpha in cut * np.array([1.0 + 1e-12, 1.001, 1.004, 1.01, 1.1, 2.0, 10.0, 1e3]):
+    for alpha in cut * CUT_MULTIPLES:
         nxt = eg_step(state, g, alpha)
-        assert nxt.eigenvalues[0] == 0.0
+        assert nxt.eigenvalues[0] < np.finfo(np.float64).tiny
+        assert f.value(nxt) == math.inf
+
+
+@PROPERTY
+@given(d=dims, seed=seeds, concentration=st.floats(0.1, 10.0))
+def test_excluded_simplex_steps_underflow(d, seed, concentration):
+    # the vector path of the bound: every Burg step past it forms an entry
+    # below the smallest normal double and value +inf, from a drawn interior
+    # point or from an iterate nearer the boundary
+    rng = np.random.default_rng(seed)
+    f = burg_objective(d)
+    x = ProbabilityVector(rng.dirichlet(np.full(d, concentration)))
+    assume(np.all(x.entries > 0.0) and math.isfinite(f.value(x)))
+    if seed % 2:
+        x = solve(x, f, SolverConfig(max_iters=5)).final_state
+    g = f.gradient(x)
+    cut = spectral_cut(x, g)
+    assert math.isfinite(cut)
+    for alpha in cut * CUT_MULTIPLES:
+        nxt = eg_step(x, g, alpha)
+        assert nxt.entries.min() < np.finfo(np.float64).tiny
         assert f.value(nxt) == math.inf
 
 

@@ -250,14 +250,23 @@ class TestSolve:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert min(r.min_eig for r in res.trace) > 1e-6
 
-    def test_hedged_run_ends_with_a_status_past_a_subnormal_step(self):
+    def test_hedged_run_ends_with_a_status_past_a_subnormal_step(self, monkeypatch):
         # at alpha_bar = 1e6 a step at the first iterate reaches lambda_min
         # 3.5e-312, where rho^{-1} overflows: the hedged value is +inf there,
-        # so the search rejects that step instead of the gradient raising
+        # so the search rejects that step instead of the gradient raising.
+        # The underflow bound excludes every candidate the barrier values
+        # +inf, so 3 eigendecompositions run: the start, the accepted step
+        # and the last probe
         f = hedged_qst_objective(random_ensemble(np.random.default_rng(46), 2, 4), 1e-3)
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         res = solve(DensityState.maximally_mixed(2), f, SolverConfig(alpha_bar=1e6))
-        assert isinstance(res.status, SolveStatus)
+        assert res.status is SolveStatus.STATIONARY
+        assert len(res.trace) == 1
+        assert res.trace[0].f_value == -6.4501267228592525
         assert min(r.min_eig for r in res.trace) >= np.finfo(np.float64).tiny
+        assert len(calls) == 3
 
     def test_stationary_at_minimizer(self):
         f = qst_objective(standard_basis_ensemble(2))
@@ -283,6 +292,12 @@ class TestSolve:
         rho = DensityState.from_exponent(HermitianOperator(np.diag([-800.0, 0.0])))
         with pytest.raises(DomainError):
             solve(rho, f)
+
+    def test_rejects_a_subnormal_start_entry(self):
+        # 1e-310 is positive but below the smallest normal double, where the
+        # Burg gradient's 1/x overflows: f(x0) is +inf, so the start is out
+        with pytest.raises(DomainError, match="effective domain"):
+            solve(ProbabilityVector([1.0, 1e-310]), burg_objective(2))
 
     def test_step_size_law_and_sufficient_decrease(self):
         rng = np.random.default_rng(50)
@@ -433,8 +448,8 @@ class TestWorkPerSolve:
     underflow bound of its search is excluded, never formed, so a solve
     costs candidates - excluded + 2 eigendecompositions (with the start's)
     and candidates - excluded + 1 values of f. On a tomography objective,
-    each state evaluated costs one tr(M_i rho) pass, which its domain test,
-    value and gradient share."""
+    each state evaluated costs one tr(M_i rho) pass, which its value and
+    gradient share."""
 
     @staticmethod
     def count_work(monkeypatch, f):
