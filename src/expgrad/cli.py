@@ -125,6 +125,13 @@ def _build_problem(args):
     return objective, DensityState.maximally_mixed(ens.dim)
 
 
+def _write_json(path, payload) -> None:
+    """payload as one line of JSON at path, ended by a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
 def cmd_gen(args) -> int:
     _count(args.dim, "--dim", 2)
     _count(args.num_ops, "--num-ops", 1)
@@ -152,9 +159,7 @@ def cmd_run(args) -> int:
         "wall_time_ms": wall_ms,
     }
     if args.summary:
-        with open(args.summary, "w") as fh:
-            json.dump(summary, fh)
-            fh.write("\n")
+        _write_json(args.summary, summary)
     print(json.dumps(summary))
     return 0
 
@@ -162,9 +167,7 @@ def cmd_run(args) -> int:
 def cmd_diagnose(args) -> int:
     records = run_suite(args.suite, args.samples, args.seed)
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(records, fh)
-            fh.write("\n")
+        _write_json(args.report, records)
     failed = [r for r in records if not r["pass"]]
     print(f"{len(records) - len(failed)}/{len(records)} checks passed")
     for r in failed:
@@ -201,9 +204,7 @@ def cmd_lambda_sweep(args) -> int:
     ens = load_ensemble(args.operators)
     rows = [_sweep_point(ens, lam, cfg) for lam in lambdas]
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(rows, fh)
-            fh.write("\n")
+        _write_json(args.out, rows)
     for row in rows:
         print(json.dumps(row))
     return 0

@@ -228,7 +228,7 @@ def _gap(probe: LogPartitionProbe, alpha, value, d1):
     if np.any(a <= 0.0):
         raise InvalidInput("step size must be positive")
     base = probe.base if isinstance(probe.base, tuple) else (probe.base,)
-    at_zero = logsumexp(np.array([b._log_eigenvalues for b in base]))
+    at_zero = logsumexp(np.array([b.log_eigenvalues for b in base]))
     return _scalar(np.reshape(at_zero, np.shape(probe.delta) + (1,) * a.ndim) - value + a * d1)
 
 

@@ -3,22 +3,23 @@ vectors.
 
 The quantum relative entropy is evaluated in the two eigenbases of its
 arguments (tr(rho log sigma) as sum_ij |<u_i, v_j>|^2 lam_i^rho log lam_j^sigma)
-instead of chaining matrix logs, which keeps the computation stable when an
-argument is close to singular.
+instead of chaining matrix logs, with log lam the stored log-spectra, so it
+is defined also where an eigenvalue underflows to 0.0.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput
+from .errors import InvalidInput
 from .linalg import DensityState, _array, _count, logsumexp
 
 
 class ProbabilityVector:
     """Nonnegative vector with unit sum; the simplex analogue of a density
     matrix, and like it carried in log domain: ``exponent`` is log(entries),
-    -inf at a zero entry. EG iterates are additionally strictly positive."""
+    -inf at a zero entry, and ``log_eigenvalues`` names it as ``point``
+    names the entries. EG iterates are additionally strictly positive."""
 
     __slots__ = ("entries", "exponent")
 
@@ -61,38 +62,34 @@ class ProbabilityVector:
     def min_eig(self) -> float:
         return float(np.min(self.entries))
 
-    @property
-    def log_spread(self) -> float:
-        """Spread max - min of the exponent; +inf with a zero entry."""
-        return float(np.max(self.exponent) - np.min(self.exponent))
-
-    point = property(lambda self: self.entries)  # the name DensityState shares
+    point = property(lambda self: self.entries)  # the names DensityState shares
+    log_eigenvalues = property(lambda self: self.exponent)
 
     def __repr__(self):
         return f"ProbabilityVector({np.array2string(self.entries, precision=4)})"
 
 
 def quantum_relative_entropy(rho: DensityState, sigma: DensityState) -> float:
-    """tr(rho log rho) - tr(rho log sigma) - tr(rho - sigma).
+    """tr(rho log rho) - tr(rho log sigma) - tr(rho - sigma), for any two
+    DensityStates of one dimension; other arguments raise InvalidInput.
 
     For unit-trace arguments the last term vanishes, but it is computed
     anyway so the function is correct on general positive operators.
     """
+    if not (isinstance(rho, DensityState) and isinstance(sigma, DensityState)):
+        raise InvalidInput(f"needs two DensityStates, got {type(rho).__name__}, {type(sigma).__name__}")
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    lam_r, lam_s = rho.eigenvalues, sigma.eigenvalues
-    if lam_s[0] <= 0.0:
-        raise DomainError("relative entropy undefined against a singular state")
-    if lam_r[0] <= 0.0:
-        raise DomainError("relative entropy undefined for a singular state")
-    return float(_relative_entropy(lam_r, rho.eigenvectors, lam_s, sigma.eigenvectors))
+    return float(_relative_entropy(rho.log_eigenvalues, rho.eigenvectors,
+                                   sigma.log_eigenvalues, sigma.eigenvectors))
 
 
-def _relative_entropy(lam_r, u, lam_s, v):
-    """quantum_relative_entropy from positive eigenvalues and eigenvector
+def _relative_entropy(w_r, u, w_s, v):
+    """quantum_relative_entropy from finite log-spectra w and eigenvector
     columns, stacked on leading axes that broadcast; no input checks."""
+    lam_r = np.exp(w_r)
     overlap = np.abs(u.conj().swapaxes(-1, -2) @ v) ** 2
-    own = np.sum(lam_r * np.log(lam_r), axis=-1)
-    cross = ((lam_r[..., None, :] @ overlap) @ np.log(lam_s)[..., None])[..., 0, 0]
-    traces = np.sum(lam_r, axis=-1) - np.sum(lam_s, axis=-1)
+    own = np.sum(lam_r * w_r, axis=-1)
+    cross = ((lam_r[..., None, :] @ overlap) @ w_s[..., None])[..., 0, 0]
+    traces = np.sum(lam_r, axis=-1) - np.sum(np.exp(w_s), axis=-1)
     return own - cross - traces

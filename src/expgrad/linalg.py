@@ -112,19 +112,20 @@ class DensityState:
     """Strictly positive-definite, unit-trace Hermitian matrix in log domain.
 
     The state is carried as the eigenvectors V and the normalized
-    log-eigenvalues w of rho = V diag(exp w) V^H, so that tr rho = 1. The
-    read-only Hermitian exponent H = log rho and the matrix rho are each
-    formed once, on first read: an Armijo candidate that is rejected needs
-    neither.
+    log-eigenvalues w of rho = V diag(exp w) V^H, so that tr rho = 1; w is
+    ``log_eigenvalues``, read-only, ascending and finite where an eigenvalue
+    exp(w) underflows to 0.0. The read-only Hermitian exponent H = log rho
+    and the matrix rho are each formed once, on first read: an Armijo
+    candidate that is rejected needs neither.
     """
 
-    __slots__ = ("eigenvalues", "eigenvectors", "_log_eigenvalues", "_exponent", "_matrix")
+    __slots__ = ("log_eigenvalues", "eigenvalues", "eigenvectors", "_exponent", "_matrix")
 
     def __init__(self, log_eigenvalues, eigenvectors):
-        self._log_eigenvalues = log_eigenvalues
+        self.log_eigenvalues = log_eigenvalues
         self.eigenvectors = eigenvectors
         self.eigenvalues = np.exp(log_eigenvalues)
-        self.eigenvalues.flags.writeable = False
+        self.log_eigenvalues.flags.writeable = self.eigenvalues.flags.writeable = False
         self._exponent = self._matrix = None
 
     @classmethod
@@ -174,16 +175,11 @@ class DensityState:
         return float(self.eigenvalues[0])
 
     @property
-    def log_spread(self) -> float:
-        """Spread max - min of the normalized log-eigenvalues."""
-        return float(self._log_eigenvalues[-1] - self._log_eigenvalues[0])
-
-    @property
     def exponent(self) -> np.ndarray:
         """log rho as a read-only Hermitian d x d array."""
         if self._exponent is None:
             v = self.eigenvectors
-            self._exponent = _hermitian_part((v * self._log_eigenvalues) @ v.conj().T)
+            self._exponent = _hermitian_part((v * self.log_eigenvalues) @ v.conj().T)
             self._exponent.flags.writeable = False
         return self._exponent
 

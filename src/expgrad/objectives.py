@@ -155,7 +155,7 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
     """QST objective plus the log-det barrier: f_QST(rho) - lam * log det rho.
 
     The barrier forces every limit point of a monotone run into the interior.
-    The log-det is taken from the state's realized eigenvalues. Value and
+    The log-det is the sum of the state's stored log-spectrum. Value and
     gradient share one domain, the states whose smallest eigenvalue is at
     least _TINY: below it rho^{-1} can overflow, so the value there is +inf,
     as at a zero eigenvalue. A weight lam that is not a positive, finite
@@ -168,7 +168,7 @@ def hedged_qst_objective(ens: MeasurementEnsemble, lam: float) -> ObjectiveSpec:
         if rho.eigenvalues[0] < _TINY:  # before base.value forms rho.matrix
             return math.inf
         # +inf stays +inf: the log-det of a normal spectrum is finite
-        return base.value(rho) - lam * float(np.log(rho.eigenvalues).sum())
+        return base.value(rho) - lam * float(rho.log_eigenvalues.sum())
 
     def gradient(rho: DensityState) -> np.ndarray:
         if rho.eigenvalues[0] < _TINY:

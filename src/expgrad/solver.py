@@ -163,7 +163,8 @@ def _underflow_step(state, lo: float, hi: float) -> float:
     width = (hi - lo) - slack * max(-lo, hi)
     if width <= 0.0:
         return math.inf
-    spread = state.log_spread
+    w = state.log_eigenvalues
+    spread = float(np.max(w) - np.min(w))
     return (_EDGE + spread + slack * (spread + math.log(state.dim))) / width
 
 

@@ -87,9 +87,9 @@ class _Table:
                 self.moments[:k + 1, chunk, at] = _moments(p, steps[at], k, tuple(x[:, at] for x in eig))
             if "moments" in names:
                 vals, u = (x[:, [self.column[a] for a in _PATH.tolist()]] for x in eig)
-                lam = np.stack([b.eigenvalues for b in p.base])[:, None]
+                w = np.stack([b.log_eigenvalues for b in p.base])[:, None]
                 v = np.stack([b.eigenvectors for b in p.base])[:, None]
-                self.divergence[chunk] = _relative_entropy(np.exp(vals - logsumexp(vals)[..., None]), u, lam, v)
+                self.divergence[chunk] = _relative_entropy(vals - logsumexp(vals)[..., None], u, w, v)
 
     def read(self, steps, order: int):  # phi and its first `order` derivatives, (probe, step) each
         return tuple(self.moments[:order + 1, :, [self.column[a] for a in steps.tolist()]])

@@ -79,7 +79,7 @@ def _exact_matrix(state, log: bool = False) -> list:
     """rho = V diag(exp w) V^H, or with `log` log rho = V diag(w) V^H, of a
     DensityState as nested lists of mpmath numbers, from its stored
     eigenvectors V and log-eigenvalues w taken as exact."""
-    w = [mpmath.mpf(float(x)) for x in state._log_eigenvalues]
+    w = [mpmath.mpf(float(x)) for x in state.log_eigenvalues]
     values = w if log else [mpmath.exp(x) for x in w]
     v = [[mpmath.mpc(complex(x)) for x in row] for row in state.eigenvectors]
     d = len(v)

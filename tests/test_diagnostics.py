@@ -864,7 +864,7 @@ def test_gap_and_sandwich_bits_match_full_derivatives(bit_probes):
     for p in bit_probes:
         value = logsumexp(np.linalg.eigh(p.hamiltonian_exponent(grid))[0])
         d1, var, _ = phi_derivatives(p, grid)
-        gap = logsumexp(p.base._log_eigenvalues) - value + grid * d1
+        gap = logsumexp(p.base.log_eigenvalues) - value + grid * d1
         x, dd = p.delta * grid, p.delta * p.delta
         assert np.array_equal(bregman_gap(p, grid), gap)
         values = phi(p, np.append(0.0, grid))

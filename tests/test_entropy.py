@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from expgrad.diagnostics import inner_product_check
 from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator, _hermitian_part
-from helpers import classical_relative_entropy, schatten_norm
+from expgrad.objectives import quadratic_objective
+from helpers import classical_relative_entropy, exact_divergence, schatten_norm
 
 
 def von_neumann_entropy_neg(rho: DensityState) -> float:
@@ -63,6 +67,25 @@ class TestProbabilityVector:
         p = ProbabilityVector(a)
         a[0] = 0.7
         assert np.array_equal(p.entries, [0.5, 0.5])
+
+    def test_log_spectrum_is_the_read_only_exponent(self):
+        # built by from_exponent, as every EG iterate is: the entries are exp
+        # of it bit for bit, and an entry that underflows keeps a finite log
+        p = ProbabilityVector.from_exponent(np.array([0.0, -800.0, -1.0, 0.3]))
+        assert p.log_eigenvalues is p.exponent
+        assert np.array_equal(np.exp(p.log_eigenvalues), p.entries)
+        assert p.entries[1] == 0.0 and np.all(np.isfinite(p.log_eigenvalues))
+        with pytest.raises(ValueError):
+            p.log_eigenvalues[0] = 0.0
+
+    def test_log_spectrum_of_given_entries_is_their_logs(self):
+        # the entries are kept as given, so exp of their log may round apart
+        entries = np.array([0.0, 0.1, 0.2, 0.7])
+        p = ProbabilityVector(entries)
+        assert np.array_equal(p.entries, entries)
+        assert np.array_equal(p.log_eigenvalues[1:], np.log(entries[1:]))
+        assert p.log_eigenvalues[0] == -np.inf
+        assert not p.log_eigenvalues.flags.writeable
 
 
 class TestVonNeumannEntropy:
@@ -128,12 +151,29 @@ class TestQuantumRelativeEntropy:
 
     @pytest.mark.parametrize("singular", ["rho", "sigma"])
     def test_singular_argument(self, singular):
-        # exp(-800) underflows to an exact zero eigenvalue
+        # exp(-800) underflows to an exact zero eigenvalue, but the stored
+        # log-eigenvalue stays finite: the relative entropy is defined
         states = {"rho": DensityState.maximally_mixed(2),
                   "sigma": DensityState.maximally_mixed(2)}
         states[singular] = DensityState.from_exponent(np.diag([-800.0, 0.0]))
-        with pytest.raises(DomainError, match="singular"):
-            quantum_relative_entropy(states["rho"], states["sigma"])
+        assert states[singular].eigenvalues[0] == 0.0
+        want = exact_divergence(states["rho"], states["sigma"], unit_trace=True)
+        assert want == pytest.approx(math.log(2.0) if singular == "rho" else 400.0 - math.log(2.0))
+        assert quantum_relative_entropy(states["rho"], states["sigma"]) == pytest.approx(want, rel=1e-12)
+
+    def test_inner_product_check_at_a_singular_state(self):
+        state = DensityState.from_exponent(np.diag([-800.0, 0.0]))
+        margin = inner_product_check(state, quadratic_objective(np.eye(2) / 2), 0.5)
+        assert math.isfinite(margin) and margin >= -1e-12
+
+    @pytest.mark.parametrize("rho, sigma", [
+        (ProbabilityVector([0.5, 0.5]), DensityState.maximally_mixed(2)),
+        (DensityState.maximally_mixed(2), ProbabilityVector([0.5, 0.5])),
+        (np.eye(2) / 2, DensityState.maximally_mixed(2)),
+    ], ids=["vector-rho", "vector-sigma", "array-rho"])
+    def test_rejects_an_argument_that_is_no_density_state(self, rho, sigma):
+        with pytest.raises(InvalidInput, match="DensityState"):
+            quantum_relative_entropy(rho, sigma)
 
     def test_dim_mismatch(self):
         with pytest.raises(InvalidInput):

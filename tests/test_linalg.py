@@ -209,6 +209,27 @@ class TestDensityState:
         rho = DensityState.from_exponent(HermitianOperator(np.diag([-40.0, 0.0])))
         assert rho.min_eig > 0.0  # not clamped away
 
+    @pytest.mark.parametrize("make", [
+        lambda: DensityState.from_exponent(random_hermitian(np.random.default_rng(16), 5)),
+        lambda: DensityState.from_exponent(np.diag([0.0, -800.0, -3.0])),
+        lambda: DensityState.from_matrix(np.diag([0.3, 0.7])),
+    ], ids=["from_exponent", "underflowed", "from_matrix"])
+    def test_log_spectrum_contract(self, make):
+        # read-only and ascending, with the stored eigenvalues exp of it bit for bit
+        rho = make()
+        w = rho.log_eigenvalues
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        assert np.array_equal(np.exp(w), rho.eigenvalues)
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.all(np.isfinite(w))
+
+    def test_log_spectrum_stays_finite_where_an_eigenvalue_underflows(self):
+        rho = DensityState.from_exponent(np.diag([0.0, -800.0]))
+        assert rho.eigenvalues[0] == 0.0
+        assert rho.log_eigenvalues[0] == -800.0
+
     @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2)), np.zeros((0, 0))],
                              ids=["non-square", "vector", "stack", "empty"])
     def test_from_exponent_rejects_a_non_square_array(self, h):
