@@ -4,17 +4,17 @@ Subcommands: ``gen`` (synthesize a measurement ensemble), ``run`` (one solve,
 emitting a trace CSV and a summary JSON), ``diagnose`` (seeded diagnostic
 suites), ``lambda-sweep`` (barrier-weight sweep of the hedged objective).
 
-Exit codes: 0 success, 1 runtime/domain error, 2 usage error. Runtime errors
-print a machine-readable JSON object on stderr. ``run`` and ``lambda-sweep``
-may also take flags from ``--config FILE``, a JSON object keyed by the long
-option name; explicit flags override the file. Both take the solver flags
-``alpha-bar``, ``shrink``, ``tau``, ``max-iter``, ``max-backtracks`` and
-``tol``, and ``run`` also the keys ``seed`` and ``lambda``; any other key is
-a usage error. Which of its four inputs ``run`` reads, ``operators`` and
-``dim`` as flags and ``seed`` and ``lambda`` as flags or keys, depends on
-the objective, as OBJECTIVE_INPUTS lists them. One rule holds for all four:
-an input that the objective does not read is a usage error, and so is a
-missing one that it requires. Each value is checked by the package function
+Exit codes: 0 success, 2 usage error (InvalidInput), 1 any other failure;
+both failures print a machine-readable JSON object on stderr, named by the
+exception. ``run`` and ``lambda-sweep`` may also take flags from ``--config
+FILE``, a JSON object keyed by the long option name; explicit flags override
+the file. Both take the solver flags ``alpha-bar``, ``shrink``, ``tau``,
+``max-iter``, ``max-backtracks`` and ``tol``, and ``run`` also the keys
+``seed`` and ``lambda``; any other key is a usage error. Which of its four
+inputs ``run`` reads, ``operators`` and ``dim`` as flags and ``seed`` and
+``lambda`` as flags or keys, depends on the objective, as OBJECTIVE_INPUTS
+lists them. One rule holds for all four: an input that the objective does
+not read is a usage error, and so is a missing one that it requires. Each value is checked by the package function
 that reads it (``SolverConfig`` for the solver flags), before any input
 file is read, so a malformed one is a usage error whose message names that
 function's field, such as ``max_iters`` or ``stop_tol``.
@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from .entropy import ProbabilityVector
-from .errors import DomainError, InvalidInput
+from .errors import InvalidInput
 from .linalg import DensityState, _count, _positive
 from .objectives import (
     MeasurementEnsemble,
@@ -76,10 +76,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         return args
     config = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise InvalidInput(f"config file is not valid JSON: {exc}") from None
         if not isinstance(config, dict):
             raise InvalidInput("config file must contain a JSON object")
@@ -262,12 +262,9 @@ def main(argv=None) -> int:
     try:
         args = _merge_config(args)
         return args.func(args)
-    except InvalidInput as exc:
-        print(json.dumps({"error": "InvalidInput", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
+    except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidInput) else 1
 
 
 if __name__ == "__main__":

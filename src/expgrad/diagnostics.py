@@ -323,9 +323,7 @@ def _random_densities(rngs, d: int) -> tuple:
     one call per generator."""
     s = np.stack([random_hermitian(rng, d) for rng in rngs])
     s *= (1.0 / np.linalg.norm(s, axis=(-2, -1)))[:, None, None]
-    vals, v = np.linalg.eigh(s)
-    v.flags.writeable = False
-    return tuple(map(DensityState, vals - logsumexp(vals)[:, None], v))
+    return tuple(map(DensityState, *np.linalg.eigh(s)))
 
 
 def random_psd(rng: np.random.Generator, d: int) -> np.ndarray:

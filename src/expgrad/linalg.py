@@ -53,11 +53,15 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def _array(entries, dtype=None, copy=True, what: str = "input") -> np.ndarray:
-    """numpy.array of caller input, the one conversion of it, with numpy's
-    errors (string entries, a mapping, ragged nesting, an integer no double
-    holds) as InvalidInput."""
+    """numpy.array of caller input, the one conversion of it: the array numpy
+    reads, then cast to dtype where it is not that already, with string
+    entries, numeric ones included, and numpy's errors (a mapping, ragged
+    nesting, an integer no double holds) as InvalidInput."""
     try:
-        return np.array(entries, dtype=dtype, copy=copy)
+        a = np.array(entries, copy=copy)
+        if a.dtype.kind in "SU":  # a cast to dtype would parse "1" as a number
+            raise TypeError(f"string entries of dtype {a.dtype}")
+        return a if dtype is None else a.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInput(f"malformed {what}: {exc}") from None
 
@@ -113,19 +117,23 @@ class DensityState:
 
     The state is carried as the eigenvectors V and the normalized
     log-eigenvalues w of rho = V diag(exp w) V^H, so that tr rho = 1; w is
-    ``log_eigenvalues``, read-only, ascending and finite where an eigenvalue
-    exp(w) underflows to 0.0. The read-only Hermitian exponent H = log rho
-    and the matrix rho are each formed once, on first read: an Armijo
-    candidate that is rejected needs neither.
+    ``log_eigenvalues``, ascending and finite where an eigenvalue exp(w)
+    underflows to 0.0. The read-only Hermitian exponent H = log rho and the
+    matrix rho are each formed once, on first read: an Armijo candidate that
+    is rejected needs neither.
     """
 
     __slots__ = ("log_eigenvalues", "eigenvalues", "eigenvectors", "_exponent", "_matrix")
 
     def __init__(self, log_eigenvalues, eigenvectors):
-        self.log_eigenvalues = log_eigenvalues
+        """The state of an ascending log-spectrum with a finite maximum,
+        shifted here by its logsumexp, and of the eigenvectors V; w, exp(w)
+        and V are kept read-only."""
+        self.log_eigenvalues = log_eigenvalues - logsumexp(log_eigenvalues)
+        self.eigenvalues = np.exp(self.log_eigenvalues)
         self.eigenvectors = eigenvectors
-        self.eigenvalues = np.exp(log_eigenvalues)
-        self.log_eigenvalues.flags.writeable = self.eigenvalues.flags.writeable = False
+        for a in (self.log_eigenvalues, self.eigenvalues, eigenvectors):
+            a.flags.writeable = False
         self._exponent = self._matrix = None
 
     @classmethod
@@ -144,8 +152,7 @@ class DensityState:
             raise InvalidInput("exponent has non-finite entries") from None
         if not np.isfinite(vals).all():
             raise InvalidInput("exponent has non-finite entries")
-        v.flags.writeable = False
-        return cls(vals - logsumexp(vals), v)
+        return cls(vals, v)
 
     @classmethod
     def from_matrix(cls, rho) -> "DensityState":
@@ -157,14 +164,14 @@ class DensityState:
             raise InvalidInput(f"trace {tr} is not 1")
         if vals[0] <= 0.0:
             raise DomainError("matrix is singular or indefinite; cannot take log")
-        w = np.log(vals)
-        vecs.flags.writeable = False
-        return cls(w - logsumexp(w), vecs)
+        return cls(np.log(vals), vecs)
 
     @classmethod
     def maximally_mixed(cls, d: int) -> "DensityState":
+        """I/d in closed form, log-spectrum -log d and eigenbasis I: the bits
+        of from_exponent of the zero matrix, with no eigendecomposition."""
         _count(d, "dimension", 1)
-        return cls.from_exponent(np.zeros((d, d)))
+        return cls(np.zeros(d), np.eye(d, dtype=np.complex128))
 
     @property
     def dim(self) -> int:

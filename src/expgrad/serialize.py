@@ -115,7 +115,7 @@ def _load(path, key: str, what: str, convert=None) -> dict:
     raises json.loads's own JSONDecodeError; a conversion error is raised
     after the checks on the whole payload, as converting the parsed payload
     would."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         payload, error = _parse(text, key, convert)

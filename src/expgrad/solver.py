@@ -16,7 +16,8 @@ rule costs candidates - excluded + 1 evaluations of f (one per candidate
 formed, plus f(x0)) and iterations + 1 gradients. On a matrix it also costs
 candidates - excluded + 1 eigendecompositions (one per candidate formed,
 plus the last probe) and one eigvalsh per iteration for the gradient's
-spectral width. A candidate is excluded, never formed, when the objective is
+spectral width; building the start is not counted: the maximally mixed one
+takes none, one from DensityState.from_matrix one. A candidate is excluded, never formed, when the objective is
 a barrier and a Weyl bound on the spread of its exponent proves that an
 eigenvalue falls below the smallest normal double, objectives._TINY, where
 the barrier is +inf (see _armijo). The exponent log rho is formed only

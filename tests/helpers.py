@@ -45,7 +45,7 @@ def json_load_ensemble(path) -> MeasurementEnsemble:
     """serialize.load_ensemble by json.load of the whole file into nested
     lists, then its checks and conversions in their order: the reference
     whose exceptions and stacks the streaming loader must give."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or type(payload.get("dim")) is not int or "operators" not in payload:
         raise InvalidInput("ensemble file must contain an integer 'dim' and 'operators'")

@@ -252,6 +252,7 @@ MALFORMED_ENSEMBLES = {
     "dim-mismatch": ensemble_payload(np.eye(2), dim=3),
     "scalar-operator": {"dim": 2, "operators": [5.0]},
     "string-entry": {"dim": 2, "operators": [[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+    "numeric-string-entry": {"dim": 2, "operators": [[[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
     "top-level-not-an-object": [matrix_payload(np.eye(2))],
     # finite entries whose Hermitian part overflows
     "overflow": ensemble_payload(np.eye(2), np.diag([1.5e308, 1.0])),
@@ -505,6 +506,27 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert json.loads(captured.err)["error"] == "InvalidInput"
+
+
+class TestUnreadableFile:
+    """A file that cannot be read as JSON text ends in one JSON error object
+    on stderr, never in a traceback: a config file as a usage error (exit 2),
+    an operators file under its exception's name (exit 1)."""
+
+    @pytest.mark.parametrize("flag, data, code, error", [
+        ("--operators", b'\xff\xfe{"dim": 2}', 1, "UnicodeDecodeError"),
+        ("--config", b'{"max-iter": 3, "tol": "\xff"}', 2, "InvalidInput"),
+        ("--operators", b"[" * 100_000, 1, "RecursionError"),
+    ], ids=["operators-not-utf-8", "config-not-utf-8", "operators-nested-too-deep"])
+    def test_error_as_json(self, basis_file, tmp_path, capsys, flag, data, code, error):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        argv = {"--operators": ["--operators", str(path)],
+                "--config": ["--operators", basis_file, "--config", str(path)]}[flag]
+        assert main(["run", "--objective", "qst", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert json.loads(captured.err)["error"] == error
 
 
 class TestLoaders:

@@ -34,6 +34,10 @@ FAILS = {
     "run-rows-entry-too-large": ("2", "InvalidInput"),
     "run-qst-unread-dim": ("2", "InvalidInput"),
     "run-burg-unread-operators": ("2", "InvalidInput"),
+    "run-nested-too-deep": ("1", "RecursionError"),
+    "run-numeric-string-entry": ("2", "InvalidInput"),
+    "run-not-utf-8": ("1", "UnicodeDecodeError"),
+    "run-config-not-utf-8": ("2", "InvalidInput"),
 }
 
 

@@ -26,13 +26,13 @@ def test_repo_against_itself_is_identical():
         samples = 100 * len(diagnose_diff.SEEDS)
         assert (int(records), int(flips), int(identical)) == (samples, 0, samples), check
         assert float(max_rel) == float(max_scaled) == 0.0
-    assert lines[-1] == "check or dim mismatches: 0"
+    assert lines[-1] == "check, seed or dim mismatches: 0"
 
 
 def test_compare_counts_flips_deviations_and_mismatches():
-    parent = [{"check": "kappa", "dim": 2, "pass": True, "worst_margin": 2.0},
-              {"check": "kappa", "dim": 3, "pass": True, "worst_margin": 1e-8},
-              {"check": "ratio", "dim": 2, "pass": True, "worst_margin": float("inf")}]
+    parent = [{"check": "kappa", "seed": 0, "dim": 2, "pass": True, "worst_margin": 2.0},
+              {"check": "kappa", "seed": 0, "dim": 3, "pass": True, "worst_margin": 1e-8},
+              {"check": "ratio", "seed": 0, "dim": 2, "pass": True, "worst_margin": float("inf")}]
     change = [dict(parent[0], worst_margin=2.0 * (1 + 1e-12)),
               dict(parent[1], **{"pass": False, "worst_margin": -1e-8}),
               dict(parent[2])]
@@ -44,3 +44,5 @@ def test_compare_counts_flips_deviations_and_mismatches():
                               "max_scaled": 0.0}
     _, mismatched = diagnose_diff.compare(parent, [dict(parent[0], dim=5)] + change[1:2])
     assert mismatched == 2  # one dim differs, one record unpaired
+    _, mismatched = diagnose_diff.compare(parent, [dict(parent[0], seed=1)] + change[1:])
+    assert mismatched == 1

@@ -56,8 +56,8 @@ class TestProbabilityVector:
             ProbabilityVector.uniform(d)
 
     @pytest.mark.parametrize("entries", [
-        [[0.5, 0.5]], [], [np.nan, 1.0], [np.inf, 0.0],
-    ], ids=["matrix", "empty", "nan", "inf"])
+        [[0.5, 0.5]], [], [np.nan, 1.0], [np.inf, 0.0], ["0.5", "0.5"],
+    ], ids=["matrix", "empty", "nan", "inf", "numeric-strings"])
     def test_rejects_a_malformed_vector(self, entries):
         with pytest.raises(InvalidInput):
             ProbabilityVector(entries)

@@ -10,11 +10,13 @@ check, dim and pass must match exactly; worst_margin within
     PYTHONPATH=src python tests/test_golden_diagnose.py          # compare only
     PYTHONPATH=src python tests/test_golden_diagnose.py --write  # rewrite the file
 
-Without an argument the script writes nothing: it prints how many margins
-are bit-identical and the largest relative deviation per check, and exits
-nonzero on a check, dim or pass mismatch. Rewrite the file only on purpose.
+Without an argument the script writes nothing: it prints the table of
+tools/diagnose_diff.py, the golden records against today's (bit-identical
+margins and largest deviations per check), and exits nonzero on a check,
+seed, dim or pass mismatch. Rewrite the file only on purpose.
 """
 
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -25,6 +27,11 @@ from expgrad.suites import run_suite
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden" / "diagnose_all_24_seed0.json"
 SAMPLES, SEED = 24, 0
+
+_spec = importlib.util.spec_from_file_location(
+    "diagnose_diff", Path(__file__).resolve().parents[1] / "tools" / "diagnose_diff.py")
+diagnose_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diagnose_diff)
 
 
 def test_reproduces_golden_records():
@@ -52,9 +59,14 @@ def test_script_compares_unless_asked_to_write(tmp_path, capsys):
     assert main(["--write"], path) == 0
     assert json.loads(path.read_text()) == run_suite("all", SAMPLES, SEED)
     path.write_text(GOLDEN.read_text())
+    capsys.readouterr()
     assert main([], path) == 0
     assert path.read_text() == GOLDEN.read_text()
-    assert f"of {6 * SAMPLES} margins bit-identical" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert sum(int(row[1]) for row in rows) == 6 * SAMPLES
+    assert all(row[2] == "0" for row in rows)
+    assert lines[-1] == "check, seed or dim mismatches: 0"
     records = json.loads(GOLDEN.read_text())
     records[5]["pass"] = not records[5]["pass"]
     path.write_text(json.dumps(records))
@@ -72,22 +84,7 @@ def main(argv, golden=GOLDEN) -> int:
         golden.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
         print(f"wrote {len(records)} records to {golden}")
         return 0
-    want = json.loads(golden.read_text())
-    keys = ("check", "seed", "dim", "pass")
-    mismatched = len(records) != len(want) or any(
-        tuple(g[k] for k in keys) != tuple(w[k] for k in keys) for g, w in zip(records, want))
-    same, deviation = 0, {}
-    for g, w in zip(records, want):
-        a, b = g["worst_margin"], w["worst_margin"]
-        same += repr(a) == repr(b)
-        rel = abs(a - b) / abs(b) if b else abs(a)
-        deviation[w["check"]] = max(deviation.get(w["check"], 0.0), rel)
-    print(f"{same} of {len(want)} margins bit-identical")
-    for check, rel in deviation.items():
-        print(f"{check}: largest relative deviation {rel:.3g}")
-    if mismatched:
-        print("check, seed, dim or pass differs from the golden records", file=sys.stderr)
-    return 1 if mismatched else 0
+    return diagnose_diff.report(*diagnose_diff.compare(json.loads(golden.read_text()), records))
 
 
 if __name__ == "__main__":

@@ -78,8 +78,8 @@ BOUNDARY_CALLS = {
 
 
 @pytest.mark.parametrize("entries", [
-    [["a", "b"], ["c", "d"]], {"x": 1.0}, [[1.0, 0.0], [0.0]], [[10 ** 400, 0], [0, 1]],
-], ids=["strings", "mapping", "ragged", "integer-too-large"])
+    [["a", "b"], ["c", "d"]], [["1", "0"], ["0", "1"]], {"x": 1.0}, [[1.0, 0.0], [0.0]], [[10 ** 400, 0], [0, 1]],
+], ids=["strings", "numeric-strings", "mapping", "ragged", "integer-too-large"])
 @pytest.mark.parametrize("call", BOUNDARY_CALLS.values(), ids=BOUNDARY_CALLS.keys())
 def test_boundary_rejects_input_numpy_cannot_convert(call, entries):
     with pytest.raises(InvalidInput):
@@ -199,6 +199,25 @@ class TestDensityState:
     def test_maximally_mixed(self):
         rho = DensityState.maximally_mixed(3)
         assert np.allclose(rho.matrix, np.eye(3) / 3.0, atol=1e-14)
+
+    def test_maximally_mixed_is_the_zero_exponent_undecomposed(self, monkeypatch):
+        # bit for bit, signed zeros included, the state that the eigh of the
+        # zero matrix gives
+        want = [DensityState.from_exponent(np.zeros((d, d))) for d in range(1, 65)]
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        for w in want:
+            rho = DensityState.maximally_mixed(w.dim)
+            for name in ("log_eigenvalues", "eigenvectors", "exponent", "matrix"):
+                a, b = getattr(rho, name), getattr(w, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (w.dim, name)
+        assert calls == []
+
+    def test_constructor_normalizes_and_freezes_its_eigenpairs(self):
+        rho = DensityState(np.array([0.0, 1.0]), np.eye(2, dtype=complex))
+        assert abs(float(np.sum(rho.eigenvalues)) - 1.0) <= 1e-15
+        for a in (rho.log_eigenvalues, rho.eigenvalues, rho.eigenvectors):
+            assert not a.flags.writeable
 
     @pytest.mark.parametrize("d", [0, -1, 2.5, True], ids=["zero", "negative", "fraction", "bool"])
     def test_maximally_mixed_rejects_a_dimension_that_is_no_count(self, d):

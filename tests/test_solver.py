@@ -255,8 +255,8 @@ class TestSolve:
         # 3.5e-312, where rho^{-1} overflows: the hedged value is +inf there,
         # so the search rejects that step instead of the gradient raising.
         # The underflow bound excludes every candidate the barrier values
-        # +inf, so 3 eigendecompositions run: the start, the accepted step
-        # and the last probe
+        # +inf, so 2 eigendecompositions run, the accepted step and the last
+        # probe: the maximally mixed start needs none
         f = hedged_qst_objective(random_ensemble(np.random.default_rng(46), 2, 4), 1e-3)
         eigh = np.linalg.eigh
         calls = []
@@ -266,7 +266,7 @@ class TestSolve:
         assert len(res.trace) == 1
         assert res.trace[0].f_value == -6.4501267228592525
         assert min(r.min_eig for r in res.trace) >= np.finfo(np.float64).tiny
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_stationary_at_minimizer(self):
         f = qst_objective(standard_basis_ensemble(2))
@@ -446,10 +446,10 @@ class TestWorkPerSolve:
     tests stationarity is reused as the next iteration's first candidate.
     On a barrier objective, a candidate whose step passes the spectral
     underflow bound of its search is excluded, never formed, so a solve
-    costs candidates - excluded + 2 eigendecompositions (with the start's)
-    and candidates - excluded + 1 values of f. On a tomography objective,
-    each state evaluated costs one tr(M_i rho) pass, which its value and
-    gradient share."""
+    costs candidates - excluded + 1 eigendecompositions and values of f; the
+    maximally mixed start is built in closed form, with none. On a
+    tomography objective, each state evaluated costs one tr(M_i rho) pass,
+    which its value and gradient share."""
 
     @staticmethod
     def count_work(monkeypatch, f):
@@ -504,7 +504,7 @@ class TestWorkPerSolve:
         f, cfg = self.matrix_problem(family)
         counts, f = self.count_work(monkeypatch, f)
         rho0 = DensityState.maximally_mixed(3)
-        assert counts["eigh"] == 1
+        assert counts["eigh"] == 0
         res = solve(rho0, f, cfg)
         work = Counter(counts)
         assert res.status in (SolveStatus.CONVERGED, SolveStatus.STATIONARY)
@@ -514,7 +514,7 @@ class TestWorkPerSolve:
         excluded = self.replay_excluded(rho0, f, cfg, res.trace)
         if family != "hedged-qst":  # not barriers
             assert excluded == 0
-        assert work["eigh"] == 1 + candidates - excluded + 1
+        assert work["eigh"] == candidates - excluded + 1
         assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
         assert work["probabilities"] == (0 if family == "quadratic" else candidates - excluded + 1)
@@ -544,7 +544,7 @@ class TestWorkPerSolve:
         excluded = self.replay_excluded(rho0, f, cfg, res.trace)
         assert excluded > 0
         assert work["exponent"] <= 2 * iters + 1
-        assert work["eigh"] == 1 + candidates - excluded + 1
+        assert work["eigh"] == candidates - excluded + 1
         assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
 
@@ -568,7 +568,7 @@ class TestWorkPerSolve:
         res = solve(DensityState.maximally_mixed(2), f, cfg)
         assert res.status is SolveStatus.BACKTRACK_CAP_HIT and res.trace == []
         assert (res.last_alpha, res.last_value) == (1e6 * 0.5 ** 3, math.inf)
-        assert counts["eigh"] == 1 and counts["value"] == 1
+        assert counts["eigh"] == 0 and counts["value"] == 1
 
 
 class TestTraceCsv:

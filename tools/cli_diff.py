@@ -16,11 +16,15 @@ key (exit 2, JSON error on stderr); three tomography ``run``s on
 malformed ensemble files: JSON cut short (exit 1), a float ``dim`` (exit 2),
 and a malformed operator before a syntax error (exit 1); a tomography
 and a Poisson ``run`` on files holding an integer entry no double holds
-(exit 2 each); two ``run``s given an input their objective does not read,
-a tomography ``--dim`` and a Burg ``--operators`` naming a missing file
-(exit 2 each); and a hedged ``run`` at lambda = 1e-3 and alpha-bar = 1e6
-on a d = 2 ensemble of 4 operators that ``gen`` writes at seed 46, whose
-search passes a step with a subnormal smallest eigenvalue (exit 0). Every file the
+(exit 2 each); two tomography ``run``s on an ensemble file nested too deep
+for the JSON decoder (exit 1) and on one with a numeric string entry
+(exit 2); two ``run``s given an input their objective does not read, a
+tomography ``--dim`` and a Burg ``--operators`` naming a missing file
+(exit 2 each); a hedged ``run`` at lambda = 1e-3 and alpha-bar = 1e6 on a
+d = 2 ensemble of 4 operators that ``gen`` writes at seed 46, whose search
+passes a step with a subnormal smallest eigenvalue (exit 0); and two
+tomography ``run``s on files written as bytes that are not UTF-8, an
+ensemble file (exit 1) and a config file (exit 2). Every file the
 script leaves, each command's stdout, stderr and exit code among them, is
 compared byte for byte, with the ``wall_time_ms`` field of ``run``'s summary
 (a timing) left out. Prints the files that differ and exits 1 if any does,
@@ -83,7 +87,14 @@ MALFORMED = {
     "bad-operator-then-syntax-error": ("qst", '{"dim": 2, "operators": [5.0, ' + _OPERATORS + "}"),
     "entry-too-large": ("qst", '{"dim": 1, "operators": [[[[%s, 0.0]]]]}' % _TOO_LARGE),
     "rows-entry-too-large": ("poisson", '{"dim": 1, "rows": [[%s]]}' % _TOO_LARGE),
+    "nested-too-deep": ("qst", "[" * 100_000),
+    "numeric-string-entry": ("qst", '{"dim": 2, "operators": [[[["1", 0.0], [0.0, 0.0]], '
+                                    '[[0.0, 0.0], [1.0, 0.0]]]]}'),
 }
+
+# input files that are not UTF-8, written as bytes: an ensemble file and a
+# config file
+NOT_UTF8 = {"not_utf8_ens.json": b'\xff\xfe{"dim": 2}', "not_utf8_config.json": b'{"max-iter": 3, "tol": "\xff"}'}
 
 
 def script(sizes: dict) -> list[tuple[str, list[str]]]:
@@ -127,6 +138,9 @@ def script(sizes: dict) -> list[tuple[str, list[str]]]:
         ("gen-subnormal", ["gen", "--dim", "2", "--num-ops", "4", "--seed", "46", "--out", "subnormal_ens.json"]),
         ("run-hedged-subnormal", ["run", "--objective", "hedged-qst", "--operators", "subnormal_ens.json",
                                   "--lambda", "1e-3", "--alpha-bar", "1e6"]),
+        ("run-not-utf-8", ["run", "--objective", "qst", "--operators", "not_utf8_ens.json"]),
+        ("run-config-not-utf-8", ["run", "--objective", "qst", "--operators", "ens.json",
+                                  "--config", "not_utf8_config.json"]),
     ]
     return commands
 
@@ -142,6 +156,8 @@ def run_script(tree: Path, workdir: Path, sizes: dict) -> None:
         (workdir / name).write_text(json.dumps(config))
     for name, (_, text) in MALFORMED.items():
         (workdir / f"{name}.json").write_text(text)
+    for name, data in NOT_UTF8.items():
+        (workdir / name).write_bytes(data)
     subprocess.run([sys.executable, "-c", _RUN, str(Path(tree).resolve() / "src"),
                     json.dumps(script(sizes))], cwd=workdir, check=True)
 

@@ -11,7 +11,8 @@ the largest deviation of the others: relative, |a - b| / max(|a|, |b|), and
 scaled as the golden records' tolerance, |a - b| / max(1, |a|, |b|). A margin
 such as 1e-8 - r, with r a round-off-sized relative error, has a relative
 deviation of order 1e-5 when r moves by 1e-13; the scaled one reads 1e-13.
-Exits 1 if the record lists differ in length, or in a check, dim or pass flag.
+Exits 1 if the record lists differ in length, or in a check, seed, dim or
+pass flag.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ def deviation(a: float, b: float, floor: float = 0.0) -> float:
 
 def compare(parent: list[dict], change: list[dict]) -> tuple[dict, int]:
     """Per check: records, pass flips, identical margins, largest relative
-    and scaled deviations; and the number of record pairs whose check or dim differ
-    (the unpaired records of a longer list count too)."""
+    and scaled deviations; and the number of record pairs whose check, seed
+    or dim differ (the unpaired records of a longer list count too)."""
     table: dict[str, dict] = {}
     mismatched = abs(len(parent) - len(change))
     for p, c in zip(parent, change):
-        if (p["check"], p["dim"]) != (c["check"], c["dim"]):
+        if any(p[key] != c[key] for key in ("check", "seed", "dim")):
             mismatched += 1
             continue
         row = table.setdefault(p["check"], {"records": 0, "flips": 0, "identical": 0,
@@ -68,18 +69,23 @@ def compare(parent: list[dict], change: list[dict]) -> tuple[dict, int]:
     return table, mismatched
 
 
+def report(table: dict, mismatched: int) -> int:
+    """Print what compare gives, one row per check and then the mismatch
+    count; the exit code, 1 on a mismatch or a pass flag that flips."""
+    print(f"{'check':<18}{'records':>8}{'flips':>7}{'identical':>11}{'max_rel':>11}{'max_scaled':>12}")
+    for check, row in table.items():
+        print(f"{check:<18}{row['records']:>8}{row['flips']:>7}{row['identical']:>11}"
+              f"{row['max_rel']:>11.2e}{row['max_scaled']:>12.2e}")
+    print(f"check, seed or dim mismatches: {mismatched}")
+    return int(mismatched > 0 or any(row["flips"] for row in table.values()))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    table, mismatched = compare(records(Path(args[0])), records(Path(args[1])))
-    print(f"{'check':<18}{'records':>8}{'flips':>7}{'identical':>11}{'max_rel':>11}{'max_scaled':>12}")
-    for check, row in table.items():
-        print(f"{check:<18}{row['records']:>8}{row['flips']:>7}{row['identical']:>11}"
-              f"{row['max_rel']:>11.2e}{row['max_scaled']:>12.2e}")
-    print(f"check or dim mismatches: {mismatched}")
-    return int(mismatched > 0 or any(row["flips"] for row in table.values()))
+    return report(*compare(records(Path(args[0])), records(Path(args[1]))))
 
 
 if __name__ == "__main__":
