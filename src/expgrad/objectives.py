@@ -79,8 +79,8 @@ class MeasurementEnsemble:
         lows = np.linalg.eigvalsh(stack)[:, 0]
         if np.any(lows < -1e-10):
             raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
-        if not np.any(stack):
-            raise InvalidInput("ensemble is all zeros")
+        if not np.any(stack, axis=(1, 2)).all():
+            raise InvalidInput("every operator must be nonzero")
         self._keep(stack)
 
     @classmethod

@@ -10,20 +10,22 @@ near singular states. Inside the loop, gradients and exponents are arrays.
 
 Work per solve. The stationarity probe at the end of iteration k, the step
 of length alpha_bar from x_k, is the first Armijo candidate of iteration
-k+1, and the accepted candidate's f value is the new f. With
-candidates = iterations + total backtracks, a solve that stops on its own
-rule costs candidates - excluded + 1 evaluations of f (one per candidate
-formed, plus f(x0)) and iterations + 1 gradients. On a matrix it also costs
-candidates - excluded + 1 eigendecompositions (one per candidate formed,
-plus the last probe) and one eigvalsh per iteration for the gradient's
-spectral width; building the start is not counted: the maximally mixed one
-takes none, one from DensityState.from_matrix one. A candidate is excluded, never formed, when the objective is
-a barrier and a Weyl bound on the spread of its exponent proves that an
-eigenvalue falls below the smallest normal double, objectives._TINY, where
-the barrier is +inf (see _armijo). The exponent log rho is formed only
-where it is read, at the start, at each accepted iterate and at each
-alpha_bar probe, so at most 2 iterations + 1 times per solve however many
-candidates the line search rejects.
+k+1, and the accepted candidate's f value is the new f. A candidate is
+excluded, its f not evaluated, when the objective is a barrier and a Weyl
+bound on the spread of its exponent proves that an eigenvalue falls below
+the smallest normal double, objectives._TINY, where the barrier is +inf
+(see _armijo); a fresh candidate past the bound is not formed either, while
+a probe past it was formed for the stopping test. With candidates =
+iterations + total backtracks, a solve that stops on its own rule costs
+candidates - excluded + 1 evaluations of f (one per candidate not excluded,
+plus f(x0)) and iterations + 1 gradients. On a matrix it also costs that
+many eigendecompositions plus one per excluded probe (one per candidate
+formed, plus the last probe), and one eigvalsh per iteration for the
+gradient's spectral width; building the start is not counted: the
+maximally mixed one takes none, one from DensityState.from_matrix one. The
+exponent log rho is formed only where it is read, at the start, at each
+accepted iterate and at each alpha_bar probe, so at most 2 iterations + 1
+times per solve however many candidates the line search rejects.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -123,13 +125,16 @@ class SolveResult:
 
 def _gradient(state, g) -> np.ndarray:
     """g as an array to subtract from the state's exponent: InvalidInput
-    unless it has that exponent's shape and holds numbers, real ones for a
-    ProbabilityVector and an exactly Hermitian matrix for a DensityState."""
+    unless it has that exponent's shape and holds finite numbers, real ones
+    for a ProbabilityVector and an exactly Hermitian matrix for a
+    DensityState."""
     g = _array(g, copy=None, what="gradient")
     if g.shape != state.exponent.shape:
         raise InvalidInput(f"gradient of shape {g.shape} for a state of shape {state.exponent.shape}")
     if g.dtype.kind not in ("biuf" if g.ndim == 1 else "biufc"):
         raise InvalidInput(f"gradient of dtype {g.dtype} for a {type(state).__name__}")
+    if not np.isfinite(g).all():
+        raise InvalidInput("gradient has non-finite entries")
     if g.ndim == 2 and not np.array_equal(g, g.conj().T):
         raise InvalidInput("gradient is not Hermitian")
     return g
@@ -175,12 +180,13 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
     equality at the boundary counts as acceptance. ``first``, when given, is
     the alpha_bar candidate already computed. Returns (alpha, candidate,
     backtracks, f(candidate)); past the cap, (alpha, None, max_backtracks, f)
-    for the last step tried, with f +inf for a candidate not formed.
+    for the last step tried, with f +inf for an excluded candidate.
 
-    A candidate with alpha > ``cut`` is not formed: it counts as a failed
-    test with value +inf, which is what forming it would give when ``cut``
-    is _underflow_step(state, ...) and f is a barrier. The argument: let
-    Delta = lambda_max(g) - lambda_min(g) and s the spread of the state's
+    A candidate with alpha > ``cut`` is excluded, ``first`` included: f is
+    not evaluated and a fresh candidate is not formed. It counts as a failed
+    test with value +inf, which is what evaluating it would give when
+    ``cut`` is _underflow_step(state, ...) and f is a barrier. The argument:
+    let Delta = lambda_max(g) - lambda_min(g) and s the spread of the state's
     normalized log-eigenvalues w. By Weyl's inequalities the exponent
     H = log rho - alpha g has lambda_max(H) - lambda_min(H) >= alpha Delta - s.
     As logsumexp >= max, the candidate's smallest normalized log-eigenvalue
@@ -196,13 +202,12 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
     without the eigensolver."""
     for j in range(cfg.max_backtracks + 1):
         alpha = cfg.alpha_bar * cfg.shrink ** j
-        if j == 0 and first is not None:
-            candidate = first
-        elif alpha > cut:
+        if alpha > cut:
             f_cand = math.inf
             continue
-        else:  # eg_step without its checks, which solve made of g
-            candidate = type(state).from_exponent(state.exponent - alpha * g)
+        # a fresh candidate is eg_step without its checks, which solve made of g
+        candidate = (first if j == 0 and first is not None
+                     else type(state).from_exponent(state.exponent - alpha * g))
         f_cand = f.value(candidate)
         if math.isfinite(f_cand) and f_cand <= f_state + cfg.tau * float(
                 np.vdot(g, candidate.point - state.point).real):
@@ -268,14 +273,10 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
 
 
 def write_trace_csv(records: Sequence[IterationRecord], path) -> None:
-    """Write the iteration trace with 17-significant-digit floats."""
-
-    def fmt(x: float) -> str:
-        return format(x, ".17g")
-
+    """Write the iteration trace, one row per record in its field order,
+    with 17-significant-digit floats."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
         for r in records:
-            w.writerow([r.k, fmt(r.f_value), fmt(r.alpha_k), r.backtracks,
-                        fmt(r.delta_k), fmt(r.bregman_gap_bar), fmt(r.min_eig)])
+            w.writerow([format(x, ".17g") if isinstance(x, (float, np.floating)) else x for x in astuple(r)])

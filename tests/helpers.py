@@ -1,6 +1,7 @@
-"""Reference functions that only the tests read: a Schatten norm, the
-classical KL divergence, the witness that the tomography objective is not
-relatively smooth, an exact-arithmetic oracle for the solver's Armijo
+"""Reference functions that only the tests read: the random density
+matrices and measurement ensembles of the test instances, a Schatten norm,
+the classical KL divergence, the witness that the tomography objective is
+not relatively smooth, an exact-arithmetic oracle for the solver's Armijo
 product, divergence and tomography value difference, and an ensemble loader
 that parses a whole file at once. Test modules import them as
 ``from helpers import ...`` (pytest puts this directory on the path)."""
@@ -10,10 +11,27 @@ import json
 import mpmath
 import numpy as np
 
+from expgrad.diagnostics import random_psd
 from expgrad.entropy import ProbabilityVector
 from expgrad.errors import DomainError, InvalidInput
+from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.objectives import MeasurementEnsemble
 from expgrad.serialize import matrix_from_json
+
+
+def random_density(rng, d: int) -> DensityState:
+    """exp(H) / tr exp(H) for the Hermitian part H of a complex Gaussian
+    d x d matrix, scaled to unit Frobenius norm. Not
+    diagnostics.random_density, whose norm sums in another order and so
+    differs in the last bits of some draws."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = HermitianOperator(a)
+    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
+
+
+def random_ensemble(rng, d: int, m: int) -> MeasurementEnsemble:
+    """m operators A^H A, each of a complex Gaussian d x d matrix A."""
+    return MeasurementEnsemble([random_psd(rng, d) for _ in range(m)])
 
 
 def schatten_norm(a: np.ndarray, p) -> float:

@@ -249,6 +249,7 @@ MALFORMED_ENSEMBLES = {
     "infinity-entry": ensemble_payload(np.eye(2), np.diag([np.inf, 1.0])),
     "indefinite": ensemble_payload(np.diag([1.0, -1.0])),
     "all-zero": ensemble_payload(np.zeros((2, 2)), np.zeros((2, 2))),
+    "one-zero-operator": ensemble_payload(np.eye(2), np.zeros((2, 2))),
     "dim-mismatch": ensemble_payload(np.eye(2), dim=3),
     "scalar-operator": {"dim": 2, "operators": [5.0]},
     "string-entry": {"dim": 2, "operators": [[[["a", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},

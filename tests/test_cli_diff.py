@@ -36,6 +36,7 @@ FAILS = {
     "run-burg-unread-operators": ("2", "InvalidInput"),
     "run-nested-too-deep": ("1", "RecursionError"),
     "run-numeric-string-entry": ("2", "InvalidInput"),
+    "run-qst-zero-operator": ("2", "InvalidInput"),
     "run-not-utf-8": ("1", "UnicodeDecodeError"),
     "run-config-not-utf-8": ("2", "InvalidInput"),
 }

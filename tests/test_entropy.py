@@ -6,9 +6,9 @@ import pytest
 from expgrad.diagnostics import inner_product_check
 from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
-from expgrad.linalg import DensityState, HermitianOperator, _hermitian_part
+from expgrad.linalg import DensityState, _hermitian_part
 from expgrad.objectives import quadratic_objective
-from helpers import classical_relative_entropy, exact_divergence, schatten_norm
+from helpers import classical_relative_entropy, exact_divergence, random_density, schatten_norm
 
 
 def von_neumann_entropy_neg(rho: DensityState) -> float:
@@ -24,12 +24,6 @@ def pinsker_gap(rho: DensityState, sigma: DensityState) -> float:
     d = quantum_relative_entropy(rho, sigma)
     tn = schatten_norm(_hermitian_part(rho.matrix - sigma.matrix), 1)
     return d - 0.5 * tn * tn
-
-
-def random_density(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = HermitianOperator(a)
-    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
 
 
 def random_unitary(rng, d):

@@ -39,7 +39,6 @@ from expgrad.cli import main
 from expgrad.entropy import ProbabilityVector
 from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.objectives import (
-    MeasurementEnsemble,
     burg_objective,
     hedged_qst_objective,
     poisson_linear_objective,
@@ -48,6 +47,7 @@ from expgrad.objectives import (
     standard_basis_ensemble,
 )
 from expgrad.solver import SolverConfig, eg_step, solve, write_trace_csv
+from helpers import random_density, random_ensemble
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 SWEEP = GOLDEN / "lambda_sweep_d16_seed3.jsonl"
@@ -55,29 +55,15 @@ REL_TOL = 1e-10
 GAP_ABS_TOL = 1e-12
 
 
-def _wishart(rng, d, m):
-    ops = []
-    for _ in range(m):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        ops.append(HermitianOperator(a.conj().T @ a))
-    return MeasurementEnsemble(ops)
-
-
-def _random_density(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = HermitianOperator(a)
-    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
-
-
 def _qst_d4():
     rng = np.random.default_rng(101)
-    return solve, DensityState.maximally_mixed(4), qst_objective(_wishart(rng, 4, 8)), SolverConfig()
+    return solve, DensityState.maximally_mixed(4), qst_objective(random_ensemble(rng, 4, 8)), SolverConfig()
 
 
 def _qst_d8_random_start():
     rng = np.random.default_rng(102)
-    f = qst_objective(_wishart(rng, 8, 16))
-    return solve, _random_density(rng, 8), f, SolverConfig(max_iters=400)
+    f = qst_objective(random_ensemble(rng, 8, 16))
+    return solve, random_density(rng, 8), f, SolverConfig(max_iters=400)
 
 
 def _qst_basis_stationary():
@@ -87,27 +73,27 @@ def _qst_basis_stationary():
 
 def _hedged_d4_lam1e_3():
     rng = np.random.default_rng(103)
-    f = hedged_qst_objective(_wishart(rng, 4, 8), 1e-3)
+    f = hedged_qst_objective(random_ensemble(rng, 4, 8), 1e-3)
     return solve, DensityState.maximally_mixed(4), f, SolverConfig()
 
 
 def _hedged_d8_lam1e_3():
     rng = np.random.default_rng(104)
-    f = hedged_qst_objective(_wishart(rng, 8, 16), 1e-3)
+    f = hedged_qst_objective(random_ensemble(rng, 8, 16), 1e-3)
     return solve, DensityState.maximally_mixed(8), f, SolverConfig(max_iters=400)
 
 
 def _quadratic_d4():
     rng = np.random.default_rng(105)
-    target = HermitianOperator(_random_density(rng, 4).matrix)
-    return solve, _random_density(rng, 4), quadratic_objective(target, 30.0), SolverConfig()
+    target = HermitianOperator(random_density(rng, 4).matrix)
+    return solve, random_density(rng, 4), quadratic_objective(target, 30.0), SolverConfig()
 
 
 def _quadratic_cap_hit():
     rng = np.random.default_rng(106)
-    target = HermitianOperator(_random_density(rng, 3).matrix)
+    target = HermitianOperator(random_density(rng, 3).matrix)
     f = quadratic_objective(target, 1e8)
-    return solve, _random_density(rng, 3), f, SolverConfig(max_backtracks=3)
+    return solve, random_density(rng, 3), f, SolverConfig(max_backtracks=3)
 
 
 def _burg_d5():

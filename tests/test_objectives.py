@@ -10,7 +10,7 @@ from expgrad.entropy import ProbabilityVector
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.diagnostics import random_hermitian as diagnostics_random_hermitian
-from expgrad.diagnostics import random_psd as diagnostics_random_psd
+from expgrad.diagnostics import random_psd
 from expgrad.objectives import (
     MeasurementEnsemble,
     ObjectiveSpec,
@@ -22,27 +22,9 @@ from expgrad.objectives import (
     standard_basis_ensemble,
 )
 from expgrad.solver import SolveStatus, solve
-from helpers import qst_hardness_witness
+from helpers import qst_hardness_witness, random_density, random_ensemble
 
 LOG2 = np.log(2.0)
-
-
-def random_density(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = HermitianOperator(a)
-    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
-
-
-def random_psd(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return a.conj().T @ a
-
-
-def random_ensemble(rng, d, n):
-    ops = []
-    for _ in range(n):
-        ops.append(HermitianOperator(random_psd(rng, d)))
-    return MeasurementEnsemble(ops)
 
 
 def matrix_gradient_fd_check(f, rho, rng, tol=1e-5):
@@ -89,6 +71,8 @@ class TestMeasurementEnsemble:
             MeasurementEnsemble([])
         with pytest.raises(InvalidInput):
             MeasurementEnsemble([HermitianOperator(np.zeros((2, 2)))])
+        with pytest.raises(InvalidInput, match="every operator must be nonzero"):
+            MeasurementEnsemble([np.eye(2), np.zeros((2, 2))])
 
     @pytest.mark.parametrize("operators", [5, 2.5, None, np.float64(1.0)], ids=["int", "float", "none", "numpy-scalar"])
     def test_rejects_a_non_iterable(self, operators):
@@ -329,7 +313,7 @@ def test_constructors_reject_malformed_input(call):
     lambda: standard_basis_ensemble(-1),
     lambda: standard_basis_ensemble(2.5),
     lambda: diagnostics_random_hermitian(np.random.default_rng(0), 0),
-    lambda: diagnostics_random_psd(np.random.default_rng(0), 0),
+    lambda: random_psd(np.random.default_rng(0), 0),
 ], ids=["hedged-nan", "hedged-inf", "hedged-string", "hedged-bool", "quadratic-nan", "burg-fraction",
         "burg-bool", "basis-negative", "basis-fraction", "random-hermitian-0", "random-psd-0"])
 def test_weights_and_dimensions_are_checked_at_the_boundary(call):

@@ -13,6 +13,7 @@ from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.objectives import (
     MeasurementEnsemble,
+    ObjectiveSpec,
     burg_objective,
     hedged_qst_objective,
     poisson_linear_objective,
@@ -31,15 +32,9 @@ from expgrad.solver import (
     solve,
     write_trace_csv,
 )
-from helpers import classical_relative_entropy, schatten_norm
+from helpers import classical_relative_entropy, random_density, random_ensemble, schatten_norm
 
 LOG2 = np.log(2.0)
-
-
-def random_density(rng, d):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = HermitianOperator(a)
-    return DensityState.from_exponent(HermitianOperator(h.mat * (1.0 / np.linalg.norm(h.mat))))
 
 
 def armijo_search(state, f, cfg):
@@ -53,14 +48,6 @@ def armijo_search(state, f, cfg):
     if not math.isfinite(f_state):
         raise DomainError("line search started outside the effective domain")
     return _armijo(state, f, cfg, g, f_state)[:3]
-
-
-def random_ensemble(rng, d, n):
-    ops = []
-    for _ in range(n):
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        ops.append(HermitianOperator(a.conj().T @ a))
-    return MeasurementEnsemble(ops)
 
 
 class TestSolverConfig:
@@ -148,15 +135,21 @@ class TestEgStep:
         with pytest.raises(InvalidInput, match="gradient"):
             eg_step(state, g, 1.0)
 
-    @pytest.mark.parametrize("state, g", [
-        (ProbabilityVector([0.5, 0.5]), np.array([1j, 0.0])),
-        (DensityState.maximally_mixed(2), np.array([[0.0, 1.0], [0.0, 0.0]])),
-        (DensityState.maximally_mixed(2), np.array([["a", "b"], ["c", "d"]])),
-    ], ids=["complex-vector", "not-hermitian", "strings"])
-    def test_rejects_gradient_that_is_not_real_or_hermitian(self, state, g):
+    @pytest.mark.parametrize("state, g, message", [
+        (ProbabilityVector([0.5, 0.5]), np.array([1j, 0.0]), "dtype"),
+        (DensityState.maximally_mixed(2), np.array([[0.0, 1.0], [0.0, 0.0]]), "Hermitian"),
+        (DensityState.maximally_mixed(2), np.array([["a", "b"], ["c", "d"]]), "dtype"),
+        (ProbabilityVector([0.5, 0.5]), np.array([np.nan, 0.0]), "non-finite"),
+        (ProbabilityVector([0.5, 0.5]), np.array([np.inf, 0.0]), "non-finite"),
+        (ProbabilityVector([0.5, 0.5]), np.array([-np.inf, 0.0]), "non-finite"),
+        (DensityState.maximally_mixed(2), np.array([[np.nan, 0.0], [0.0, 0.0]]), "non-finite"),
+    ], ids=["complex-vector", "not-hermitian", "strings", "nan-vector", "inf-vector",
+            "minus-inf-vector", "nan-matrix"])
+    def test_rejects_gradient_that_is_not_real_or_hermitian(self, state, g, message):
         # no complex simplex point, no matrix read by its lower triangle alone,
-        # and no raw numpy error
-        with pytest.raises(InvalidInput, match="gradient"):
+        # no NaN state, no entry of inf read as a jump to a vertex, and no raw
+        # numpy error or warning
+        with pytest.raises(InvalidInput, match=message):
             eg_step(state, g, 1.0)
 
     def test_minimizes_mirror_descent_subproblem(self):
@@ -226,6 +219,19 @@ class TestArmijoSearch:
         alpha, nxt, backtracks = armijo_search(rho, f, cfg)
         assert backtracks >= 1
         assert math.isfinite(f.value(nxt))
+
+    def test_carried_probe_past_the_bound_is_not_evaluated(self):
+        # the alpha_bar probe is excluded past cut as a fresh step is: f is
+        # not called at j = 0, and the search goes on to the smaller steps
+        f = qst_objective(standard_basis_ensemble(2))
+        rho = DensityState.from_matrix(np.diag([0.8, 0.2]))
+        g, cfg = f.gradient(rho), SolverConfig(max_backtracks=3)
+        first = eg_step(rho, g, cfg.alpha_bar)
+        seen = []
+        counted = dataclasses.replace(f, value=lambda x: seen.append(x) or f.value(x))
+        alpha, nxt, backtracks, _ = _armijo(rho, counted, cfg, g, f.value(rho), first, cut=0.75)
+        assert (alpha, backtracks) == (0.25, 2) and nxt is seen[-1]
+        assert len(seen) == backtracks and all(x is not first for x in seen)
 
     def test_cap_exceeded(self):
         rng = np.random.default_rng(47)
@@ -364,6 +370,14 @@ class TestSolve:
         with pytest.raises(InvalidInput, match="Hermitian"):
             solve(random_density(rng, 3), lower)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_gradient_that_is_not_finite(self, entry):
+        # not a search that backtracks to its cap on NaN or inf steps
+        f = ObjectiveSpec(2, lambda x: float(np.sum(x.entries ** 2)),
+                          lambda x: np.array([entry, 0.0]), kind="vector")
+        with pytest.raises(InvalidInput, match="non-finite"):
+            solve(ProbabilityVector([0.3, 0.7]), f)
+
     def test_sink_receives_every_record(self):
         f = qst_objective(standard_basis_ensemble(2))
         seen = []
@@ -441,14 +455,16 @@ class TestStoppingGap:
 
 
 class TestWorkPerSolve:
-    """Each Armijo candidate formed costs one eigendecomposition and one f
-    evaluation, each accepted iterate one gradient: the alpha_bar probe that
-    tests stationarity is reused as the next iteration's first candidate.
-    On a barrier objective, a candidate whose step passes the spectral
-    underflow bound of its search is excluded, never formed, so a solve
-    costs candidates - excluded + 1 eigendecompositions and values of f; the
-    maximally mixed start is built in closed form, with none. On a
-    tomography objective, each state evaluated costs one tr(M_i rho) pass,
+    """Each Armijo candidate evaluated costs one f evaluation, each candidate
+    formed one eigendecomposition, each accepted iterate one gradient: the
+    alpha_bar probe that tests stationarity is reused as the next
+    iteration's first candidate. On a barrier objective, a candidate whose
+    step passes the spectral underflow bound of its search is excluded, its
+    f not evaluated; a fresh one is not formed either, while a probe was
+    formed for the stopping test. So a solve costs candidates - excluded + 1
+    values of f, and that many eigendecompositions plus one per excluded
+    probe; the maximally mixed start is built in closed form, with none. On
+    a tomography objective, each state evaluated costs one tr(M_i rho) pass,
     which its value and gradient share."""
 
     @staticmethod
@@ -471,23 +487,25 @@ class TestWorkPerSolve:
     @staticmethod
     def replay_excluded(x0, f, cfg, trace):
         """The candidates the solver excludes, counted by replaying each
-        search from its recorded iterate: every candidate it forms, the
-        carried-over alpha_bar probe aside, with a step past the bound.
-        Each one, formed here, has value +inf."""
+        search from its recorded iterate: every step past the bound, and
+        among them the excluded probes, the alpha_bar steps of the searches
+        after the first. Each one, formed here, has value +inf. Returns
+        (excluded, excluded probes)."""
         if not f.barrier:
-            return 0
-        state, excluded = x0, 0
+            return 0, 0
+        state, excluded, probes = x0, 0, 0
         for r in trace:
             g = f.gradient(state)
             spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
             cut = _underflow_step(state, float(np.min(spectrum)), float(np.max(spectrum)))
-            for j in range(0 if r.k == 1 else 1, r.backtracks + 1):
+            for j in range(r.backtracks + 1):
                 alpha = cfg.alpha_bar * cfg.shrink ** j
                 if alpha > cut:
                     assert f.value(eg_step(state, g, alpha)) == math.inf
                     excluded += 1
+                    probes += j == 0 and r.k > 1
             state = eg_step(state, g, r.alpha_k)
-        return excluded
+        return excluded, probes
 
     @staticmethod
     def matrix_problem(family):
@@ -511,10 +529,10 @@ class TestWorkPerSolve:
         iters = len(res.trace)
         candidates = iters + sum(r.backtracks for r in res.trace)
         assert iters > 1 and candidates > iters
-        excluded = self.replay_excluded(rho0, f, cfg, res.trace)
+        excluded, probes = self.replay_excluded(rho0, f, cfg, res.trace)
         if family != "hedged-qst":  # not barriers
             assert excluded == 0
-        assert work["eigh"] == candidates - excluded + 1
+        assert work["eigh"] == candidates - excluded + 1 + probes
         assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
         assert work["probabilities"] == (0 if family == "quadratic" else candidates - excluded + 1)
@@ -541,10 +559,10 @@ class TestWorkPerSolve:
         iters = len(res.trace)
         candidates = iters + sum(r.backtracks for r in res.trace)
         assert candidates > 2 * iters
-        excluded = self.replay_excluded(rho0, f, cfg, res.trace)
-        assert excluded > 0
+        excluded, probes = self.replay_excluded(rho0, f, cfg, res.trace)
+        assert probes > 0
         assert work["exponent"] <= 2 * iters + 1
-        assert work["eigh"] == candidates - excluded + 1
+        assert work["eigh"] == candidates - excluded + 1 + probes
         assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
 
@@ -555,7 +573,7 @@ class TestWorkPerSolve:
         work = Counter(counts)
         iters = len(res.trace)
         assert iters > 1
-        excluded = self.replay_excluded(x0, f, cfg, res.trace)
+        excluded, _ = self.replay_excluded(x0, f, cfg, res.trace)
         assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == iters + sum(r.backtracks for r in res.trace) - excluded + 1
 
@@ -586,3 +604,14 @@ class TestTraceCsv:
             assert int(row[0]) == rec.k
             assert float(row[1]) == rec.f_value
             assert float(row[5]) == rec.bregman_gap_bar
+
+    def test_a_numpy_float_value_keeps_17_digits(self, tmp_path):
+        # an objective may return a numpy float narrower than a double: it is
+        # written to 17 digits too, not as numpy prints it
+        f = qst_objective(standard_basis_ensemble(2))
+        f32 = dataclasses.replace(f, value=lambda x: np.float32(f.value(x)))
+        res = solve(DensityState.from_matrix(np.diag([0.8, 0.2])), f32, SolverConfig(max_iters=3))
+        write_trace_csv(res.trace, tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert res.trace and [float(row[1]) for row in rows] == [float(r.f_value) for r in res.trace]

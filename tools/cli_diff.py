@@ -18,9 +18,10 @@ and a malformed operator before a syntax error (exit 1); a tomography
 and a Poisson ``run`` on files holding an integer entry no double holds
 (exit 2 each); two tomography ``run``s on an ensemble file nested too deep
 for the JSON decoder (exit 1) and on one with a numeric string entry
-(exit 2); two ``run``s given an input their objective does not read, a
-tomography ``--dim`` and a Burg ``--operators`` naming a missing file
-(exit 2 each); a hedged ``run`` at lambda = 1e-3 and alpha-bar = 1e6 on a
+(exit 2); a tomography ``run`` on an ensemble file whose second operator
+is zero (exit 2); two ``run``s given an input their objective does not
+read, a tomography ``--dim`` and a Burg ``--operators`` naming a missing
+file (exit 2 each); a hedged ``run`` at lambda = 1e-3 and alpha-bar = 1e6 on a
 d = 2 ensemble of 4 operators that ``gen`` writes at seed 46, whose search
 passes a step with a subnormal smallest eigenvalue (exit 0); and two
 tomography ``run``s on files written as bytes that are not UTF-8, an
@@ -90,6 +91,9 @@ MALFORMED = {
     "nested-too-deep": ("qst", "[" * 100_000),
     "numeric-string-entry": ("qst", '{"dim": 2, "operators": [[[["1", 0.0], [0.0, 0.0]], '
                                     '[[0.0, 0.0], [1.0, 0.0]]]]}'),
+    # the identity and the zero matrix of d = 2
+    "qst-zero-operator": ("qst", '{"dim": 2, "operators": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], '
+                                 '[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}'),
 }
 
 # input files that are not UTF-8, written as bytes: an ensemble file and a
