@@ -121,12 +121,16 @@ _DD_CLUSTER_TOL = 1e-2
 
 
 def _exp_dd1(a, b):
-    """First divided difference of exp, elementwise and cancellation-safe:
-    e^{(a+b)/2} sinh(delta)/delta with a series branch for small delta."""
+    """First divided difference (e^a - e^b)/(a - b) of exp, elementwise and
+    cancellation-safe: e^{(a+b)/2} sinh(delta)/delta, delta = (a - b)/2, with
+    a series branch for small delta. Past |delta| = 300, before sinh
+    overflows, it is e^{max(a, b)} (1 - e^{-2|delta|})/(2|delta|), whose
+    factor 1 - e^{-2|delta|} rounds to 1 there."""
     delta = 0.5 * (a - b)
-    small = np.abs(delta) < 1e-4
-    safe = np.where(small, 1.0, delta)
-    return np.exp(0.5 * (a + b)) * np.where(small, 1.0 + delta * delta / 6.0, np.sinh(safe) / safe)
+    small, wide = np.abs(delta) < 1e-4, np.abs(delta) > 300.0
+    safe = np.where(small | wide, 1.0, delta)
+    near = np.exp(0.5 * (a + b)) * np.where(small, 1.0 + delta * delta / 6.0, np.sinh(safe) / safe)
+    return np.where(wide, np.exp(np.maximum(a, b)) / np.where(wide, 2.0 * np.abs(delta), 1.0), near)
 
 
 def _exp_dd2(lo, mid, hi, upper, lower):

@@ -80,8 +80,18 @@ def quantum_relative_entropy(rho: DensityState, sigma: DensityState) -> float:
         raise InvalidInput(f"needs two DensityStates, got {type(rho).__name__}, {type(sigma).__name__}")
     if rho.dim != sigma.dim:
         raise InvalidInput(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return float(_relative_entropy(rho.log_eigenvalues, rho.eigenvectors,
-                                   sigma.log_eigenvalues, sigma.eigenvectors))
+    return _divergence(rho, sigma)
+
+
+def _divergence(new, old) -> float:
+    """D(new, old) of two states of one type and dimension from their stored
+    log-spectra, so it holds where an eigenvalue or entry of either underflows
+    to 0.0; no input checks. For DensityStates it is _relative_entropy of
+    their eigenpairs; for ProbabilityVectors its diagonal case
+    sum_i new_i (log new_i - log old_i), the unit-sum term left out."""
+    if isinstance(new, ProbabilityVector):
+        return float(np.vdot(new.entries, new.exponent - old.exponent))
+    return float(_relative_entropy(new.log_eigenvalues, new.eigenvectors, old.log_eigenvalues, old.eigenvectors))
 
 
 def _relative_entropy(w_r, u, w_s, v):

@@ -23,9 +23,10 @@ many eigendecompositions plus one per excluded probe (one per candidate
 formed, plus the last probe), and one eigvalsh per iteration for the
 gradient's spectral width; building the start is not counted: the
 maximally mixed one takes none, one from DensityState.from_matrix one. The
-exponent log rho is formed only where it is read, at the start, at each
-accepted iterate and at each alpha_bar probe, so at most 2 iterations + 1
-times per solve however many candidates the line search rejects.
+stopping gap D(probe, x_k) is entropy._divergence of the two states' stored
+eigenpairs, so the exponent log rho is formed only at the start and at each
+accepted iterate, iterations + 1 times per solve however many candidates
+the line search rejects.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import ProbabilityVector
+from .entropy import ProbabilityVector, _divergence
 from .errors import DomainError, InvalidInput
 from .linalg import DensityState, _array, _count, _positive
 from .objectives import _TINY, ObjectiveSpec
@@ -151,13 +152,6 @@ def eg_step(state, g: np.ndarray, alpha: float):
     g = _gradient(state, g)
     # a real combination of two exactly Hermitian arrays is exactly Hermitian
     return type(state).from_exponent(state.exponent - alpha * g)
-
-
-def _divergence(new, old) -> float:
-    """D(new, old) = <new, log new - log old> through the stored exponents,
-    which are the exact logs: robust when an eigenvalue or an entry of new
-    underflows to zero. The unit-sum term sum(new - old) is left out."""
-    return float(np.vdot(new.point, new.exponent - old.exponent).real)
 
 
 def _underflow_step(state, lo: float, hi: float) -> float:

@@ -127,10 +127,10 @@ def exact_armijo_product(new, old, g: np.ndarray) -> float:
 
 def exact_divergence(new, old, unit_trace: bool = False) -> float:
     """D(new, old) = <rho_new, log rho_new - log rho_old> at 60 digits, the
-    quantity solver._divergence rounds (without the unit-trace term, as
-    there). With `unit_trace`, minus tr(rho_new - rho_old) too: the quantity
-    quantum_relative_entropy rounds. That term is not zero, as the stored
-    log-eigenvalues are normalized in floating point."""
+    solver's stopping gap entropy._divergence up to its unit-trace term. With
+    `unit_trace`, minus tr(rho_new - rho_old) too: the quantity
+    entropy._divergence and quantum_relative_entropy round. That term is not
+    zero, as the stored log-eigenvalues are normalized in floating point."""
     with mpmath.workdps(_DIGITS):
         rho_new = _exact_matrix(new)
         out = _exact_inner(rho_new, _exact_matrix(new, log=True), _exact_matrix(old, log=True))

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -831,6 +832,27 @@ def test_second_divided_difference_of_ordered_triples():
         lo, mid, hi = t.T.copy()
         dd2 = diagnostics._exp_dd2(lo, mid, hi, diagnostics._exp_dd1(mid, hi), diagnostics._exp_dd1(lo, mid))
         np.testing.assert_allclose(dd2, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1.0, 700.0, 1500.0, 3000.0])
+def test_first_divided_difference_against_the_exact_one(gap):
+    # (e^a - e^b)/(a - b) at 60 digits, in both orders; past |a - b| ~ 1,420
+    # sinh(delta) overflows, and e^{(a+b)/2} times it read nan
+    a = np.array([0.0, -2.5, -0.75])
+    b = a - gap
+    with mpmath.workdps(60):
+        want = [float((mpmath.exp(x) - mpmath.exp(y)) / (mpmath.mpf(x) - mpmath.mpf(y)))
+                for x, y in zip(a.tolist(), b.tolist())]
+    np.testing.assert_allclose(diagnostics._exp_dd1(a, b), want, rtol=1e-14)
+    np.testing.assert_allclose(diagnostics._exp_dd1(b, a), want, rtol=1e-14)
+
+
+def test_derivatives_at_a_log_spread_of_1500():
+    # log rho = diag(-1500, 0) and G = X: phi is even in alpha with
+    # phi''(0) = tanh(750)/750, the divided difference at 1,500 apart
+    base = DensityState(np.array([-1500.0, 0.0]), np.eye(2, dtype=np.complex128))
+    probe = LogPartitionProbe(base, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert phi_derivatives(probe, 0.0) == pytest.approx((0.0, 1.0 / 750.0, 0.0), rel=1e-14, abs=1e-300)
 
 
 def test_gap_from_shared_eigh_matches_phi_gap():

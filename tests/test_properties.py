@@ -1,7 +1,6 @@
 """Property tests of the EG solver on drawn instances: monotone descent, unit
 trace and Hermiticity of every iterate, the Armijo condition at every
 accepted step, invariance of the step when the gradient moves by c I, the
-solver's stored-exponent divergence against the relative entropy, the
 soundness of the spectral bound by which the line search excludes
 candidates of a barrier objective (hedged QST and Burg), and the Armijo
 product, the divergence, the value difference and
@@ -23,10 +22,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expgrad.diagnostics import inner_product_check, random_density, random_psd
-from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
+from expgrad.entropy import ProbabilityVector, _divergence
 from expgrad.linalg import DensityState, _hermitian
 from expgrad.objectives import MeasurementEnsemble, burg_objective, hedged_qst_objective, qst_objective
-from expgrad.solver import SolverConfig, _armijo, _divergence, _underflow_step, eg_step, solve
+from expgrad.solver import SolverConfig, _armijo, _underflow_step, eg_step, solve
 from helpers import exact_armijo_product, exact_divergence, exact_value_difference
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=15)
@@ -111,19 +110,6 @@ def test_step_ignores_identity_shift(kind, d, seed, c, alpha):
     assert_density(moved)
 
 
-@PROPERTY
-@given(kind=kinds, d=dims, seed=seeds, alpha=steps)
-def test_divergence_is_relative_entropy(kind, d, seed, alpha):
-    rng = np.random.default_rng(seed)
-    rho = random_density(rng, d)
-    g = qst_objective(draw_ensemble(kind, d, rng)).gradient(rho)
-    nxt = eg_step(rho, g / max(1.0, np.max(np.abs(g))), alpha)
-    want = quantum_relative_entropy(nxt, rho)
-    scale = 1.0 + np.max(np.abs(nxt.exponent)) + np.max(np.abs(rho.exponent))
-    assert abs(_divergence(nxt, rho) - want) <= 1e-13 * d * scale
-    assert _divergence(rho, rho) == 0.0
-
-
 EPS = np.finfo(np.float64).eps
 
 
@@ -160,10 +146,11 @@ def divergence_scale(new, old):
        log2_step=st.floats(-60.0, 0.0), log10_width=st.floats(-2.0, 6.0))
 def test_armijo_product_and_divergence_match_the_exact_oracle(d, seed, log10_min, log2_step, log10_width):
     # a state with lambda_min = 10**log10_min and a candidate eg_step from it:
-    # the Armijo test's float product <g, rho' - rho> and solver._divergence
-    # D(rho', rho) are each within d eps S of the exact values, the round-off
-    # of sums of d terms: S = product_scale for the product and
-    # divergence_scale for D, whose A and L bound the terms of rho and log rho
+    # the Armijo test's float product <g, rho' - rho> and the stopping gap
+    # entropy._divergence D(rho', rho) are each within d eps S of the exact
+    # values, the round-off of sums of d terms: S = product_scale for the
+    # product and divergence_scale for D, whose A and L bound the terms of rho
+    # and log rho
     rng = np.random.default_rng(seed)
     rho = near_singular_state(rng, d, log10_min)
     g = _hermitian(complex_gaussian(rng, d, d) * 10.0 ** log10_width)

@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from expgrad.diagnostics import inner_product_check
-from expgrad.entropy import ProbabilityVector, quantum_relative_entropy
+from expgrad.diagnostics import inner_product_check, random_psd
+from expgrad.entropy import ProbabilityVector, _divergence, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator
 from expgrad.objectives import (
@@ -26,13 +26,12 @@ from expgrad.solver import (
     SolveStatus,
     SolverConfig,
     _armijo,
-    _divergence,
     _underflow_step,
     eg_step,
     solve,
     write_trace_csv,
 )
-from helpers import classical_relative_entropy, random_density, random_ensemble, schatten_norm
+from helpers import classical_relative_entropy, exact_divergence, random_density, random_ensemble, schatten_norm
 
 LOG2 = np.log(2.0)
 
@@ -262,17 +261,52 @@ class TestSolve:
         # so the search rejects that step instead of the gradient raising.
         # The underflow bound excludes every candidate the barrier values
         # +inf, so 2 eigendecompositions run, the accepted step and the last
-        # probe: the maximally mixed start needs none
+        # probe: the maximally mixed start needs none. The first iterate is
+        # not stationary (its gap is 358.6; a stop_tol = 1e-14 run from
+        # alpha_bar = 1 reaches f = -6.7998), and every step of the second
+        # search lies past the bound
         f = hedged_qst_objective(random_ensemble(np.random.default_rng(46), 2, 4), 1e-3)
         eigh = np.linalg.eigh
         calls = []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         res = solve(DensityState.maximally_mixed(2), f, SolverConfig(alpha_bar=1e6))
-        assert res.status is SolveStatus.STATIONARY
+        assert res.status is SolveStatus.BACKTRACK_CAP_HIT
         assert len(res.trace) == 1
         assert res.trace[0].f_value == -6.4501267228592525
+        assert (res.last_alpha, res.last_value) == (1e6 * 2.0 ** -60, math.inf)
         assert min(r.min_eig for r in res.trace) >= np.finfo(np.float64).tiny
         assert len(calls) == 2
+
+    def test_stopping_gap_at_a_near_singular_iterate(self):
+        # d = 64, lambda = 1e-3: the first step drives lambda_min to about
+        # 1e-27 and the gradient's width to about 1e23. The gap of the
+        # alpha_bar probe, 60.84, comes from the stored eigenpairs: a product
+        # with the difference of the two d x d exponents reads -33,554,432
+        # there, a false Stationary stop
+        rng = np.random.default_rng(0)
+        f = hedged_qst_objective(MeasurementEnsemble([random_psd(rng, 64) for _ in range(256)]), 1e-3)
+        res = solve(DensityState.maximally_mixed(64), f)
+        assert res.status is SolveStatus.BACKTRACK_CAP_HIT
+        state = res.final_state
+        probe = eg_step(state, f.gradient(state), SolverConfig().alpha_bar)
+        want = exact_divergence(probe, state, unit_trace=True)
+        assert res.trace[0].bregman_gap_bar == pytest.approx(want, rel=1e-8)
+
+    def test_no_stop_claim_away_from_the_optimum(self):
+        # d = 2 hedged runs from a large alpha_bar, whose first step lands
+        # next to a pure state: a run that ends Stationary or Converged ends
+        # within 1e-6 of the value a stop_tol = 1e-14 run from alpha_bar = 1
+        # reaches (16 of the 160 runs end Converged)
+        claims = 0
+        for seed in range(40, 80):
+            f = hedged_qst_objective(random_ensemble(np.random.default_rng(seed), 2, 4), 1e-3)
+            best = solve(DensityState.maximally_mixed(2), f, SolverConfig(stop_tol=1e-14)).trace[-1].f_value
+            for alpha_bar in (1e3, 1e4, 1e5, 1e6):
+                res = solve(DensityState.maximally_mixed(2), f, SolverConfig(alpha_bar=alpha_bar))
+                if res.status in (SolveStatus.STATIONARY, SolveStatus.CONVERGED):
+                    claims += 1
+                    assert res.trace[-1].f_value == pytest.approx(best, abs=1e-6), (seed, alpha_bar)
+        assert claims > 0
 
     def test_stationary_at_minimizer(self):
         f = qst_objective(standard_basis_ensemble(2))
@@ -538,9 +572,10 @@ class TestWorkPerSolve:
         assert work["probabilities"] == (0 if family == "quadratic" else candidates - excluded + 1)
 
     def test_rejected_candidates_form_no_exponent(self, monkeypatch):
-        # log rho is formed for the start, each accepted iterate and each
-        # alpha_bar probe only: at most 2 iterations + 1 times, whatever the
-        # number of candidates; alpha_bar = 20 overshoots the barrier often
+        # log rho is formed for the start and each accepted iterate only:
+        # iterations + 1 times, whatever the number of candidates, as the
+        # stopping gap reads the probe's eigenpairs; alpha_bar = 20 overshoots
+        # the barrier often
         rng = np.random.default_rng(54)
         f = hedged_qst_objective(random_ensemble(rng, 3, 6), 1e-3)
         counts, f = self.count_work(monkeypatch, f)
@@ -561,7 +596,7 @@ class TestWorkPerSolve:
         assert candidates > 2 * iters
         excluded, probes = self.replay_excluded(rho0, f, cfg, res.trace)
         assert probes > 0
-        assert work["exponent"] <= 2 * iters + 1
+        assert work["exponent"] == iters + 1
         assert work["eigh"] == candidates - excluded + 1 + probes
         assert work["gradient"] == work["checks"] == iters + 1
         assert work["value"] == candidates - excluded + 1
