@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .entropy import quantum_relative_entropy
+from .entropy import _relative_entropy, quantum_relative_entropy
 from .errors import InvalidInput
 from .linalg import (DensityState, _array, _chunks, _count, _hermitian, _hermitian_part, _joined, logsumexp)
 from .objectives import MeasurementEnsemble, ObjectiveSpec, qst_objective
@@ -41,8 +41,11 @@ _steps = functools.partial(_array, dtype=np.float64, copy=None, what="step sizes
 
 def chi(x):
     """e^x (x - 1) + 1, elementwise, evaluated as x e^x - expm1(x) to limit
-    cancellation near zero (the value behaves like x^2 / 2 there)."""
-    return x * np.exp(x) - np.expm1(x)
+    cancellation near zero (the value behaves like x^2 / 2 there). Past
+    x = 700, where x e^x - expm1(x) would read inf - inf, it is e^x (x - 1) + 1,
+    which saturates to +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x > 700.0, np.exp(x) * (x - 1.0) + 1.0, x * np.exp(x) - np.expm1(x))[()]
 
 
 def _scalar(x):
@@ -168,12 +171,14 @@ def _sorted_triples(d: int):
 
 
 def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
-    """(phi, phi', ...) up to the derivative of order ``order`` (1 to 3) at
-    the steps alpha, with the bits of phi and phi_derivatives. ``eig`` is
-    numpy.linalg.eigh of the probe's exponents at alpha, when the caller has
-    it. The third order sums the triples i <= j <= k of eigh's ascending
-    eigenvalues, each weighted by its multiplicity: both of its factors are
-    symmetric in (i, j, k)."""
+    """(D, phi, phi', ...) at the steps alpha: the Bregman gap D(rho(alpha),
+    rho) of rho(alpha) = exp(H_alpha)/tr exp(H_alpha), then phi and its
+    derivatives up to order ``order`` (0 to 3), with the bits of
+    phi_derivatives. D is entropy._relative_entropy of the eigenpairs of
+    H_alpha and of the base state. ``eig`` is numpy.linalg.eigh of the
+    probe's exponents at alpha, when the caller has it. The third order sums
+    the triples i <= j <= k of eigh's ascending eigenvalues, each weighted by
+    its multiplicity: both of its factors are symmetric in (i, j, k)."""
     if eig is None:
         a = _steps(alpha)
         return _joined([_moments(p, a, order, np.linalg.eigh(p.hamiltonian_exponent(a)))
@@ -181,31 +186,37 @@ def _moments(probe: LogPartitionProbe, alpha, order: int, eig=None):
     mu, u = eig
     shape, d = mu.shape[:-1], mu.shape[-1]
     value = logsumexp(mu)
+    log_r = (mu - np.reshape(value, shape + (1,))).reshape(-1, d)  # rho(alpha)'s log-spectrum
     mu = (mu - mu[..., -1:]).reshape(-1, d)  # common shift cancels in every ratio below
     u = u.reshape(-1, d, d)
     g = probe.direction.reshape(-1, d, d)
+    base = probe.base if isinstance(probe.base, tuple) else (probe.base,)
+    log_b, v_b = (np.array([getattr(b, n) for b in base]) for n in ("log_eigenvalues", "eigenvectors"))
     owner = np.arange(len(mu)) // (len(mu) // len(g))  # the probe of each pair
-    raw = np.empty((order, len(mu)))  # Z'/Z, Z''/Z, Z'''/Z per pair
+    raw = np.empty((order + 1, len(mu)))  # D, Z'/Z, Z''/Z, Z'''/Z per pair
     if order >= 3:
         i, j, k, weight = _sorted_triples(d)
     slab = max(1, _SLAB_ELEMENTS // (len(i) if order >= 3 else d * d))  # by a pair's largest array
     for s in range(0, len(mu), slab):
         m, v, at = mu[s:s + slab], u[s:s + slab], slice(s, s + slab)
+        raw[0, at] = _relative_entropy(log_r[at], v, log_b[owner[at]], v_b[owner[at]])
+        if order == 0:
+            continue
         gt = v.conj().swapaxes(-1, -2) @ g[owner[at]] @ v
         w = np.exp(m)
         z0 = w.sum(axis=-1)
-        raw[0, at] = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * w, axis=-1) / z0
+        raw[1, at] = np.sum(np.diagonal(gt, axis1=-2, axis2=-1).real * w, axis=-1) / z0
         if order >= 2:
             d1 = _exp_dd1(m[..., :, None], m[..., None, :])
-            raw[1, at] = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1)) / z0
+            raw[2, at] = np.sum((np.abs(gt) ** 2) * d1, axis=(-2, -1)) / z0
         if order >= 3:
             cycle = (gt[:, i, j] * gt[:, j, k] * gt[:, k, i]).real
             cycle *= _exp_dd2(m[:, i], m[:, j], m[:, k], d1[:, j, k], d1[:, i, j])
             cycle *= weight
-            raw[2, at] = 2.0 * np.sum(cycle, axis=-1) / z0
-    m1, m2, m3 = (*raw.reshape((order,) + shape), 0.0, 0.0)[:3]
+            raw[3, at] = 2.0 * np.sum(cycle, axis=-1) / z0
+    gap, m1, m2, m3 = (*raw.reshape((order + 1,) + shape), 0.0, 0.0, 0.0)[:4]
     moments = (m1, m2 - m1 * m1, m3 - 3.0 * m2 * m1 + 2.0 * m1 ** 3)[:order]
-    return (value, *map(_scalar, moments))
+    return (_scalar(gap), value, *map(_scalar, moments))
 
 
 def phi_derivatives(probe: LogPartitionProbe, alpha):
@@ -221,26 +232,18 @@ def phi_derivatives(probe: LogPartitionProbe, alpha):
     Duhamel correction that this path accounts for. An array alpha gives
     three arrays.
     """
-    return _moments(probe, alpha, 3)[1:]
-
-
-def _gap(probe: LogPartitionProbe, alpha, value, d1):
-    """phi(0) - phi(alpha) + alpha phi'(alpha) at positive steps, given phi
-    and phi' there (from one decomposition, by _moments). phi(0) is the
-    logsumexp of the base states' stored log-eigenvalues, since H_0 = log rho."""
-    a = _steps(alpha)
-    if np.any(a <= 0.0):
-        raise InvalidInput("step size must be positive")
-    base = probe.base if isinstance(probe.base, tuple) else (probe.base,)
-    at_zero = logsumexp(np.array([b.log_eigenvalues for b in base]))
-    return _scalar(np.reshape(at_zero, np.shape(probe.delta) + (1,) * a.ndim) - value + a * d1)
+    return _moments(probe, alpha, 3)[2:]
 
 
 def bregman_gap(probe: LogPartitionProbe, alpha):
-    """D(rho(alpha), rho) through the log-partition identity
-    phi(0) - phi(alpha) + alpha phi'(alpha); nonnegative (Peierls-Bogoliubov).
-    A step that is not positive raises InvalidInput."""
-    return _gap(probe, alpha, *_moments(probe, alpha, 1))
+    """D(rho(alpha), rho), the relative entropy of the eigenpairs of H_alpha
+    and the base state's stored ones, so it holds where an eigenvalue of
+    either underflows; it equals phi(0) - phi(alpha) + alpha phi'(alpha), the
+    identity the moments check certifies, and is nonnegative (Klein). A step
+    that is not positive raises InvalidInput."""
+    if np.any(_steps(alpha) <= 0.0):
+        raise InvalidInput("step size must be positive")
+    return _moments(probe, alpha, 0)[0]
 
 
 def inner_product_check(rho: DensityState, f: ObjectiveSpec, alpha: float) -> float:

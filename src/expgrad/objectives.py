@@ -76,8 +76,9 @@ class MeasurementEnsemble:
         if len({_array(op, copy=None).shape for op in ops}) > 1:  # no copy of an array
             raise InvalidInput("ensemble operators have mixed dimensions")
         stack = _hermitian(ops, 3)
-        lows = np.linalg.eigvalsh(stack)[:, 0]
-        if np.any(lows < -1e-10):
+        vals = np.linalg.eigvalsh(stack)  # rounding grows with the norm: the floor scales by it
+        lows = vals[:, 0]
+        if np.any(lows < -1e-10 * np.maximum(1.0, vals[:, -1])):
             raise InvalidInput(f"operator is not PSD (min eigenvalue {float(lows.min())})")
         if not np.any(stack, axis=(1, 2)).all():
             raise InvalidInput("every operator must be nonzero")

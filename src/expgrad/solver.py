@@ -15,14 +15,17 @@ excluded, its f not evaluated, when the objective is a barrier and a Weyl
 bound on the spread of its exponent proves that an eigenvalue falls below
 the smallest normal double, objectives._TINY, where the barrier is +inf
 (see _armijo); a fresh candidate past the bound is not formed either, while
-a probe past it was formed for the stopping test. With candidates =
-iterations + total backtracks, a solve that stops on its own rule costs
-candidates - excluded + 1 evaluations of f (one per candidate not excluded,
-plus f(x0)) and iterations + 1 gradients. On a matrix it also costs that
-many eigendecompositions plus one per excluded probe (one per candidate
-formed, plus the last probe), and one eigvalsh per iteration for the
-gradient's spectral width; building the start is not counted: the
-maximally mixed one takes none, one from DensityState.from_matrix one. The
+a probe past it was formed for the stopping test. On every objective, a step
+whose exponent could leave the float range, at alpha ||g|| near 1e307, is
+excluded and not formed, a probe included, whose gap then reads +inf
+(_overflow_step). With candidates = iterations + total backtracks, a solve
+that stops on its own rule costs candidates - excluded + 1 evaluations of f
+(one per candidate not excluded, plus f(x0)) and iterations + 1 gradients.
+On a matrix it also costs that many eigendecompositions plus one per
+excluded probe (one per candidate formed, plus the last probe), and one
+eigvalsh per gradient for its extreme eigenvalues; building the start is
+not counted: the maximally mixed one takes none, one from
+DensityState.from_matrix one. The
 stopping gap D(probe, x_k) is entropy._divergence of the two states' stored
 eigenpairs, so the exponent log rho is formed only at the start and at each
 accepted iterate, iterations + 1 times per solve however many candidates
@@ -34,6 +37,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import sys
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -49,9 +53,11 @@ TRACE_COLUMNS = ("k", "f", "alpha", "backtracks", "delta", "bregman_gap_bar", "m
 
 # exp(x) < _TINY below log(_TINY) = -708.3964, where a barrier objective is
 # +inf; _ROUNDING * d * scale bounds the rounding of the spectral bound at
-# that scale (see _armijo)
+# that scale; an exponent of spectral norm at most _HUGE, and every array
+# formed from it, stays in the float range (see _armijo)
 _EDGE = -math.log(_TINY)
 _ROUNDING = 32 * np.finfo(np.float64).eps
+_HUGE = sys.float_info.max / 16
 
 
 class SolveStatus(enum.Enum):
@@ -154,6 +160,16 @@ def eg_step(state, g: np.ndarray, alpha: float):
     return type(state).from_exponent(state.exponent - alpha * g)
 
 
+def _overflow_step(state, g) -> tuple[float, float, float]:
+    """The smallest and largest eigenvalue lo <= hi of a Hermitian g (entry
+    of a vector g), and a step up to which the exponent log x - alpha g has a
+    spectral norm of at most _HUGE, +inf for g = 0. See _armijo."""
+    spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
+    lo, hi = float(np.min(spectrum)), float(np.max(spectrum))
+    top = max(-lo, hi)
+    return lo, hi, (_HUGE - float(np.max(np.abs(state.log_eigenvalues)))) / top if top > 0.0 else math.inf
+
+
 def _underflow_step(state, lo: float, hi: float) -> float:
     """A step beyond which eg_step(state, g, alpha) provably has an
     eigenvalue or entry below _TINY, for a g with extreme eigenvalues
@@ -178,8 +194,14 @@ def _armijo(state, f: ObjectiveSpec, cfg: SolverConfig, g, f_state, first=None, 
 
     A candidate with alpha > ``cut`` is excluded, ``first`` included: f is
     not evaluated and a fresh candidate is not formed. It counts as a failed
-    test with value +inf, which is what evaluating it would give when
-    ``cut`` is _underflow_step(state, ...) and f is a barrier. The argument:
+    test with value +inf. ``cut`` is at most _overflow_step(state, g) for
+    every objective: past it the exponent H = log x - alpha g could leave the
+    float range, and below it every array formed from H stays in it, as
+    |H_ij| <= ||H|| <= max|w| + alpha max|lambda(g)| <= _HUGE, the
+    normalized log-spectrum of the candidate is at most 2 _HUGE + log d in
+    modulus, and its own exponent, doubled by the Hermitian part, 4 _HUGE.
+    For a barrier, ``cut`` is also at most _underflow_step(state, ...), past
+    which +inf is what evaluating the candidate would give. The argument:
     let Delta = lambda_max(g) - lambda_min(g) and s the spread of the state's
     normalized log-eigenvalues w. By Weyl's inequalities the exponent
     H = log rho - alpha g has lambda_max(H) - lambda_min(H) >= alpha Delta - s.
@@ -236,21 +258,25 @@ def solve(x0, f: ObjectiveSpec, cfg: SolverConfig = SolverConfig(),
     if not math.isfinite(f_prev):
         raise DomainError("initial point is outside the effective domain")
     g = _gradient(state, f.gradient(state))
+    lo, hi, overflow = _overflow_step(state, g)
     probe = None  # the alpha_bar step from state, once computed
     result = SolveResult(state, [], SolveStatus.MAX_ITERS)
     for k in range(1, cfg.max_iters + 1):
-        spectrum = np.linalg.eigvalsh(g) if g.ndim == 2 else g
-        lo, hi = float(np.min(spectrum)), float(np.max(spectrum))
-        cut = _underflow_step(state, lo, hi) if f.barrier else math.inf
+        cut = min(overflow, _underflow_step(state, lo, hi)) if f.barrier else overflow
         alpha, state_next, backtracks, f_new = _armijo(state, f, cfg, g, f_prev, probe, cut)
         if state_next is None:
             result.status = SolveStatus.BACKTRACK_CAP_HIT
             result.last_alpha, result.last_value = alpha, f_new
             break
         g_next = _gradient(state_next, f.gradient(state_next))
-        probe = type(state_next).from_exponent(state_next.exponent - cfg.alpha_bar * g_next)
-        gap_bar = _divergence(probe, state_next)
-        record = IterationRecord(k, f_new, alpha, backtracks, hi - lo, gap_bar, state_next.min_eig)
+        delta = hi - lo
+        lo, hi, overflow = _overflow_step(state_next, g_next)
+        if cfg.alpha_bar > overflow:  # a probe past the float range is not formed: its gap is +inf
+            probe, gap_bar = None, math.inf
+        else:
+            probe = type(state_next).from_exponent(state_next.exponent - cfg.alpha_bar * g_next)
+            gap_bar = _divergence(probe, state_next)
+        record = IterationRecord(k, f_new, alpha, backtracks, delta, gap_bar, state_next.min_eig)
         result.trace.append(record)
         if sink is not None:
             sink(record)

@@ -117,6 +117,21 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["status"] == "BacktrackCapHit" and summary["iters"] == 0
 
+    def test_alpha_bar_past_the_float_range_is_a_status(self, tmp_path, capsys):
+        # alpha_bar = 1e308 times the gradient overflows: steps whose exponent
+        # could leave the float range are not formed, and the run ends with a
+        # status instead of a usage error; probes past the bound read gap +inf
+        ens_path, trace_path = tmp_path / "ens.json", tmp_path / "t.csv"
+        main(["gen", "--dim", "4", "--num-ops", "8", "--seed", "0", "--out", str(ens_path)])
+        rc = main(["run", "--objective", "qst", "--operators", str(ens_path), "--alpha-bar", "1e308",
+                   "--trace", str(trace_path)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert json.loads(captured.out)["status"] in ("Converged", "Stationary", "MaxIters", "BacktrackCapHit")
+        with open(trace_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(not math.isnan(float(v)) for row in rows for v in row.values())
+
     def test_trace_deterministic(self, basis_file, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

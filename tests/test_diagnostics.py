@@ -5,6 +5,7 @@ import decimal
 import hashlib
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import mpmath
@@ -37,6 +38,7 @@ from expgrad import (
     standard_basis_ensemble,
 )
 from expgrad.diagnostics import chi
+from expgrad.entropy import _relative_entropy
 from expgrad.linalg import logsumexp
 from expgrad.suites import phi_fd_derivatives
 
@@ -62,6 +64,27 @@ class TestChi:
     def test_positive_for_positive_argument(self):
         for x in np.geomspace(1e-8, 50.0, 30):
             assert chi(x) > 0.0
+
+    def test_saturates_past_the_float_range(self):
+        # x e^x - expm1(x) reads inf - inf = nan past x = 709.8; below 700 the
+        # values keep their bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi(800.0) == math.inf
+            assert chi(np.array([710.0, 1e300])).tolist() == [math.inf, math.inf]
+        x = np.linspace(-50.0, 700.0, 1001)
+        assert chi(x).tobytes() == (x * np.exp(x) - np.expm1(x)).tobytes()
+
+    def test_ratio_and_kappa_margins_at_a_width_of_1e3(self):
+        # the ratio grid reaches Delta alpha = 1e4 and the kappa bound reads
+        # chi(Delta) = chi(1e3): both margins are finite and nonnegative
+        rng = np.random.default_rng(57)
+        p = random_probe(rng, 4, "hermitian")
+        wide = LogPartitionProbe.stack([LogPartitionProbe(p.base, p.direction * (1e3 / p.delta))])
+        assert wide.delta[0] == pytest.approx(1e3)
+        for name in ("ratio", "kappa"):
+            margin = suite_margins(name, wide)[0]
+            assert math.isfinite(margin) and margin >= 0.0, name
 
 
 class TestProbe:
@@ -492,9 +515,9 @@ class TestWorkPerCheck:
     # the stacked calls of each suite per probe dimension, past the builds;
     # the test ids are the suite names alone, so a new count renames none
     SUITE_CALLS_PER_DIM = {
-        # a gap reads phi from the eigh that gives phi'
+        # a gap reads the eigh that gives phi and its derivatives
         "sandwich": 1, "ratio": 1, "kappa": 1, "self-concordance": 1,
-        # the table's eigh over the derivative and relative-entropy path
+        # the table's eigh over the derivative and Bregman-gap identity
         # steps 1, and one finite-difference stack for all three h 1 (was 5:
         # phi_derivatives, one stack per h, and the path's eigh)
         "moments": 2,
@@ -877,17 +900,17 @@ def bit_probes():
 
 
 def test_gap_and_sandwich_bits_match_full_derivatives(bit_probes):
-    # reference: phi(0) - phi(alpha) + alpha phi'(alpha), and the sandwich
-    # bounds from phi'', with phi' and phi'' from the third-order path, phi(0)
-    # from the base state's stored log-eigenvalues (H_0 = log rho) and
-    # phi(alpha) from the eigh that gives phi'; phi's own eigvalsh path
-    # agrees within round-off. The suite's sandwich margin at its steps
-    # (0.1, 1, 5) is the reference's, bit for bit.
+    # reference: D(rho(alpha), rho) as entropy._relative_entropy of the eigh
+    # of H_alpha, normalized, and the base state's stored eigenpairs; the
+    # log-partition identity phi(0) - phi(alpha) + alpha phi'(alpha), from
+    # phi and phi_derivatives, agrees within round-off. The sandwich bounds
+    # take phi'' from the third-order path, and the suite's sandwich margin at
+    # its steps (0.1, 1, 5) is the reference's, bit for bit.
     grid = np.array([1e-3, 0.1, 0.7, 1.0, 5.0])
     for p in bit_probes:
-        value = logsumexp(np.linalg.eigh(p.hamiltonian_exponent(grid))[0])
+        vals, u = np.linalg.eigh(p.hamiltonian_exponent(grid))
+        gap = _relative_entropy(vals - logsumexp(vals)[:, None], u, p.base.log_eigenvalues, p.base.eigenvectors)
         d1, var, _ = phi_derivatives(p, grid)
-        gap = logsumexp(p.base.log_eigenvalues) - value + grid * d1
         x, dd = p.delta * grid, p.delta * p.delta
         assert np.array_equal(bregman_gap(p, grid), gap)
         values = phi(p, np.append(0.0, grid))

@@ -66,6 +66,19 @@ class TestMeasurementEnsemble:
         with pytest.raises(InvalidInput):
             MeasurementEnsemble([HermitianOperator(np.diag([1.0, -1.0]))])
 
+    def test_psd_floor_scales_with_the_operator(self):
+        # eigvalsh rounds 1e6 v v^H (v a unit vector of C^16) to a smallest
+        # eigenvalue near -1.7e-9 in 130 of these 200 draws, which an absolute
+        # floor of -1e-10 rejected; a floor of -1e-10 max(1, lambda_max) keeps
+        # them all and still rejects an indefinite operator at that scale
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            v /= np.linalg.norm(v)
+            MeasurementEnsemble([np.eye(16), 1e6 * np.outer(v, v.conj())])
+        with pytest.raises(InvalidInput, match="not PSD"):
+            MeasurementEnsemble([np.eye(2), np.diag([1e6, -1e-3])])
+
     def test_rejects_empty_and_zero(self):
         with pytest.raises(InvalidInput):
             MeasurementEnsemble([])

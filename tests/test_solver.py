@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from expgrad.diagnostics import inner_product_check, random_psd
+from expgrad.diagnostics import LogPartitionProbe, bregman_gap, inner_product_check, random_psd
 from expgrad.entropy import ProbabilityVector, _divergence, quantum_relative_entropy
 from expgrad.errors import DomainError, InvalidInput
 from expgrad.linalg import DensityState, HermitianOperator
@@ -282,15 +282,38 @@ class TestSolve:
         # 1e-27 and the gradient's width to about 1e23. The gap of the
         # alpha_bar probe, 60.84, comes from the stored eigenpairs: a product
         # with the difference of the two d x d exponents reads -33,554,432
-        # there, a false Stationary stop
+        # there, a false Stationary stop. diagnostics.bregman_gap of the
+        # probe (x, -grad f(x)) at alpha = 1 reads the same eigenpairs; the
+        # log-partition identity phi(0) - phi(1) + phi'(1) reads 33,554,432
         rng = np.random.default_rng(0)
         f = hedged_qst_objective(MeasurementEnsemble([random_psd(rng, 64) for _ in range(256)]), 1e-3)
         res = solve(DensityState.maximally_mixed(64), f)
         assert res.status is SolveStatus.BACKTRACK_CAP_HIT
         state = res.final_state
-        probe = eg_step(state, f.gradient(state), SolverConfig().alpha_bar)
+        g = f.gradient(state)
+        probe = eg_step(state, g, SolverConfig().alpha_bar)
         want = exact_divergence(probe, state, unit_trace=True)
         assert res.trace[0].bregman_gap_bar == pytest.approx(want, rel=1e-8)
+        assert bregman_gap(LogPartitionProbe(state, -g), 1.0) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha_bar", [1e306, 1e308])
+    def test_steps_past_the_float_range_are_not_formed(self, alpha_bar):
+        # alpha_bar times the gradient overflows, or the exponent of the step
+        # it gives does: each such step counts as +inf, on every objective,
+        # and a stopping probe past the bound reads gap +inf. Every run ends
+        # with a status, with no NaN and no RuntimeWarning; on the simplex the
+        # probe used to read gap NaN for 7 of these 20 seeds
+        runs = [(DensityState.maximally_mixed(4), qst_objective(random_ensemble(np.random.default_rng(0), 4, 8)))]
+        runs += [(ProbabilityVector.uniform(4), poisson_linear_objective(np.random.default_rng(seed).random((8, 4)) + 0.1))
+                 for seed in range(20)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x0, f in runs:
+                res = solve(x0, f, SolverConfig(alpha_bar=alpha_bar))
+                assert isinstance(res.status, SolveStatus)
+                assert not any(math.isnan(v) for r in res.trace for v in dataclasses.astuple(r))
+        res = solve(*runs[0], SolverConfig(alpha_bar=1e308))
+        assert res.trace and all(r.bregman_gap_bar == math.inf for r in res.trace)
 
     def test_no_stop_claim_away_from_the_optimum(self):
         # d = 2 hedged runs from a large alpha_bar, whose first step lands
